@@ -46,7 +46,8 @@ AssignStats evaluate(bool uka, std::size_t N, std::size_t L,
   const auto payload = tree::generate_rekey_payload(kt, upd, 1);
   const auto assignment = uka ? packet::assign_keys(payload)
                               : packet::assign_keys_sequential(payload);
-  const auto per_user = packet::packets_needed_per_user(payload, assignment);
+  const auto per_user =
+      packet::packets_needed_per_user(kt, payload, assignment);
 
   AssignStats s;
   s.packets = static_cast<double>(assignment.packets.size());

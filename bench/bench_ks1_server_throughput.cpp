@@ -14,11 +14,14 @@
 // output slots, so its payload is bit-identical to the serial one — the
 // bench asserts that — and only the wall time changes.
 // The third section sweeps the shard count (keytree/shard.h): the whole
-// batch pipeline — sharded marking, per-shard payload generation, and the
-// two-phase parallel UKA — runs at 1..8 shards on a fixed worker pool,
-// with a serial-pipeline baseline row (shards=0). The sharded output is
-// asserted bit-identical to the serial baseline at every shard count;
-// only the wall time may move.
+// batch pipeline — sharded marking, per-shard encryption generation, and
+// the run-packed UKA — runs at 1..8 shards on a fixed worker pool, with a
+// serial-pipeline baseline row (shards=0). The sharded output is asserted
+// bit-identical to the serial baseline at every shard count; only the
+// wall time may move.
+// The last section times small batches (J = L fixed) on growing groups:
+// user needs are stored per frontier node and UKA packs runs, so payload
+// + assignment should stay flat in N.
 #include <chrono>
 #include <iostream>
 
@@ -176,7 +179,7 @@ ShardPoint run_shard_point(std::size_t N, std::size_t J, std::size_t L,
                                            runner);
       r.payload_us = std::min(r.payload_us, us_since(t0));
       t0 = Clock::now();
-      assignment = packet::assign_keys(payload, 1027, plan, runner);
+      assignment = packet::assign_keys(payload, 1027);
       r.assign_us = std::min(r.assign_us, us_since(t0));
     }
     r.encryptions = payload.encryptions.size();
@@ -361,6 +364,39 @@ int main(int argc, char** argv) {
                  static_cast<long long>(pin_pool.pinned_workers()),
                  static_cast<long long>(r.encryptions), r.mark_us,
                  r.payload_us, r.assign_us, r.mark_us + r.assign_us});
+    }
+    json.table(std::cout, t);
+  }
+  // Small batches on large groups: the batch, not the group, should set
+  // the cost of payload generation and assignment.
+  const std::size_t small_batch = cli.smoke ? 16 : 256;
+  const std::vector<std::size_t> small_sizes =
+      cli.smoke ? std::vector<std::size_t>{1u << 12, 1u << 14}
+                : std::vector<std::size_t>{1u << 20, 1u << 22};
+  json.header(std::cout, "KS1 (small batch)",
+              "fixed small batch on growing groups: payload + assignment "
+              "cost follows the batch, not N",
+              "d=4, J=L=" + std::to_string(small_batch) +
+                  ", 1027-byte packets, fresh tree per point, min over " +
+                  std::to_string(kTrials) + " trials");
+  {
+    Table t({"N", "J", "L", "enc", "model_enc", "enc_pkts", "mark_us",
+             "payload_us", "assign_us", "payload_assign_us"});
+    t.set_precision(2);
+    for (std::size_t i = 0; i < small_sizes.size(); ++i) {
+      const std::size_t N = small_sizes[i];
+      const std::uint64_t seed = point_seed(0x4B5311ull, 3000 + i);
+      json.add_seed(seed);
+      const PointResult r =
+          run_point(N, small_batch, small_batch, d, seed, kTrials, nullptr);
+      t.add_row({static_cast<long long>(N),
+                 static_cast<long long>(small_batch),
+                 static_cast<long long>(small_batch),
+                 static_cast<long long>(r.encryptions),
+                 analysis::expected_encryptions(N, small_batch, small_batch,
+                                                d),
+                 static_cast<long long>(r.enc_packets), r.mark_us,
+                 r.payload_us, r.assign_us, r.payload_us + r.assign_us});
     }
     json.table(std::cout, t);
   }

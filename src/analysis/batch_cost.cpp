@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/ensure.h"
 
@@ -29,7 +30,8 @@ double prob_all_departed(std::size_t N, std::size_t L, std::size_t m) {
 
 namespace {
 
-// Height of the full balanced tree holding N users.
+// Height of the tree populate builds for N users: the smallest h with
+// d^h >= N.
 unsigned tree_height(std::size_t N, unsigned d) {
   unsigned h = 1;
   std::size_t cap = d;
@@ -40,97 +42,152 @@ unsigned tree_height(std::size_t N, unsigned d) {
   return h;
 }
 
-// Exact expectation for the J <= L regime.
+std::size_t power(unsigned d, unsigned e) {
+  std::size_t p = 1;
+  for (unsigned i = 0; i < e; ++i) p *= d;
+  return p;
+}
+
+// P(a subtree of m users dies): all m depart, and none of them is among
+// the J replaced slots. Departed slots are uniform; of the L departed,
+// the J smallest-id are replaced. Exact treatment of "smallest-id"
+// correlates with position; the standard analysis (and ours) uses the
+// symmetric approximation that each departed slot is replaced with
+// probability J/L, independently of location:
+//   P(c dies) = P(all m depart) * P(all m unreplaced | depart)
+//            ~= prob_all_departed * prod_{i<m} (L-J-i)/(L-i).
+double prob_subtree_dies(std::size_t N, std::size_t J, std::size_t L,
+                         std::size_t m) {
+  const std::size_t pure = L - J;
+  double p_all_unreplaced = 1.0;
+  for (std::size_t i = 0; i < m && p_all_unreplaced != 0.0; ++i) {
+    if (L - i == 0) {
+      p_all_unreplaced = 0.0;
+      break;
+    }
+    p_all_unreplaced *= pure > i ? static_cast<double>(pure - i) /
+                                       static_cast<double>(L - i)
+                                 : 0.0;
+  }
+  return prob_all_departed(N, L, m) * p_all_unreplaced;
+}
+
+// Expectation for the J <= L regime on the tree populate builds: users
+// packed into the leftmost leaf slots of level h, k-nodes only where a
+// user lies below. Replaced slots do not prune; only the L - J pure
+// leaves can. For each edge (x, c) with c spanning m users and x spanning
+// M:
+//   P(edge) = P(c survives) - P(x unchanged)
+// where "x unchanged" = no departure among x's M users, and
+//   P(c survives) = 1 - P(all m of c's users are pure removals).
+// Below a level, N users fill N / (d m) parents whole (d children of m
+// users each); the remaining R = N mod (d m) users hang under one partial
+// parent as R / m whole children and one child of R mod m users. When N is
+// a power of d every parent is whole.
 double expected_j_le_l(std::size_t N, std::size_t J, std::size_t L,
                        unsigned d) {
   const unsigned h = tree_height(N, d);
-  // Replaced slots do not prune; only the L - J pure leaves can.
-  // "x changed" = any departure among x's leaves (replacement or removal).
-  // "c survives" (internal) = not all of c's leaves are *pure* leaves;
-  // since replaced slots survive, c dies only if all its leaves are among
-  // the L - J removals. Removals are a uniform subset of the L departures,
-  // which are uniform over N, so the m removals-only event has the same
-  // hypergeometric form with L' = L - J... conditioned jointly with "x
-  // changed". We use the decomposition
-  //   P(edge) = P(c survives) - P(x unchanged)
-  // where "x unchanged" = no departure among x's M leaves, and
-  //   P(c survives) = 1 - P(all m of c's leaves are pure removals).
-  const std::size_t pure = L - J;
   double total = 0.0;
-  std::size_t nodes_at_level = 1;  // root level
   for (unsigned level = 0; level < h; ++level) {
-    // children of a level-`level` node span m leaves each. When N is not
-    // a power of d the full-tree capacity d^h exceeds N, so the top
-    // levels' nominal spans overshoot the group; a node can never span
-    // more leaves than exist, so clamp both spans to N (the departure
-    // probabilities below are monotone in the span, and the clamped span
-    // is exact for the root).
-    std::size_t m = 1;
-    for (unsigned i = 0; i + level + 1 < h; ++i) m *= d;
-    m = std::min(m, N);
-    const std::size_t M = std::min(m * d, N);
-    // P(all m leaves of c are pure removals): choose departures such that
-    // c's m leaves all depart AND all m are among the unreplaced ones.
-    // Departed slots are uniform; of the L departed, the J smallest-id are
-    // replaced. Exact treatment of "smallest-id" correlates with position;
-    // the standard analysis (and ours) uses the symmetric approximation
-    // that each departed slot is replaced with probability J/L,
-    // independently of location:
-    //   P(c dies) = P(all m depart) * P(all m unreplaced | depart)
-    //            ~= prob_all_departed * prod_{i<m} (L-J-i)/(L-i).
-    double p_all_unreplaced = 1.0;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (L - i == 0) {
-        p_all_unreplaced = 0.0;
-        break;
-      }
-      p_all_unreplaced *= pure > i
-                              ? static_cast<double>(pure - i) /
-                                    static_cast<double>(L - i)
-                              : 0.0;
-    }
-    const double p_c_dies = prob_all_departed(N, L, m) * p_all_unreplaced;
-    const double p_edge =
-        (1.0 - p_c_dies) - prob_no_departure(N, L, M);
-    total += static_cast<double>(nodes_at_level) * d *
-             std::max(0.0, p_edge);
-    nodes_at_level *= d;
+    const std::size_t m = power(d, h - level - 1);  // users per whole child
+    const std::size_t whole_parents = N / (m * d);
+    const std::size_t R = N % (m * d);
+    const auto edge = [&](std::size_t child, std::size_t parent) {
+      const double p_edge = (1.0 - prob_subtree_dies(N, J, L, child)) -
+                            prob_no_departure(N, L, parent);
+      return std::max(0.0, p_edge);
+    };
+    if (whole_parents > 0)
+      total += static_cast<double>(whole_parents) * d * edge(m, m * d);
+    if (R / m > 0) total += static_cast<double>(R / m) * edge(m, R);
+    if (R % m > 0) total += edge(R % m, R);
   }
   return total;
 }
 
-// Deterministic fill/split model for the J > L regime on a full tree:
-// L slots are replaced in place; the remaining J - L joins split
-// ceil((J-L)/(d-1)) consecutive u-nodes, each split producing a new
-// k-node with d children, plus the changed ancestors of both the replaced
-// slots (random) and the split range (contiguous).
-double expected_j_gt_l(std::size_t N, std::size_t J, std::size_t L,
-                       unsigned d) {
+// Encryptions under the deterministic fill/split of J - L extra joins on
+// the populated tree. Level l holds E_l = ceil(N / d^(h-l)) nodes, packed
+// leftmost; nk is the last k-node, at position E_{h-1} - 1 of level h-1.
+// The extra joins first fill the free slots in (nk, d*nk + d] from low to
+// high: the rest of level h-1, then nk's free children. When those run
+// out, the u-node nk + 1 splits (its user moves to its leftmost child,
+// freeing d - 1 slots), repeatedly: the filled level-(h-1) slots first,
+// then level h from its left end. Each split node carries d encryptions;
+// every ancestor of a new slot or a split node changes and encrypts for
+// each of its present children. Nodes stay packed leftmost at every level,
+// so a changed range [lo, hi] of level l has min((hi+1) d, E_{l+1}) - lo d
+// present children. On a full tree (N a power of d) there are no free
+// slots and every join splits.
+double fill_split_encryptions(std::size_t N, std::size_t extra, unsigned d) {
   const unsigned h = tree_height(N, d);
-  const std::size_t extra = J - L;
-  const std::size_t splits = (extra + d - 2) / (d - 1);
+  // Post-batch node counts per level, 0..h+1.
+  std::vector<std::size_t> E(h + 2, 0);
+  for (unsigned l = 0; l <= h; ++l) {
+    const std::size_t span = power(d, h - l);
+    E[l] = (N + span - 1) / span;
+  }
+  const std::size_t P0 = E[h - 1];  // first free position of level h-1
+  const std::size_t A = power(d, h - 1) - P0;
+  const std::size_t B = d * P0 - N;
+  const std::size_t fill_a = std::min(extra, A);
+  const std::size_t fill_b = std::min(extra - fill_a, B);
+  const std::size_t rest = extra - fill_a - fill_b;
+  const std::size_t splits = (rest + d - 2) / (d - 1);
+  const std::size_t splits_a = std::min(splits, fill_a);  // on level h-1
+  const std::size_t splits_h = splits - splits_a;         // on level h
+  E[h - 1] += fill_a;
+  E[h] += fill_b + splits_a * d;
+  E[h + 1] = splits_h * d;
+  for (unsigned l = h - 1; l-- > 0;) E[l] = (E[l + 1] + d - 1) / d;
 
-  // Replaced slots contribute like the J = L regime on L replacements.
-  double total = L > 0 ? expected_j_le_l(N, L, L, d) : 0.0;
-
-  // Split nodes: d encryptions each.
-  total += static_cast<double>(splits * d);
-
-  // Ancestors of the contiguous split range: at height i above the leaves
-  // roughly splits / d^i changed nodes, each with d children; stop at the
-  // root. (These partially overlap the replaced slots' ancestors; the
-  // overlap is second-order for the J >> L workloads this regime covers.)
-  double width = static_cast<double>(splits);
-  for (unsigned i = 1; i <= h && width > 0; ++i) {
-    width = std::ceil(width / d);
-    total += width * d;
-    if (width <= 1.0) {
-      // Remaining path straight to the root.
-      if (i < h) total += static_cast<double>((h - i)) * d;
-      break;
+  double total = static_cast<double>(splits * d);
+  // Changed k-nodes that are not split nodes, as sorted, disjoint position
+  // ranges of one level: on level h-1, nk (when it gains children) and the
+  // parents of level-h split nodes; above, the ancestors of those and of
+  // the filled level-(h-1) slots.
+  struct Range {
+    std::size_t lo, hi;  // inclusive
+  };
+  std::vector<Range> ranges;
+  const auto merge = [&] {
+    std::sort(ranges.begin(), ranges.end(),
+              [](const Range& a, const Range& b) { return a.lo < b.lo; });
+    std::vector<Range> out;
+    for (const Range& r : ranges) {
+      if (!out.empty() && r.lo <= out.back().hi + 1)
+        out.back().hi = std::max(out.back().hi, r.hi);
+      else
+        out.push_back(r);
     }
+    ranges = std::move(out);
+  };
+  const auto count_children = [&](unsigned l) {
+    for (const Range& r : ranges)
+      total += static_cast<double>(std::min((r.hi + 1) * d, E[l + 1]) -
+                                   r.lo * d);
+  };
+  if (fill_b > 0) ranges.push_back({P0 - 1, P0 - 1});
+  if (splits_h > 0)
+    ranges.push_back({0, std::min(P0, (splits_h + d - 1) / d) - 1});
+  merge();
+  count_children(h - 1);
+  if (fill_a > 0) ranges.push_back({P0, P0 + fill_a - 1});
+  for (unsigned l = h - 1; l-- > 0;) {
+    for (Range& r : ranges) r = Range{r.lo / d, r.hi / d};
+    merge();
+    count_children(l);
   }
   return total;
+}
+
+// J > L: L slots are replaced in place, which costs what a J = L batch of
+// L replacements costs, plus the fill/split of the remaining J - L joins.
+// (The two changed sets overlap near the root; the overlap is
+// second-order for the J >> L workloads this regime covers.)
+double expected_j_gt_l(std::size_t N, std::size_t J, std::size_t L,
+                       unsigned d) {
+  const double replaced = L > 0 ? expected_j_le_l(N, L, L, d) : 0.0;
+  return replaced + fill_split_encryptions(N, J - L, d);
 }
 
 }  // namespace
@@ -140,6 +197,7 @@ double expected_encryptions(std::size_t N, std::size_t J, std::size_t L,
   REKEY_ENSURE(d >= 2);
   REKEY_ENSURE(L <= N);
   if (J == 0 && L == 0) return 0.0;
+  REKEY_ENSURE_MSG(N >= 1, "the model prices batches on a populated tree");
   if (J <= L) return expected_j_le_l(N, J, L, d);
   return expected_j_gt_l(N, J, L, d);
 }

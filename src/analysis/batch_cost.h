@@ -2,18 +2,20 @@
 // analysis" core of the SIGCOMM 2001 paper: how many encryptions a batch of
 // J joins and L leaves costs on a key tree of N users and degree d.
 //
-// For J <= L on an initially full, balanced tree the expectation is exact:
-// leaves depart uniformly without replacement, so subtree-survival events
-// are hypergeometric. For each edge (x, c) with c spanning m leaves and x
-// spanning M = d*m:
+// The tree is the one KeyTree::populate builds for N users: height
+// ceil(log_d N), users packed into the leftmost leaf slots, k-nodes only
+// where a user lies below. For J <= L the expectation is exact up to the
+// replaced-slot approximation: leaves depart uniformly without
+// replacement, so subtree-survival events are hypergeometric. For each
+// edge (x, c) with c spanning m users and x spanning M:
 //
 //   P(edge in rekey subtree) = P(c survives) - P(x has no change)
 //
 // because "x changed" requires a departure (or replacement) under x, and a
 // surviving c implies a surviving x. Pure-leave (J=0) and replace (J=L)
 // regimes differ only in whether subtrees can be pruned. For J > L the
-// extra joins fill and split deterministically; expected_encryptions
-// handles that regime with the deterministic fill/split count.
+// extra joins fill the free slots and then split, deterministically;
+// expected_encryptions counts that regime's edges directly.
 #pragma once
 
 #include <cstddef>
@@ -30,7 +32,7 @@ double prob_no_departure(std::size_t N, std::size_t L, std::size_t m);
 double prob_all_departed(std::size_t N, std::size_t L, std::size_t m);
 
 // Expected number of encryptions in the rekey subtree for a batch (J, L)
-// on a full balanced d-ary tree with N = d^h users. Exact for J <= L;
+// on the populated d-ary tree of N >= 1 users. Hypergeometric for J <= L;
 // deterministic fill/split model for J > L.
 double expected_encryptions(std::size_t N, std::size_t J, std::size_t L,
                             unsigned d);

@@ -114,10 +114,7 @@ IntervalReport GroupKeyService::run_batch(simnet::Topology* topology) {
   report.encryptions = payload.encryptions.size();
 
   packet::Assignment assignment =
-      plan_.has_value()
-          ? packet::assign_keys(payload, config_.protocol.packet_size,
-                                *plan_, runner)
-          : packet::assign_keys(payload, config_.protocol.packet_size);
+      packet::assign_keys(payload, config_.protocol.packet_size);
   report.enc_packets = assignment.packets.size();
   report.duplication_overhead = assignment.duplication_overhead();
 

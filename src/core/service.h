@@ -37,8 +37,8 @@ struct ServiceConfig {
   std::uint64_t key_seed = 0xC0FFEE;
   transport::ProtocolConfig protocol;  // used only with simulated delivery
   // Sharded batch pipeline (keytree/shard.h). shards > 1 partitions
-  // marking, payload generation, and packet assignment into per-shard
-  // tasks; worker_threads > 1 gives those tasks a pool. Output is
+  // marking and encryption generation into per-shard tasks;
+  // worker_threads > 1 gives those tasks a pool. Output is
   // bit-identical to the serial pipeline for every setting — the defaults
   // (1, 1) run the exact serial path.
   unsigned shards = 1;          // power of two in [1, 256]

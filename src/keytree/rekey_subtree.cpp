@@ -11,7 +11,6 @@ namespace {
 
 // Work below this size is not worth fanning out.
 constexpr std::size_t kParallelEncThreshold = 256;
-constexpr std::size_t kParallelNeedsThreshold = 4096;
 
 // Splits [0, n) into roughly even chunks and runs fn(begin, end) for each
 // across the pool.
@@ -133,75 +132,113 @@ void generate_rekey_payload_into(const KeyTree& tree,
     }
   }
 
-  // Index of the encryption whose enc_id is child c of changed k-node p:
-  // locate p's block via its position in the descending order, then scan
-  // the <= d entries of that block.
-  auto enc_index = [&](NodeId c, NodeId p) -> std::uint32_t {
-    const std::size_t k = n_changed - 1 - changed.index_of(p);
-    for (std::uint32_t i = enc_offset[k]; i < enc_offset[k + 1]; ++i)
-      if (out.encryptions[i].enc_id == c) return i;
-    REKEY_ENSURE_MSG(false, "missing encryption for an existing child");
-    return 0;  // unreachable
+  out.user_needs.build(tree, update, enc_offset);
+}
+
+void UserNeeds::build(const KeyTree& tree, const BatchUpdate& update,
+                      std::span<const std::uint32_t> enc_offset) {
+  clear();
+  const NodeIdSet& changed = update.changed_knodes;
+  const std::size_t n_changed = changed.size();
+  if (n_changed == 0) return;
+  REKEY_ENSURE_MSG(changed[0] == kRootId, "changed set misses the root");
+  const unsigned d = tree.degree();
+  // Lemma 4.1 + I4: k-nodes are the present ids <= nk, users the present
+  // ids in (nk, d*nk + d] — on nk's level (shallow) or the next (deep).
+  const NodeId nk = update.max_kid;
+  const NodeId deep_begin = first_id_at_level(level_of(nk, d) + 1, d);
+
+  // First / last present child of a k-node, and the first / last user
+  // below a node (a leftmost / rightmost descent).
+  const auto first_child = [&](NodeId x) {
+    for (unsigned j = 0; j < d; ++j)
+      if (tree.contains(child_of(x, j, d))) return child_of(x, j, d);
+    REKEY_ENSURE_MSG(false, "k-node with no children");
+    return x;  // unreachable
+  };
+  const auto last_child = [&](NodeId x) {
+    for (unsigned j = d; j-- > 0;)
+      if (tree.contains(child_of(x, j, d))) return child_of(x, j, d);
+    REKEY_ENSURE_MSG(false, "k-node with no children");
+    return x;  // unreachable
+  };
+  const auto first_user = [&](NodeId x) {
+    while (x <= nk) x = first_child(x);
+    return x;
+  };
+  const auto last_user = [&](NodeId x) {
+    while (x <= nk) x = last_child(x);
+    return x;
   };
 
-  // Which encryptions each user needs: for every node c on the user's path
-  // (excluding the root), the encryption with id c exists iff parent(c)
-  // changed. Changed sets are upward-closed, so these form the top segment
-  // of the path; we record them bottom-up so a receiver can decrypt in
-  // order with the keys it already holds.
-  UserNeeds& un = out.user_needs;
-  if (n_changed == 0) return;
-  if (parallel && tree.num_users() >= kParallelNeedsThreshold) {
-    std::vector<NodeId> slots;
-    slots.reserve(tree.num_users());
-    tree.user_slots_into(slots);
-    // Pass 1: per-user need counts.
-    std::vector<std::uint32_t> counts(slots.size(), 0);
-    parallel_chunks(*pool, slots.size(), [&](std::size_t b, std::size_t e) {
-      for (std::size_t i = b; i < e; ++i) {
-        std::uint32_t cnt = 0;
-        for (NodeId c = slots[i]; c != kRootId; c = parent_of(c, d))
-          if (changed.contains(parent_of(c, d))) ++cnt;
-        counts[i] = cnt;
-      }
-    });
-    // Compact to users with needs and lay out the CSR.
-    std::uint32_t total = 0;
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      if (counts[i] == 0) continue;
-      un.slots_.push_back(slots[i]);
-      un.offsets_.push_back(total);
-      total += counts[i];
+  // Deep runs follow every shallow run in id order; within a level the
+  // depth-first walk meets frontier nodes left to right, so both lists
+  // come out sorted.
+  std::vector<Run> deep;
+  const auto add_run = [&](NodeId first, NodeId last) {
+    const auto f = static_cast<std::uint32_t>(offsets_.size() - 1);
+    (first < deep_begin ? runs_ : deep).push_back(Run{first, last, f});
+  };
+
+  struct Frame {
+    NodeId x;                // a changed k-node
+    std::size_t block;       // its encryption block (descending order)
+    unsigned next_child;     // next child slot to visit
+    std::uint32_t next_enc;  // encryption of the next present child
+  };
+  std::vector<Frame> stack{
+      Frame{kRootId, n_changed - 1, 0, enc_offset[n_changed - 1]}};
+  // Encryptions of the changed k-nodes on the walk's path below the root,
+  // top-down.
+  std::vector<std::uint32_t> path;
+  std::size_t visited = 1;
+  offsets_.push_back(0);
+  while (!stack.empty()) {
+    Frame& top = stack.back();
+    if (top.next_child == d) {
+      REKEY_ENSURE_MSG(top.next_enc == enc_offset[top.block + 1],
+                       "encryption block does not match the tree");
+      stack.pop_back();
+      if (!stack.empty()) path.pop_back();
+      continue;
     }
-    un.offsets_.push_back(total);
-    un.indices_.resize(total);
-    // Pass 2: fill each user's fixed span.
-    parallel_chunks(*pool, un.slots_.size(),
-                    [&](std::size_t b, std::size_t e) {
-                      for (std::size_t i = b; i < e; ++i) {
-                        std::uint32_t at = un.offsets_[i];
-                        for (NodeId c = un.slots_[i]; c != kRootId;
-                             c = parent_of(c, d)) {
-                          const NodeId p = parent_of(c, d);
-                          if (changed.contains(p))
-                            un.indices_[at++] = enc_index(c, p);
-                        }
-                      }
-                    });
-  } else {
-    tree.for_each_user_slot([&](NodeId slot) {
-      const std::size_t before = un.indices_.size();
-      for (NodeId c = slot; c != kRootId; c = parent_of(c, d)) {
-        const NodeId p = parent_of(c, d);
-        if (changed.contains(p)) un.indices_.push_back(enc_index(c, p));
+    const NodeId c = child_of(top.x, top.next_child++, d);
+    if (!tree.contains(c)) continue;  // n-node
+    const std::uint32_t enc = top.next_enc++;
+    const std::size_t k = c <= nk ? changed.index_of(c) : n_changed;
+    if (k != n_changed) {
+      path.push_back(enc);
+      stack.push_back(Frame{c, n_changed - 1 - k, 0,
+                            enc_offset[n_changed - 1 - k]});
+      ++visited;
+      continue;
+    }
+    // c is a frontier node: every user below it needs c's encryption and
+    // then the path's, bottom-up.
+    indices_.push_back(enc);
+    indices_.insert(indices_.end(), path.rbegin(), path.rend());
+    const NodeId lo = first_user(c), hi = last_user(c);
+    if ((lo < deep_begin) == (hi < deep_begin)) {
+      add_run(lo, hi);
+    } else {
+      // Users on both levels: nk lies below c. The deep run ends at nk's
+      // last child; the shallow run starts at the first present node to
+      // the right of nk on nk's level.
+      add_run(lo, last_child(nk));
+      NodeId x = nk, next = nk;
+      while (next == nk) {
+        REKEY_ENSURE(x != c);
+        const NodeId p = parent_of(x, d);
+        for (NodeId s = x + 1; s <= child_of(p, d - 1, d) && next == nk; ++s)
+          if (tree.contains(s)) next = first_user(s);
+        x = p;
       }
-      if (un.indices_.size() != before) {
-        un.slots_.push_back(slot);
-        un.offsets_.push_back(static_cast<std::uint32_t>(before));
-      }
-    });
-    un.offsets_.push_back(static_cast<std::uint32_t>(un.indices_.size()));
+      add_run(next, hi);
+    }
+    offsets_.push_back(static_cast<std::uint32_t>(indices_.size()));
   }
+  REKEY_ENSURE_MSG(visited == n_changed, "changed set is not upward-closed");
+  runs_.insert(runs_.end(), deep.begin(), deep.end());
 }
 
 }  // namespace rekey::tree

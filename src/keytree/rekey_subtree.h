@@ -16,17 +16,18 @@
 // split. They are diagnostic here (encryption generation does not depend on
 // them) but are exercised by tests and by the analysis module.
 //
-// The payload containers are flat: user needs live in one CSR
-// (slots / offsets / indices) instead of a map of vectors, and labels are
-// a sorted array parallel to the changed-k-node set. Generation is a
-// single pass over preallocated buffers; pass a ThreadPool to fan the
-// encryption and user-needs passes out over worker threads — output
-// positions are fixed up front, so the result is bit-identical to the
-// serial path regardless of thread count.
+// The payload containers are flat. User needs are stored per *frontier
+// node*, not per user (see UserNeeds), so building them costs
+// O(encryptions x depth) whatever the group size; labels are a sorted
+// array parallel to the changed-k-node set. Pass a ThreadPool to fan the
+// encryption pass out over worker threads — output positions are fixed
+// up front, so the result is bit-identical to the serial path regardless
+// of thread count.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <span>
 #include <utility>
 #include <vector>
@@ -64,63 +65,58 @@ struct Encryption {
   crypto::EncryptedKey payload;
 };
 
-struct RekeyPayload;
-
-// For every current user slot with at least one needed encryption: the
-// indices into RekeyPayload::encryptions it needs, ordered bottom-up along
-// its path. Stored as one CSR (sorted slots, offsets, flat index pool) —
-// iteration yields (slot, span) pairs in ascending slot order.
+// Which encryptions each user needs, stored per frontier node. A frontier
+// node is the enc_id of an encryption that is not itself a changed k-node
+// (an unchanged k-node or a u-node whose parent changed). Changed sets
+// are upward-closed, so every user below a frontier node f needs the same
+// encryptions: those with ids f, parent(f), ... up to the root's child —
+// one needs list per frontier node serves them all.
+//
+// By Lemma 4.1 and invariant I4, users sit on at most two adjacent levels,
+// so the users below f form at most two runs of consecutive user ids, one
+// per level. The table keeps each run's first and last user, in ascending
+// id order; the run ends come from leftmost/rightmost descents, not a
+// scan. Storage and construction are O(encryptions x depth), independent
+// of the group size.
 class UserNeeds {
  public:
   using needs_span = std::span<const std::uint32_t>;
 
-  class const_iterator {
-   public:
-    using value_type = std::pair<NodeId, needs_span>;
-    using difference_type = std::ptrdiff_t;
-
-    const_iterator() = default;
-    const_iterator(const UserNeeds* un, std::size_t i) : un_(un), i_(i) {}
-
-    value_type operator*() const {
-      return {un_->slots_[i_], un_->needs_at(i_)};
-    }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    friend bool operator==(const const_iterator& a, const const_iterator& b) {
-      return a.i_ == b.i_;
-    }
-
-   private:
-    const UserNeeds* un_ = nullptr;
-    std::size_t i_ = 0;
+  // The users in [first, last] of one level, all below one frontier node.
+  struct Run {
+    NodeId first = 0;
+    NodeId last = 0;
+    std::uint32_t frontier = 0;  // index of the frontier node's needs list
   };
 
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, slots_.size()}; }
-  std::size_t size() const { return slots_.size(); }
-  bool empty() const { return slots_.empty(); }
+  // Runs in ascending id order. Two users adjacent in id order have equal
+  // needs when they share a run.
+  std::span<const Run> runs() const { return runs_; }
+  std::size_t frontiers() const {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  // Indices into RekeyPayload::encryptions, bottom-up along the path.
+  needs_span needs(const Run& run) const {
+    return needs_span(indices_.data() + offsets_[run.frontier],
+                      offsets_[run.frontier + 1] - offsets_[run.frontier]);
+  }
+  bool empty() const { return runs_.empty(); }
   void clear() {
-    slots_.clear();
+    runs_.clear();
     offsets_.clear();
     indices_.clear();
   }
 
-  std::size_t count(NodeId slot) const {
-    return index_of(slot) < slots_.size() ? 1 : 0;
-  }
-  // Throws when the slot has no needs (mirrors std::map::at).
-  needs_span at(NodeId slot) const {
-    const std::size_t i = index_of(slot);
-    REKEY_ENSURE_MSG(i < slots_.size(), "slot has no needed encryptions");
-    return needs_at(i);
-  }
-  // Empty span when the slot has no needs.
-  needs_span needs_of(NodeId slot) const {
-    const std::size_t i = index_of(slot);
-    return i < slots_.size() ? needs_at(i) : needs_span{};
+  // Needs of the user at slot `id`. Empty when no run covers the id: a
+  // k-node, a level without users, an id past the last user. The table
+  // knows runs, not members, so an absent slot between two users of one
+  // run resolves to that run's needs.
+  needs_span needs_of(NodeId id) const {
+    const auto it = std::upper_bound(
+        runs_.begin(), runs_.end(), id,
+        [](NodeId v, const Run& r) { return v < r.first; });
+    if (it == runs_.begin() || id > std::prev(it)->last) return {};
+    return needs(*std::prev(it));
   }
 
  private:
@@ -134,19 +130,15 @@ class UserNeeds {
                                              rekey::TaskRunner&,
                                              ShardBatchStats*);
 
-  std::size_t index_of(NodeId slot) const {
-    const auto it = std::lower_bound(slots_.begin(), slots_.end(), slot);
-    if (it == slots_.end() || *it != slot) return slots_.size();
-    return static_cast<std::size_t>(it - slots_.begin());
-  }
-  needs_span needs_at(std::size_t i) const {
-    return needs_span(indices_.data() + offsets_[i],
-                      offsets_[i + 1] - offsets_[i]);
-  }
+  // The frontier pass both generators share: one depth-first walk of the
+  // changed subtree. enc_offset[k] is the first encryption of the k-th
+  // changed k-node in descending id order (the generators' block order).
+  void build(const KeyTree& tree, const BatchUpdate& update,
+             std::span<const std::uint32_t> enc_offset);
 
-  std::vector<NodeId> slots_;            // ascending user slots with needs
-  std::vector<std::uint32_t> offsets_;   // size slots_.size() + 1
-  std::vector<std::uint32_t> indices_;   // flat pool of encryption indices
+  std::vector<Run> runs_;
+  std::vector<std::uint32_t> offsets_;  // frontiers() + 1 entries
+  std::vector<std::uint32_t> indices_;  // flat pool of encryption indices
 };
 
 // Appendix-B labels of the changed k-nodes: a sorted (node id, label)
@@ -199,9 +191,9 @@ struct RekeyPayload {
   NodeId max_kid = 0;
   // Bottom-up generation order (deepest subtrees first).
   std::vector<Encryption> encryptions;
-  // For every current user slot: indices into `encryptions` it needs,
-  // ordered bottom-up along its path. Users with no changed ancestor have
-  // no entry.
+  // For every current user: indices into `encryptions` it needs, ordered
+  // bottom-up along its path, stored per frontier node. Empty when no
+  // k-node changed.
   UserNeeds user_needs;
   // Appendix-B labels of the changed k-nodes.
   LabelMap labels;
@@ -209,8 +201,8 @@ struct RekeyPayload {
 
 // Generates the rekey message payload for a batch that was just applied to
 // `tree` (whose keys are already the *new* keys). A non-null `pool` with
-// more than one worker fans the encryption and user-needs passes out
-// across threads; the result is bit-identical to the serial path.
+// more than one worker fans the encryption pass out across threads; the
+// result is bit-identical to the serial path.
 RekeyPayload generate_rekey_payload(const KeyTree& tree,
                                     const BatchUpdate& update,
                                     std::uint32_t msg_id,

@@ -110,59 +110,9 @@ void generate_rekey_payload_sharded(const KeyTree& tree,
     }
   });
 
-  // Index of the encryption whose enc_id is child c of changed k-node p
-  // (same lookup as the serial generator).
-  auto enc_index = [&](NodeId c, NodeId p) -> std::uint32_t {
-    const std::size_t k = n_changed - 1 - changed.index_of(p);
-    for (std::uint32_t i = enc_offset[k]; i < enc_offset[k + 1]; ++i)
-      if (out.encryptions[i].enc_id == c) return i;
-    REKEY_ENSURE_MSG(false, "missing encryption for an existing child");
-    return 0;  // unreachable
-  };
-
-  // User needs: counts and fills fan out in shard-derived chunks over the
-  // ascending slot array; the CSR compaction between them is serial, so
-  // slot order (and the flat index pool) is identical to the serial pass.
-  UserNeeds& un = out.user_needs;
-  if (n_changed == 0) return;
-  std::vector<NodeId> slots;
-  slots.reserve(tree.num_users());
-  tree.user_slots_into(slots);
-  std::vector<std::uint32_t> counts(slots.size(), 0);
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(slots.size(), S * 4));
-  runner.run(chunks, [&](std::size_t c) {
-    const std::size_t b = slots.size() * c / chunks;
-    const std::size_t e = slots.size() * (c + 1) / chunks;
-    for (std::size_t i = b; i < e; ++i) {
-      std::uint32_t cnt = 0;
-      for (NodeId n = slots[i]; n != kRootId; n = parent_of(n, d))
-        if (changed.contains(parent_of(n, d))) ++cnt;
-      counts[i] = cnt;
-    }
-  });
-  std::uint32_t total = 0;
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (counts[i] == 0) continue;
-    un.slots_.push_back(slots[i]);
-    un.offsets_.push_back(total);
-    total += counts[i];
-  }
-  un.offsets_.push_back(total);
-  un.indices_.resize(total);
-  const std::size_t fill_chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(un.slots_.size(), S * 4));
-  runner.run(fill_chunks, [&](std::size_t c) {
-    const std::size_t b = un.slots_.size() * c / fill_chunks;
-    const std::size_t e = un.slots_.size() * (c + 1) / fill_chunks;
-    for (std::size_t i = b; i < e; ++i) {
-      std::uint32_t at = un.offsets_[i];
-      for (NodeId n = un.slots_[i]; n != kRootId; n = parent_of(n, d)) {
-        const NodeId p = parent_of(n, d);
-        if (changed.contains(p)) un.indices_[at++] = enc_index(n, p);
-      }
-    }
-  });
+  // User needs: the same frontier pass as the serial generator. It costs
+  // O(encryptions x depth), so it stays serial.
+  out.user_needs.build(tree, update, enc_offset);
 }
 
 void check_enc_id_disjointness(const RekeyPayload& payload,

@@ -4,11 +4,11 @@
 // precomputed output offsets; this variant re-partitions the same work by
 // shard ownership: every changed k-node's encryption block is counted and
 // filled by the task owning its shard (aggregator nodes by the aggregator
-// task), and the user-needs CSR passes fan out in fixed chunks derived
-// from the shard count. All offsets are laid out serially between the
-// fan-outs, so the resulting RekeyPayload is byte-identical to the serial
-// generator's for every shard count, thread count, and task execution
-// order — the determinism contract sharding must keep.
+// task). The offsets are laid out serially between the fan-outs, and the
+// user needs come from the serial generator's frontier pass, so the
+// resulting RekeyPayload is byte-identical to the serial generator's for
+// every shard count, thread count, and task execution order — the
+// determinism contract sharding must keep.
 //
 // Encryption-id disjointness across shards holds by construction (an
 // encryption id is the encrypting child's node id, each child has one

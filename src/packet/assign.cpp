@@ -5,7 +5,6 @@
 #include <set>
 
 #include "common/ensure.h"
-#include "common/parallel.h"
 
 namespace rekey::packet {
 
@@ -22,16 +21,17 @@ Assignment assign_keys(const tree::RekeyPayload& payload,
 
   Assignment out;
   out.unique_encryptions = payload.encryptions.size();
-  if (payload.user_needs.empty()) return out;
+  const tree::UserNeeds& user_needs = payload.user_needs;
+  if (user_needs.empty()) return out;
 
-  // user_needs iterates user ids in increasing order. Membership ("is
-  // encryption idx already in the open packet?") is O(1): last_pkt[idx]
-  // records the packet sequence number that last took idx, so a compare
-  // against the current sequence replaces the old sorted-vector binary
-  // search — the dominant cost when adjacent users share most of their
-  // key chains. The packet itself accumulates unsorted; flush() orders
-  // entries by enc_id, which is unique per encryption, so the emitted
-  // packets are identical to the sorted-insert version's.
+  // Runs come in increasing user-id order. Membership ("is encryption idx
+  // already in the open packet?") is O(1): last_pkt[idx] records the
+  // packet sequence number that last took idx, so a compare against the
+  // current sequence replaces the old sorted-vector binary search — the
+  // dominant cost when adjacent runs share most of their key chains. The
+  // packet itself accumulates unsorted; flush() orders entries by enc_id,
+  // which is unique per encryption, so the emitted packets are identical
+  // to the sorted-insert version's.
   EncPacket current;
   current.msg_id = static_cast<std::uint8_t>(payload.msg_id % 64);
   current.max_kid = static_cast<std::uint32_t>(payload.max_kid);
@@ -68,10 +68,12 @@ Assignment assign_keys(const tree::RekeyPayload& payload,
     open = false;
   };
 
-  for (const auto& [user, needs] : payload.user_needs) {
+  for (const tree::UserNeeds::Run& run : user_needs.runs()) {
+    const auto needs = user_needs.needs(run);
     REKEY_ENSURE_MSG(needs.size() <= capacity,
                      "one user's encryptions exceed a packet");
-    // How many new entries would this user add?
+    // How many new entries would the run's first user add? (The others
+    // add none: they need the same encryptions.)
     std::size_t added = 0;
     for (const std::uint32_t idx : needs)
       if (!member(idx)) ++added;
@@ -79,7 +81,7 @@ Assignment assign_keys(const tree::RekeyPayload& payload,
     if (open && in_packet.size() + added > capacity) flush();
 
     if (!open) {
-      current.frm_id = static_cast<std::uint32_t>(user);
+      current.frm_id = static_cast<std::uint32_t>(run.first);
       open = true;
     }
     for (const std::uint32_t idx : needs) {
@@ -88,132 +90,9 @@ Assignment assign_keys(const tree::RekeyPayload& payload,
         in_packet.push_back(idx);
       }
     }
-    current.to_id = static_cast<std::uint32_t>(user);
+    current.to_id = static_cast<std::uint32_t>(run.last);
   }
   if (open) flush();
-  return out;
-}
-
-Assignment assign_keys(const tree::RekeyPayload& payload,
-                       std::size_t packet_size, const tree::ShardPlan& plan,
-                       rekey::TaskRunner& runner, bool wide) {
-  const std::size_t capacity = max_entries(packet_size, wide);
-  REKEY_ENSURE(capacity >= 1);
-
-  Assignment out;
-  out.unique_encryptions = payload.encryptions.size();
-  if (payload.user_needs.empty()) return out;
-
-  // Phase A: serial boundary scan. Replays the greedy packing decisions
-  // of the serial scan — same stamps, same flush points — but only counts
-  // entries and records each packet's user range instead of gathering and
-  // sorting them.
-  struct PacketSpec {
-    std::size_t user_begin = 0;  // index into user_needs iteration order
-    std::size_t user_end = 0;
-    std::size_t entries = 0;
-    tree::NodeId frm = 0;
-    tree::NodeId to = 0;
-  };
-  std::vector<PacketSpec> specs;
-  {
-    std::vector<std::uint32_t> last_pkt(payload.encryptions.size(),
-                                        ~std::uint32_t{0});
-    std::uint32_t pkt_seq = 0;
-    std::size_t in_packet = 0;
-    PacketSpec cur;
-    bool open = false;
-    std::size_t u = 0;
-    for (const auto& [user, needs] : payload.user_needs) {
-      REKEY_ENSURE_MSG(needs.size() <= capacity,
-                       "one user's encryptions exceed a packet");
-      std::size_t added = 0;
-      for (const std::uint32_t idx : needs)
-        if (last_pkt[idx] != pkt_seq) ++added;
-      if (open && in_packet + added > capacity) {
-        cur.user_end = u;
-        cur.entries = in_packet;
-        specs.push_back(cur);
-        ++pkt_seq;
-        in_packet = 0;
-        open = false;
-      }
-      if (!open) {
-        cur = PacketSpec{};
-        cur.user_begin = u;
-        cur.frm = user;
-        open = true;
-      }
-      for (const std::uint32_t idx : needs) {
-        if (last_pkt[idx] != pkt_seq) {
-          last_pkt[idx] = pkt_seq;
-          ++in_packet;
-        }
-      }
-      cur.to = user;
-      ++u;
-    }
-    if (open) {
-      cur.user_end = u;
-      cur.entries = in_packet;
-      specs.push_back(cur);
-    }
-  }
-
-  // Phase B: independent per-packet fills into preallocated slots. The
-  // task count follows the shard count (sharding is the concurrency
-  // knob); each task reuses one stamp array across its packets.
-  out.packets.resize(specs.size());
-  for (std::size_t p = 0; p < specs.size(); ++p) {
-    EncPacket& pkt = out.packets[p];
-    pkt.msg_id = static_cast<std::uint8_t>(payload.msg_id % 64);
-    pkt.max_kid = static_cast<std::uint32_t>(payload.max_kid);
-    pkt.frm_id = static_cast<std::uint32_t>(specs[p].frm);
-    pkt.to_id = static_cast<std::uint32_t>(specs[p].to);
-    out.total_entries += specs[p].entries;
-  }
-  const std::size_t chunks = std::max<std::size_t>(
-      1, std::min<std::size_t>(specs.size(),
-                               static_cast<std::size_t>(plan.shards) * 4));
-  // Iterating a CSR range needs positional access; rebuild the per-user
-  // spans once (cheap: two vectors of views into the payload).
-  std::vector<tree::UserNeeds::needs_span> spans;
-  spans.reserve(payload.user_needs.size());
-  for (const auto& [user, needs] : payload.user_needs) spans.push_back(needs);
-  runner.run(chunks, [&](std::size_t c) {
-    const std::size_t pb = specs.size() * c / chunks;
-    const std::size_t pe = specs.size() * (c + 1) / chunks;
-    std::vector<std::uint32_t> stamp(payload.encryptions.size(),
-                                     ~std::uint32_t{0});
-    std::vector<std::uint32_t> gathered;
-    for (std::size_t p = pb; p < pe; ++p) {
-      const PacketSpec& spec = specs[p];
-      gathered.clear();
-      gathered.reserve(spec.entries);
-      const auto mark = static_cast<std::uint32_t>(p);
-      for (std::size_t i = spec.user_begin; i < spec.user_end; ++i) {
-        for (const std::uint32_t idx : spans[i]) {
-          if (stamp[idx] != mark) {
-            stamp[idx] = mark;
-            gathered.push_back(idx);
-          }
-        }
-      }
-      REKEY_ENSURE(gathered.size() == spec.entries);
-      // Emit entries bottom-up (descending enc_id == descending depth);
-      // enc_id is unique, so the sorted order is independent of the
-      // first-encounter gather order above.
-      std::sort(gathered.begin(), gathered.end(),
-                [&](std::uint32_t a, std::uint32_t b) {
-                  return payload.encryptions[a].enc_id >
-                         payload.encryptions[b].enc_id;
-                });
-      EncPacket& pkt = out.packets[p];
-      pkt.entries.reserve(gathered.size());
-      for (const std::uint32_t idx : gathered)
-        pkt.entries.push_back(to_wire_entry(payload.encryptions[idx]));
-    }
-  });
   return out;
 }
 
@@ -228,12 +107,13 @@ Assignment assign_keys_sequential(const tree::RekeyPayload& payload,
 
   // Which users each encryption serves (to report per-packet user spans).
   std::map<std::uint32_t, std::pair<tree::NodeId, tree::NodeId>> span;
-  for (const auto& [user, needs] : payload.user_needs) {
-    for (const std::uint32_t idx : needs) {
-      auto [it, inserted] = span.emplace(idx, std::make_pair(user, user));
+  for (const tree::UserNeeds::Run& run : payload.user_needs.runs()) {
+    for (const std::uint32_t idx : payload.user_needs.needs(run)) {
+      auto [it, inserted] =
+          span.emplace(idx, std::make_pair(run.first, run.last));
       if (!inserted) {
-        it->second.first = std::min(it->second.first, user);
-        it->second.second = std::max(it->second.second, user);
+        it->second.first = std::min(it->second.first, run.first);
+        it->second.second = std::max(it->second.second, run.last);
       }
     }
   }
@@ -263,7 +143,8 @@ Assignment assign_keys_sequential(const tree::RekeyPayload& payload,
 }
 
 std::vector<std::size_t> packets_needed_per_user(
-    const tree::RekeyPayload& payload, const Assignment& assignment) {
+    const tree::KeyTree& tree, const tree::RekeyPayload& payload,
+    const Assignment& assignment) {
   // Map encryption id -> packet index.
   std::map<std::uint32_t, std::set<std::size_t>> packet_of;
   for (std::size_t p = 0; p < assignment.packets.size(); ++p)
@@ -271,8 +152,9 @@ std::vector<std::size_t> packets_needed_per_user(
       packet_of[e.enc_id].insert(p);
 
   std::vector<std::size_t> out;
-  out.reserve(payload.user_needs.size());
-  for (const auto& [user, needs] : payload.user_needs) {
+  tree.for_each_user_slot([&](tree::NodeId user) {
+    const auto needs = payload.user_needs.needs_of(user);
+    if (needs.empty()) return;
     // Greedy lower bound is exact here because duplicated encryptions are
     // rare: count the distinct packets touched, collapsing entries that
     // share a packet.
@@ -291,7 +173,7 @@ std::vector<std::size_t> packets_needed_per_user(
       if (!covered) needed_packets.insert(*it->second.begin());
     }
     out.push_back(needed_packets.size());
-  }
+  });
   return out;
 }
 

@@ -7,6 +7,12 @@
 // disjoint, increasing <frmID, toID> user-id ranges — the property that
 // makes block-id estimation possible (Appendix D).
 //
+// The packer walks the payload's runs (keytree/rekey_subtree.h), not its
+// users: the users of one run need the same encryptions, so once a run's
+// first user fits, the rest add nothing, and a packet can only close where
+// a run ends. Packing whole runs therefore cuts exactly where the per-user
+// greedy scan would, with the same frmID and toID, in O(runs x depth).
+//
 // The cost of the guarantee is duplication: encryptions shared by users in
 // different packets are carried in each such packet. duplication_overhead
 // reports the paper's Fig-7 metric.
@@ -16,12 +22,7 @@
 #include <vector>
 
 #include "keytree/rekey_subtree.h"
-#include "keytree/shard.h"
 #include "packet/wire.h"
-
-namespace rekey {
-class TaskRunner;
-}
 
 namespace rekey::packet {
 
@@ -44,19 +45,6 @@ Assignment assign_keys(const tree::RekeyPayload& payload,
                        std::size_t packet_size = kDefaultPacketSize,
                        bool wide = false);
 
-// Sharded/parallel variant. Phase A scans the users serially and decides
-// the exact packet boundaries the serial greedy scan would (the cut
-// points are inherently sequential); phase B fills the packets as
-// independent tasks on `runner` — a packet's entry set is the
-// de-duplicated union of its own users' needs, so each packet is
-// recomputable in isolation, and entries sort by their globally unique
-// enc_id. Packets land in preallocated slots, so the flush order is
-// stable and the result is bit-identical to assign_keys regardless of
-// shard count, thread count, or task completion order.
-Assignment assign_keys(const tree::RekeyPayload& payload,
-                       std::size_t packet_size, const tree::ShardPlan& plan,
-                       rekey::TaskRunner& runner, bool wide = false);
-
 // Baseline comparator: the *sequential* (encryption-oriented) assignment
 // the paper argues against. Encryptions are packed in generation order
 // with no duplication, so the message is minimal — but a user's
@@ -69,9 +57,11 @@ Assignment assign_keys_sequential(
     std::size_t packet_size = kDefaultPacketSize);
 
 // For baseline analysis: how many distinct packets of `assignment` does
-// each user need to collect all of its encryptions? Index-aligned with
-// payload.user_needs iteration order.
+// each user of `tree` (the tree `payload` was generated from) need to
+// collect all of its encryptions? One entry per user with needs, in
+// ascending slot order.
 std::vector<std::size_t> packets_needed_per_user(
-    const tree::RekeyPayload& payload, const Assignment& assignment);
+    const tree::KeyTree& tree, const tree::RekeyPayload& payload,
+    const Assignment& assignment);
 
 }  // namespace rekey::packet

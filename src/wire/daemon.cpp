@@ -487,11 +487,7 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
   else
     tree::generate_rekey_payload_into(tree_, update, msg_id, payload);
   packet::Assignment assignment =
-      plan_.has_value()
-          ? packet::assign_keys(payload, config_.protocol.packet_size,
-                                *plan_, runner, wide())
-          : packet::assign_keys(payload, config_.protocol.packet_size,
-                                wide());
+      packet::assign_keys(payload, config_.protocol.packet_size, wide());
 
   transport::ServerTransport server(config_.protocol, payload,
                                     std::move(assignment),

@@ -86,8 +86,8 @@ struct DaemonConfig {
   // dead and dropped from the lockstep.
   int endpoint_dead_after = 3;
 
-  // Sharded batch pipeline (keytree/shard.h): shards > 1 runs marking,
-  // payload generation, and UKA as per-shard tasks; worker_threads > 1
+  // Sharded batch pipeline (keytree/shard.h): shards > 1 runs marking
+  // and encryption generation as per-shard tasks; worker_threads > 1
   // backs them with a pool. Bit-identical output to the serial pipeline
   // (the wire traffic does not change); defaults keep the serial path.
   unsigned shards = 1;          // power of two in [1, 256]

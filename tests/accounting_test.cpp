@@ -141,8 +141,12 @@ TEST(UsrWireBytes, MatchesSerializedPacketForEveryUser) {
                          /*proactive_parities=*/0, /*msg_id=*/1);
 
   ASSERT_FALSE(msg.payload.user_needs.empty());
-  for (const auto& [id, needs] : msg.payload.user_needs) {
-    const auto new_id = static_cast<std::uint16_t>(id);
+  // Every current user, at its post-batch slot.
+  for (const std::uint16_t old_id : msg.old_ids) {
+    const auto id = tree::derive_new_user_id(old_id, msg.payload.max_kid,
+                                             msg.payload.degree);
+    ASSERT_TRUE(id.has_value());
+    const auto new_id = static_cast<std::uint16_t>(*id);
     const auto wire = server.usr_for(new_id).serialize();
     EXPECT_EQ(server.usr_wire_bytes(new_id),
               wire.size() + packet::kUdpIpOverheadBytes)
@@ -159,9 +163,42 @@ TEST(UsrWireBytes, AbsentUserCostsABareHeader) {
   ServerTransport server(cfg, msg.payload, std::move(msg.assignment), 0, 1);
 
   const std::uint16_t absent = 0xFFFF;
-  ASSERT_FALSE(msg.payload.user_needs.count(absent));
+  ASSERT_TRUE(msg.payload.user_needs.needs_of(absent).empty());
   EXPECT_EQ(server.usr_wire_bytes(absent),
             packet::kUsrHeaderSize + packet::kUdpIpOverheadBytes);
+
+  // The other ids no run covers. 250 users fill level 4 of a d = 4 tree
+  // up to id 334, so the last k-node is 83 and id 84, on the k-nodes'
+  // level, is no one's slot.
+  wc.group_size = 250;
+  auto partial = generate_message(wc, 7, 1);
+  const tree::RekeyPayload& payload = partial.payload;
+  ServerTransport partial_server(cfg, payload,
+                                 std::move(partial.assignment), 0, 1);
+
+  const tree::NodeId nk = payload.max_kid;
+  const unsigned d = payload.degree;
+  const tree::NodeId deep = tree::first_id_at_level(
+      tree::level_of(nk, d) + 1, d);
+  ASSERT_FALSE(payload.user_needs.empty());
+  // No user sits on nk's level, so nk + 1 lies on a level with no users.
+  ASSERT_LT(nk + 1, deep);
+  ASSERT_GE(payload.user_needs.runs().front().first, deep);
+  const tree::NodeId last_user = payload.user_needs.runs().back().last;
+  const tree::NodeId ids[] = {
+      nk + 1,         // a level with no users
+      last_user + 1,  // past the last user
+      nk,             // a k-node
+      tree::kRootId,  // the root
+  };
+  for (const tree::NodeId id : ids) {
+    EXPECT_TRUE(payload.user_needs.needs_of(id).empty()) << "id " << id;
+    EXPECT_EQ(partial_server.usr_wire_bytes(static_cast<std::uint32_t>(id)),
+              packet::kUsrHeaderSize + packet::kUdpIpOverheadBytes)
+        << "id " << id;
+  }
+  // The run ends themselves are users with needs.
+  EXPECT_FALSE(payload.user_needs.needs_of(last_user).empty());
 }
 
 }  // namespace

@@ -60,34 +60,46 @@ double monte_carlo_encryptions(std::size_t N, std::size_t J, std::size_t L,
   return s.mean();
 }
 
+// Group sizes for the model-vs-marking checks: a power of d, and three
+// sizes off it (populate leaves the top of the tree partly empty there).
+constexpr std::size_t kModelSizes[] = {1024, 3000, 5000, 8192};
+
 TEST(BatchCost, MatchesMonteCarloPureLeave) {
-  for (const std::size_t L : {64u, 256u, 512u}) {
-    const double analytic = expected_encryptions(1024, 0, L, 4);
-    const double mc = monte_carlo_encryptions(1024, 0, L, 4, 30);
-    EXPECT_NEAR(analytic / mc, 1.0, 0.05) << "L=" << L;
+  for (const std::size_t N : kModelSizes) {
+    for (const std::size_t L : {N / 16, N / 4, N / 2}) {
+      const double analytic = expected_encryptions(N, 0, L, 4);
+      const double mc = monte_carlo_encryptions(N, 0, L, 4, 30);
+      EXPECT_NEAR(analytic / mc, 1.0, 0.05) << "N=" << N << " L=" << L;
+    }
   }
 }
 
 TEST(BatchCost, MatchesMonteCarloReplace) {
-  for (const std::size_t L : {64u, 256u}) {
-    const double analytic = expected_encryptions(1024, L, L, 4);
-    const double mc = monte_carlo_encryptions(1024, L, L, 4, 30);
-    EXPECT_NEAR(analytic / mc, 1.0, 0.05) << "L=" << L;
+  for (const std::size_t N : kModelSizes) {
+    for (const std::size_t L : {N / 16, N / 4}) {
+      const double analytic = expected_encryptions(N, L, L, 4);
+      const double mc = monte_carlo_encryptions(N, L, L, 4, 30);
+      EXPECT_NEAR(analytic / mc, 1.0, 0.05) << "N=" << N << " L=" << L;
+    }
   }
 }
 
 TEST(BatchCost, MatchesMonteCarloMixedJLeL) {
-  const double analytic = expected_encryptions(1024, 128, 256, 4);
-  const double mc = monte_carlo_encryptions(1024, 128, 256, 4, 30);
-  EXPECT_NEAR(analytic / mc, 1.0, 0.07);
+  for (const std::size_t N : kModelSizes) {
+    const double analytic = expected_encryptions(N, N / 8, N / 4, 4);
+    const double mc = monte_carlo_encryptions(N, N / 8, N / 4, 4, 30);
+    EXPECT_NEAR(analytic / mc, 1.0, 0.07) << "N=" << N;
+  }
 }
 
 TEST(BatchCost, ApproximatesMonteCarloPureJoin) {
   // The J > L regime uses a deterministic fill/split model; allow a wider
   // band.
-  const double analytic = expected_encryptions(1024, 256, 0, 4);
-  const double mc = monte_carlo_encryptions(1024, 256, 0, 4, 10);
-  EXPECT_NEAR(analytic / mc, 1.0, 0.25);
+  for (const std::size_t N : kModelSizes) {
+    const double analytic = expected_encryptions(N, N / 4, 0, 4);
+    const double mc = monte_carlo_encryptions(N, N / 4, 0, 4, 10);
+    EXPECT_NEAR(analytic / mc, 1.0, 0.25) << "N=" << N;
+  }
 }
 
 TEST(BatchCost, ZeroBatchZeroCost) {

@@ -13,9 +13,14 @@
 namespace rekey::packet {
 namespace {
 
-tree::RekeyPayload make_payload(std::size_t n, std::size_t joins,
-                                std::size_t leaves, unsigned d,
-                                std::uint64_t seed) {
+// A batch's post-batch tree and its payload.
+struct Batch {
+  tree::KeyTree tree;
+  tree::RekeyPayload payload;
+};
+
+Batch make_batch(std::size_t n, std::size_t joins, std::size_t leaves,
+                 unsigned d, std::uint64_t seed) {
   Rng rng(seed);
   tree::KeyTree t(d, rng.next_u64());
   t.populate(n);
@@ -27,14 +32,29 @@ tree::RekeyPayload make_payload(std::size_t n, std::size_t joins,
     js.push_back(static_cast<tree::MemberId>(n + j));
   tree::Marker m(t);
   const auto upd = m.run(js, ls);
-  return tree::generate_rekey_payload(t, upd, 1);
+  tree::RekeyPayload payload = tree::generate_rekey_payload(t, upd, 1);
+  return Batch{std::move(t), std::move(payload)};
+}
+
+tree::RekeyPayload make_payload(std::size_t n, std::size_t joins,
+                                std::size_t leaves, unsigned d,
+                                std::uint64_t seed) {
+  return make_batch(n, joins, leaves, d, seed).payload;
+}
+
+// The users of the batch's tree that need at least one encryption.
+std::vector<tree::NodeId> users_with_needs(const Batch& b) {
+  std::vector<tree::NodeId> out;
+  for (const tree::NodeId user : b.tree.user_slots())
+    if (!b.payload.user_needs.needs_of(user).empty()) out.push_back(user);
+  return out;
 }
 
 // All encryption ids a user needs, from the payload.
 std::set<std::uint32_t> needed_ids(const tree::RekeyPayload& p,
                                    tree::NodeId user) {
   std::set<std::uint32_t> out;
-  for (const auto idx : p.user_needs.at(user))
+  for (const auto idx : p.user_needs.needs_of(user))
     out.insert(static_cast<std::uint32_t>(p.encryptions[idx].enc_id));
   return out;
 }
@@ -47,9 +67,9 @@ TEST(Uka, EmptyPayloadNoPackets) {
 }
 
 TEST(Uka, EachUserCoveredByExactlyOnePacket) {
-  const auto payload = make_payload(256, 0, 64, 4, 1);
-  const auto a = assign_keys(payload, 1027);
-  for (const auto& [user, needs] : payload.user_needs) {
+  const Batch b = make_batch(256, 0, 64, 4, 1);
+  const auto a = assign_keys(b.payload, 1027);
+  for (const tree::NodeId user : users_with_needs(b)) {
     int covering = 0;
     for (const auto& pkt : a.packets)
       if (pkt.frm_id <= user && user <= pkt.to_id) ++covering;
@@ -58,10 +78,10 @@ TEST(Uka, EachUserCoveredByExactlyOnePacket) {
 }
 
 TEST(Uka, CoveringPacketContainsAllUserNeeds) {
-  const auto payload = make_payload(256, 32, 64, 4, 2);
-  const auto a = assign_keys(payload, 1027);
-  for (const auto& [user, needs] : payload.user_needs) {
-    const auto want = needed_ids(payload, user);
+  const Batch b = make_batch(256, 32, 64, 4, 2);
+  const auto a = assign_keys(b.payload, 1027);
+  for (const tree::NodeId user : users_with_needs(b)) {
+    const auto want = needed_ids(b.payload, user);
     for (const auto& pkt : a.packets) {
       if (!(pkt.frm_id <= user && user <= pkt.to_id)) continue;
       std::set<std::uint32_t> have;
@@ -165,9 +185,9 @@ TEST(SequentialBaseline, EveryEncryptionCarriedOnce) {
 }
 
 TEST(SequentialBaseline, UsersNeedMultiplePackets) {
-  const auto payload = make_payload(4096, 0, 1024, 4, 23);
-  const auto seq = assign_keys_sequential(payload, 1027);
-  const auto per_user = packets_needed_per_user(payload, seq);
+  const Batch b = make_batch(4096, 0, 1024, 4, 23);
+  const auto seq = assign_keys_sequential(b.payload, 1027);
+  const auto per_user = packets_needed_per_user(b.tree, b.payload, seq);
   double mean = 0;
   for (const auto n : per_user) mean += static_cast<double>(n);
   mean /= static_cast<double>(per_user.size());
@@ -176,16 +196,18 @@ TEST(SequentialBaseline, UsersNeedMultiplePackets) {
 }
 
 TEST(PacketsNeededPerUser, UkaIsAlwaysOne) {
-  const auto payload = make_payload(1024, 128, 256, 4, 24);
-  const auto uka = assign_keys(payload, 1027);
-  for (const auto n : packets_needed_per_user(payload, uka))
+  const Batch b = make_batch(1024, 128, 256, 4, 24);
+  const auto uka = assign_keys(b.payload, 1027);
+  for (const auto n : packets_needed_per_user(b.tree, b.payload, uka))
     EXPECT_EQ(n, 1u);
 }
 
 TEST(PacketsNeededPerUser, EmptyPayload) {
+  tree::KeyTree t(4, 1);
+  t.populate(16);
   tree::RekeyPayload payload;
   const auto a = assign_keys(payload, 1027);
-  EXPECT_TRUE(packets_needed_per_user(payload, a).empty());
+  EXPECT_TRUE(packets_needed_per_user(t, payload, a).empty());
 }
 
 TEST(Uka, PaperScaleMessageSize) {

@@ -2,9 +2,9 @@
 // pipeline against an embedded copy of the original map/set-based
 // implementation. Both draw from the same deterministic KeyGenerator, so
 // any divergence — in tree structure, key material, changed sets, labels,
-// user needs, or the exact encryption sequence — is a hard failure, byte
-// for byte. This is the refactor's safety net: the rewrite must be
-// observationally identical, not just "equivalent".
+// user needs, the exact encryption sequence, or the ENC and USR packets —
+// is a hard failure, byte for byte. This is the refactor's safety net: the
+// rewrite must be observationally identical, not just "equivalent".
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -24,6 +24,7 @@
 #include "keytree/shard.h"
 #include "keytree/shard_pipeline.h"
 #include "packet/assign.h"
+#include "transport/server.h"
 
 namespace rekey::tree {
 namespace {
@@ -307,6 +308,67 @@ LegacyPayload generate_payload(const LegacyTree& tree,
   return out;
 }
 
+// The per-user greedy UKA packer: users in id order, a packet closes
+// before the first user whose new entries would overflow it. Fed the
+// legacy per-user needs, it is the oracle for the run-packed assign_keys.
+packet::Assignment assign_keys(const LegacyPayload& payload,
+                               std::uint32_t msg_id, std::size_t packet_size,
+                               bool wide) {
+  const std::size_t capacity = packet::max_entries(packet_size, wide);
+  packet::Assignment out;
+  out.unique_encryptions = payload.encryptions.size();
+
+  packet::EncPacket current;
+  std::vector<std::uint32_t> in_packet;
+  std::vector<std::uint32_t> last_pkt(payload.encryptions.size(),
+                                      ~std::uint32_t{0});
+  std::uint32_t pkt_seq = 0;
+  bool open = false;
+  const auto reset = [&] {
+    current = packet::EncPacket{};
+    current.msg_id = static_cast<std::uint8_t>(msg_id % 64);
+    current.max_kid = static_cast<std::uint32_t>(payload.max_kid);
+  };
+  const auto flush = [&] {
+    std::sort(in_packet.begin(), in_packet.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return payload.encryptions[a].enc_id >
+                       payload.encryptions[b].enc_id;
+              });
+    for (const std::uint32_t idx : in_packet)
+      current.entries.push_back(
+          packet::to_wire_entry(payload.encryptions[idx]));
+    out.total_entries += current.entries.size();
+    out.packets.push_back(std::move(current));
+    reset();
+    in_packet.clear();
+    ++pkt_seq;
+    open = false;
+  };
+
+  reset();
+  for (const auto& [user, needs] : payload.user_needs) {
+    REKEY_ENSURE(needs.size() <= capacity);
+    std::size_t added = 0;
+    for (const std::uint32_t idx : needs)
+      if (last_pkt[idx] != pkt_seq) ++added;
+    if (open && in_packet.size() + added > capacity) flush();
+    if (!open) {
+      current.frm_id = static_cast<std::uint32_t>(user);
+      open = true;
+    }
+    for (const std::uint32_t idx : needs) {
+      if (last_pkt[idx] != pkt_seq) {
+        last_pkt[idx] = pkt_seq;
+        in_packet.push_back(idx);
+      }
+    }
+    current.to_id = static_cast<std::uint32_t>(user);
+  }
+  if (open) flush();
+  return out;
+}
+
 }  // namespace legacy
 
 // ---------------------------------------------------------------------------
@@ -343,7 +405,8 @@ void expect_updates_equal(const BatchUpdate& a, const legacy::LegacyUpdate& b,
 }
 
 void expect_payloads_equal(const RekeyPayload& a,
-                           const legacy::LegacyPayload& b, int batch) {
+                           const legacy::LegacyPayload& b,
+                           const std::vector<NodeId>& users, int batch) {
   ASSERT_EQ(a.encryptions.size(), b.encryptions.size())
       << "encryption count diverged at batch " << batch;
   for (std::size_t i = 0; i < a.encryptions.size(); ++i) {
@@ -356,16 +419,33 @@ void expect_payloads_equal(const RekeyPayload& a,
   }
   EXPECT_EQ(a.max_kid, b.max_kid);
 
-  ASSERT_EQ(a.user_needs.size(), b.user_needs.size())
-      << "user_needs size diverged at batch " << batch;
-  auto ib = b.user_needs.begin();
-  for (const auto& [slot, needs] : a.user_needs) {
-    ASSERT_EQ(slot, ib->first) << "user_needs slot order, batch " << batch;
-    ASSERT_EQ(std::vector<std::uint32_t>(needs.begin(), needs.end()),
-              ib->second)
+  // Every user's needs resolve through the run table exactly as the
+  // legacy per-user map stores them, and every run end is a user.
+  for (const NodeId slot : users) {
+    const auto got = a.user_needs.needs_of(slot);
+    const auto it = b.user_needs.find(slot);
+    ASSERT_EQ(std::vector<std::uint32_t>(got.begin(), got.end()),
+              it == b.user_needs.end() ? std::vector<std::uint32_t>{}
+                                       : it->second)
         << "needs of slot " << slot << ", batch " << batch;
-    ++ib;
   }
+  for (const UserNeeds::Run& run : a.user_needs.runs()) {
+    ASSERT_TRUE(b.user_needs.count(run.first) && b.user_needs.count(run.last))
+        << "run [" << run.first << ", " << run.last << "], batch " << batch;
+  }
+  // Ids no run covers: k-nodes and ids past the last user.
+  if (!a.user_needs.empty()) {
+    EXPECT_TRUE(a.user_needs.needs_of(a.max_kid).empty()) << "batch " << batch;
+    EXPECT_TRUE(
+        a.user_needs.needs_of(a.user_needs.runs().back().last + 1).empty())
+        << "batch " << batch;
+  }
+  // Storage is O(encryptions), not O(users): at most two runs (one per
+  // user level) per frontier node, and one frontier node per encryption.
+  ASSERT_LE(a.user_needs.runs().size(), 2 * a.user_needs.frontiers())
+      << "batch " << batch;
+  ASSERT_LE(a.user_needs.frontiers(), a.encryptions.size())
+      << "batch " << batch;
 
   ASSERT_EQ(a.labels.size(), b.labels.size())
       << "label count diverged at batch " << batch;
@@ -374,6 +454,65 @@ void expect_payloads_equal(const RekeyPayload& a,
     ASSERT_EQ(id, lb->first) << "label id order, batch " << batch;
     ASSERT_EQ(label, lb->second) << "label of " << id << ", batch " << batch;
     ++lb;
+  }
+}
+
+void expect_assignments_equal(const packet::Assignment& a,
+                              const packet::Assignment& b, int batch) {
+  ASSERT_EQ(a.packets.size(), b.packets.size())
+      << "packet count diverged at batch " << batch;
+  for (std::size_t p = 0; p < a.packets.size(); ++p) {
+    const packet::EncPacket& pa = a.packets[p];
+    const packet::EncPacket& pb = b.packets[p];
+    ASSERT_EQ(pa.msg_id, pb.msg_id) << "packet " << p << ", batch " << batch;
+    ASSERT_EQ(pa.max_kid, pb.max_kid) << "packet " << p << ", batch " << batch;
+    ASSERT_EQ(pa.frm_id, pb.frm_id) << "packet " << p << ", batch " << batch;
+    ASSERT_EQ(pa.to_id, pb.to_id) << "packet " << p << ", batch " << batch;
+    ASSERT_TRUE(pa.entries == pb.entries)
+        << "entries of packet " << p << " diverged at batch " << batch;
+  }
+  EXPECT_EQ(a.total_entries, b.total_entries) << "batch " << batch;
+  EXPECT_EQ(a.unique_encryptions, b.unique_encryptions) << "batch " << batch;
+}
+
+// Packet oracle: the run-packed assign_keys, on the payload of either
+// generator, emits exactly the legacy per-user packer's ENC packets, and
+// usr_for carries exactly each user's legacy needs. Capacities: the
+// tightest a tree of this height allows (a packet closes at nearly every
+// run), and 1027-byte packets with narrow and wide headers.
+void expect_packets_match_oracle(const RekeyPayload& flat,
+                                 const RekeyPayload& sharded,
+                                 const legacy::LegacyPayload& ref,
+                                 std::uint32_t msg_id, unsigned height,
+                                 int batch) {
+  const std::size_t tight =
+      packet::kEncHeaderSize + std::max(1u, height) * packet::kEntrySize;
+  const std::pair<std::size_t, bool> shapes[] = {
+      {tight, false}, {1027, false}, {1027, true}};
+  for (const auto& [size, wide] : shapes) {
+    const packet::Assignment want =
+        legacy::assign_keys(ref, msg_id, size, wide);
+    expect_assignments_equal(packet::assign_keys(flat, size, wide), want,
+                             batch);
+    expect_assignments_equal(packet::assign_keys(sharded, size, wide), want,
+                             batch);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  if (flat.encryptions.empty()) return;
+  transport::ProtocolConfig cfg;
+  cfg.wide_slots = true;  // ids may outgrow the narrow header
+  const transport::ServerTransport server(
+      cfg, flat, packet::assign_keys(flat, cfg.packet_size, cfg.wide_slots),
+      0, static_cast<std::uint8_t>(msg_id % 64));
+  for (const auto& [slot, needs] : ref.user_needs) {
+    const packet::UsrPacket usr =
+        server.usr_for(static_cast<std::uint32_t>(slot));
+    ASSERT_EQ(usr.entries.size(), needs.size())
+        << "USR of slot " << slot << ", batch " << batch;
+    for (std::size_t i = 0; i < needs.size(); ++i)
+      ASSERT_EQ(usr.entries[i],
+                packet::to_wire_entry(ref.encryptions[needs[i]]))
+          << "USR entry " << i << " of slot " << slot << ", batch " << batch;
   }
 }
 
@@ -391,6 +530,9 @@ void run_differential(unsigned degree, std::uint64_t seed, int batches,
   std::vector<MemberId> population;
 
   RekeyPayload flat_payload;  // reused across batches, as the service does
+  RekeyPayload sharded_payload;
+  const ShardPlan plan = ShardPlan::make(degree, 4);
+  rekey::TaskRunner runner(pool);
   for (int batch = 0; batch < batches; ++batch) {
     std::vector<MemberId> joins, leaves;
     if (batch == 0) {
@@ -426,7 +568,12 @@ void run_differential(unsigned degree, std::uint64_t seed, int batches,
     generate_rekey_payload_into(flat, upd, msg_id, flat_payload, pool);
     const legacy::LegacyPayload ref_payload =
         legacy::generate_payload(ref, ref_upd, msg_id);
-    expect_payloads_equal(flat_payload, ref_payload, batch);
+    expect_payloads_equal(flat_payload, ref_payload, ref.user_slots(), batch);
+    if (::testing::Test::HasFatalFailure()) return;
+    generate_rekey_payload_sharded(flat, upd, msg_id, sharded_payload, plan,
+                                   runner);
+    expect_packets_match_oracle(flat_payload, sharded_payload, ref_payload,
+                                msg_id, flat.height(), batch);
     if (::testing::Test::HasFatalFailure()) return;
 
     // Update the scripted population for the next round.
@@ -483,12 +630,11 @@ TEST(KeyTreeDifferential, ParallelPayloadEightWorkers) {
 // Sharded-vs-serial differential: the same scripted churn drives two
 // identical trees, one through the serial pipeline (Marker::run ->
 // generate_rekey_payload_into -> assign_keys) and one through the sharded
-// pipeline (run_sharded -> generate_rekey_payload_sharded -> sharded
-// assign_keys). The determinism contract says sharding changes who
-// computes what, never what is computed: every artifact — tree nodes and
-// key material, the draw-stream counter, the batch update, payload bytes,
-// and the assigned packets — must match exactly for every shard count and
-// thread count.
+// pipeline (run_sharded -> generate_rekey_payload_sharded -> assign_keys).
+// The determinism contract says sharding changes who computes what, never
+// what is computed: every artifact — tree nodes and key material, the
+// draw-stream counter, the batch update, payload bytes, and the assigned
+// packets — must match exactly for every shard count and thread count.
 // ---------------------------------------------------------------------------
 
 void expect_flat_trees_equal(const KeyTree& a, const KeyTree& b, int batch) {
@@ -536,16 +682,21 @@ void expect_flat_payloads_equal(const RekeyPayload& a, const RekeyPayload& b,
   }
   EXPECT_EQ(a.max_kid, b.max_kid) << "max_kid diverged at batch " << batch;
 
-  ASSERT_EQ(a.user_needs.size(), b.user_needs.size())
-      << "user_needs size diverged at batch " << batch;
-  auto ib = b.user_needs.begin();
-  for (const auto& [slot, needs] : a.user_needs) {
-    const auto [slot_b, needs_b] = *ib;
-    ASSERT_EQ(slot, slot_b) << "user_needs slot order, batch " << batch;
-    ASSERT_TRUE(std::equal(needs.begin(), needs.end(), needs_b.begin(),
-                           needs_b.end()))
-        << "needs of slot " << slot << ", batch " << batch;
-    ++ib;
+  const auto runs_a = a.user_needs.runs();
+  const auto runs_b = b.user_needs.runs();
+  ASSERT_EQ(a.user_needs.frontiers(), b.user_needs.frontiers())
+      << "frontier count diverged at batch " << batch;
+  ASSERT_EQ(runs_a.size(), runs_b.size())
+      << "run count diverged at batch " << batch;
+  for (std::size_t i = 0; i < runs_a.size(); ++i) {
+    ASSERT_EQ(runs_a[i].first, runs_b[i].first)
+        << "run " << i << ", batch " << batch;
+    ASSERT_EQ(runs_a[i].last, runs_b[i].last)
+        << "run " << i << ", batch " << batch;
+    const auto na = a.user_needs.needs(runs_a[i]);
+    const auto nb = b.user_needs.needs(runs_b[i]);
+    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+        << "needs of run " << i << ", batch " << batch;
   }
 
   ASSERT_EQ(a.labels.size(), b.labels.size())
@@ -556,24 +707,6 @@ void expect_flat_payloads_equal(const RekeyPayload& a, const RekeyPayload& b,
     ASSERT_EQ(label, lb->second) << "label of " << id << ", batch " << batch;
     ++lb;
   }
-}
-
-void expect_assignments_equal(const packet::Assignment& a,
-                              const packet::Assignment& b, int batch) {
-  ASSERT_EQ(a.packets.size(), b.packets.size())
-      << "packet count diverged at batch " << batch;
-  for (std::size_t p = 0; p < a.packets.size(); ++p) {
-    const packet::EncPacket& pa = a.packets[p];
-    const packet::EncPacket& pb = b.packets[p];
-    ASSERT_EQ(pa.msg_id, pb.msg_id) << "packet " << p << ", batch " << batch;
-    ASSERT_EQ(pa.max_kid, pb.max_kid) << "packet " << p << ", batch " << batch;
-    ASSERT_EQ(pa.frm_id, pb.frm_id) << "packet " << p << ", batch " << batch;
-    ASSERT_EQ(pa.to_id, pb.to_id) << "packet " << p << ", batch " << batch;
-    ASSERT_TRUE(pa.entries == pb.entries)
-        << "entries of packet " << p << " diverged at batch " << batch;
-  }
-  EXPECT_EQ(a.total_entries, b.total_entries) << "batch " << batch;
-  EXPECT_EQ(a.unique_encryptions, b.unique_encryptions) << "batch " << batch;
 }
 
 // What each non-bootstrap batch of the script should look like.
@@ -681,7 +814,7 @@ void run_sharded_differential(unsigned degree, std::uint64_t seed,
     const packet::Assignment serial_asn =
         packet::assign_keys(serial_payload, 1027);
     const packet::Assignment sharded_asn =
-        packet::assign_keys(sharded_payload, 1027, plan, runner);
+        packet::assign_keys(sharded_payload, 1027);
     expect_assignments_equal(serial_asn, sharded_asn, batch);
     if (::testing::Test::HasFatalFailure()) return;
 

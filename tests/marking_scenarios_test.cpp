@@ -59,13 +59,13 @@ TEST(PaperFigure1, LeaveOfU9) {
   EXPECT_EQ(enc_ids, (std::set<NodeId>{1, 2, 3, 10, 11}));
 
   // u7 (member 6, slot 10) needs exactly {k1-8}_k78 and {k78}_k7.
-  const auto& needs = payload.user_needs.at(10);
+  const auto needs = payload.user_needs.needs_of(10);
   std::set<NodeId> u7_ids;
   for (const auto idx : needs) u7_ids.insert(payload.encryptions[idx].enc_id);
   EXPECT_EQ(u7_ids, (std::set<NodeId>{10, 3}));
 
   // u1 (slot 4) needs only the root key via k_123.
-  const auto& u1 = payload.user_needs.at(4);
+  const auto u1 = payload.user_needs.needs_of(4);
   ASSERT_EQ(u1.size(), 1u);
   EXPECT_EQ(payload.encryptions[u1[0]].enc_id, 1u);
 }

@@ -54,8 +54,12 @@ TEST(RekeyPayload, EveryUserHasNeedsWhenGroupChanges) {
   const auto upd = m.run({}, std::vector<MemberId>{7});
   const auto payload = generate_rekey_payload(t, upd, 1);
   // Root always changes, so every remaining user needs >= 1 encryption.
-  EXPECT_EQ(payload.user_needs.size(), t.num_users());
-  for (const auto& [slot, needs] : payload.user_needs) {
+  std::size_t with_needs = 0;
+  for (const NodeId slot : t.user_slots())
+    with_needs += payload.user_needs.needs_of(slot).empty() ? 0 : 1;
+  EXPECT_EQ(with_needs, t.num_users());
+  for (const NodeId slot : t.user_slots()) {
+    const auto needs = payload.user_needs.needs_of(slot);
     EXPECT_FALSE(needs.empty());
     // Needs are bottom-up along the path.
     for (std::size_t i = 1; i < needs.size(); ++i)
@@ -217,6 +221,39 @@ TEST(RekeyPayload, SplitUserFollowsItsSlot) {
   EXPECT_EQ(view.key_at(5).value(), t.node(5).key);
 }
 
+TEST(RekeyPayload, FrontierRunsSpanTwoUserLevels) {
+  // 16 users fill level 2 (slots 5..20). Two joins split slot 5: its user
+  // moves to 21 and the joins take 22 and 23, so nk = 5. A later leave
+  // under k-node 4 leaves k-node 1 unchanged: a frontier node whose users
+  // sit on both levels, 6..8 on level 2 and 21..23 on level 3.
+  KeyTree t(4, 1);
+  t.populate(16);
+  Marker m(t);
+  m.run(std::vector<MemberId>{100, 101}, {});
+  const auto upd = m.run({}, std::vector<MemberId>{15});  // slot 20
+  ASSERT_EQ(upd.max_kid, 5u);
+  const auto payload = generate_rekey_payload(t, upd, 2);
+
+  std::vector<std::pair<NodeId, NodeId>> runs;
+  for (const UserNeeds::Run& r : payload.user_needs.runs())
+    runs.emplace_back(r.first, r.last);
+  const std::vector<std::pair<NodeId, NodeId>> want = {
+      {6, 8}, {9, 12}, {13, 16}, {17, 17}, {18, 18}, {19, 19}, {21, 23}};
+  EXPECT_EQ(runs, want);
+  // Frontier nodes 1, 2, 3, 17, 18, 19; node 1 owns two runs.
+  EXPECT_EQ(payload.user_needs.frontiers(), 6u);
+
+  // Both runs of node 1 need exactly {k0}_k1.
+  for (const NodeId slot : {6u, 8u, 21u, 23u}) {
+    const auto needs = payload.user_needs.needs_of(slot);
+    ASSERT_EQ(needs.size(), 1u) << "slot " << slot;
+    EXPECT_EQ(payload.encryptions[needs[0]].enc_id, 1u) << "slot " << slot;
+  }
+  // The departed slot, the split k-node and the slot past the last user.
+  for (const NodeId id : {20u, 5u, 24u})
+    EXPECT_TRUE(payload.user_needs.needs_of(id).empty()) << "id " << id;
+}
+
 TEST(RekeyPayload, EmptyBatchYieldsEmptyPayload) {
   KeyTree t(4, 1);
   t.populate(8);
@@ -225,6 +262,8 @@ TEST(RekeyPayload, EmptyBatchYieldsEmptyPayload) {
   const auto payload = generate_rekey_payload(t, upd, 1);
   EXPECT_TRUE(payload.encryptions.empty());
   EXPECT_TRUE(payload.user_needs.empty());
+  for (const NodeId slot : t.user_slots())
+    EXPECT_TRUE(payload.user_needs.needs_of(slot).empty());
 }
 
 TEST(RekeyPayload, EncryptionCountMatchesSubtreeEdges) {

@@ -143,7 +143,9 @@ TEST(ServerTransport, UsrForCarriesExactNeeds) {
   const auto msg = small_message();
   const auto cfg = config_k(10);
   ServerTransport s(cfg, msg.payload, msg.assignment, 0, 1);
-  const auto& [user, needs] = *msg.payload.user_needs.begin();
+  // The first user: the first run's first id.
+  const tree::NodeId user = msg.payload.user_needs.runs().front().first;
+  const auto needs = msg.payload.user_needs.needs_of(user);
   const auto usr = s.usr_for(static_cast<std::uint16_t>(user));
   EXPECT_EQ(usr.new_user_id, user);
   EXPECT_EQ(usr.max_kid, msg.payload.max_kid);

@@ -66,7 +66,8 @@ TEST(UserTransport, AppliedEntriesYieldGroupKey) {
   for (const auto i : idx) u.on_packet(i, 1);
   ASSERT_TRUE(u.recovered());
   // The entries must include every encryption this user needs.
-  const auto& needs = rig.msg.payload.user_needs.at(u.current_id());
+  const auto needs = rig.msg.payload.user_needs.needs_of(u.current_id());
+  ASSERT_FALSE(needs.empty());
   for (const auto need_idx : needs) {
     const auto want = rig.msg.payload.encryptions[need_idx].enc_id;
     bool found = false;

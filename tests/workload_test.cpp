@@ -44,7 +44,7 @@ TEST(Workload, OldIdsDeriveToCurrentSlots) {
     ASSERT_TRUE(now.has_value());
     // Derived ids must be unique (slots are) and have needs in the payload.
     EXPECT_TRUE(derived.insert(*now).second);
-    EXPECT_TRUE(msg.payload.user_needs.count(*now));
+    EXPECT_FALSE(msg.payload.user_needs.needs_of(*now).empty());
   }
   EXPECT_EQ(derived.size(), msg.num_users);
 }
