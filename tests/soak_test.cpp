@@ -5,26 +5,33 @@
 // every interval — and that protocol state (rho, msg ids) stays sane.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdint>
+
 #include "common/rng.h"
 #include "core/service.h"
 
 namespace rekey::core {
 namespace {
 
+// gtest names each case after the raw bytes of its SoakParams, so every
+// member is 8 bytes wide: a struct without padding prints the same name on
+// every build and run.
 struct SoakParams {
-  unsigned degree;
+  std::size_t degree;
   std::size_t initial;
   double alpha;
   double p_high;
-  int intervals;
+  std::int64_t intervals;
 };
+static_assert(sizeof(SoakParams) == 5 * 8, "SoakParams must have no padding");
 
 class Soak : public ::testing::TestWithParam<SoakParams> {};
 
 TEST_P(Soak, GroupStaysConsistentUnderChurnAndLoss) {
   const SoakParams sp = GetParam();
   ServiceConfig cfg;
-  cfg.degree = sp.degree;
+  cfg.degree = static_cast<unsigned>(sp.degree);
   cfg.protocol.max_multicast_rounds = 2;
   cfg.protocol.deadline_rounds = 2;
   cfg.protocol.adapt_num_nack = true;
