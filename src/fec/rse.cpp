@@ -1,7 +1,5 @@
 #include "fec/rse.h"
 
-#include <algorithm>
-
 #include "common/ensure.h"
 #include "fec/gf256.h"
 #include "fec/gf256_simd.h"
@@ -84,43 +82,43 @@ std::optional<std::vector<Bytes>> RseCoder::decode(
   for (const Shard* s : chosen)
     if (s->payload.size() != len) return std::nullopt;
 
-  const bool all_data =
-      std::all_of(have_data.begin(), have_data.end(), [](bool b) { return b; });
+  // A data shard that arrived is its own row of the result; only the m
+  // missing rows are solved for. The m chosen parities give an m x m
+  // system once the known rows move to the right-hand side (addition is
+  // XOR); its matrix is a square Cauchy submatrix, so it is invertible,
+  // and its unique solution is what a full k x k inversion would give.
   std::vector<Bytes> result(static_cast<std::size_t>(k_));
-  if (all_data) {
-    for (const Shard* s : chosen)
-      if (s->index < k_)
-        result[static_cast<std::size_t>(s->index)] = s->payload;
-    return result;
-  }
+  std::vector<std::size_t> missing;
+  for (const Shard* s : chosen)
+    if (s->index < k_) result[static_cast<std::size_t>(s->index)] = s->payload;
+  for (std::size_t j = 0; j < result.size(); ++j)
+    if (!have_data[j]) missing.push_back(j);
+  if (missing.empty()) return result;
 
-  // Build the k x k system: row i of M is the generator row of chosen[i].
-  Matrix m(static_cast<std::size_t>(k_), static_cast<std::size_t>(k_));
-  for (int i = 0; i < k_; ++i) {
-    const int idx = chosen[static_cast<std::size_t>(i)]->index;
-    if (idx < k_) {
-      m.at(static_cast<std::size_t>(i), static_cast<std::size_t>(idx)) = 1;
-    } else {
-      for (int c = 0; c < k_; ++c)
-        m.at(static_cast<std::size_t>(i), static_cast<std::size_t>(c)) =
-            coeff(idx - k_, c);
-    }
+  const std::size_t m = missing.size();
+  const std::span<const Shard* const> parities(chosen.end() - m, chosen.end());
+  Matrix a(m, m);
+  std::vector<Bytes> rhs(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    const int p = parities[i]->index - k_;
+    for (std::size_t c = 0; c < m; ++c)
+      a.at(i, c) = coeff(p, static_cast<int>(missing[c]));
+    rhs[i] = parities[i]->payload;
+    for (std::size_t j = 0; j < result.size(); ++j)
+      if (have_data[j])
+        addmul_region(rhs[i].data(), result[j].data(), len,
+                      coeff(p, static_cast<int>(j)));
   }
-  const auto inv = m.inverted();
+  const auto inv = a.inverted();
   REKEY_ENSURE_MSG(inv.has_value(), "MDS violated: decode matrix singular");
 
-  // data[r] = sum_i inv[r][i] * chosen[i].payload
-  for (int r = 0; r < k_; ++r) {
+  // data[missing[r]] = sum_i inv[r][i] * rhs[i]
+  for (std::size_t r = 0; r < m; ++r) {
     Bytes row(len);
-    mul_region(row.data(), chosen[0]->payload.data(), len,
-               inv->at(static_cast<std::size_t>(r), 0));
-    for (int i = 1; i < k_; ++i) {
-      addmul_region(row.data(), chosen[static_cast<std::size_t>(i)]->payload.data(),
-                    len,
-                    inv->at(static_cast<std::size_t>(r),
-                            static_cast<std::size_t>(i)));
-    }
-    result[static_cast<std::size_t>(r)] = std::move(row);
+    mul_region(row.data(), rhs[0].data(), len, inv->at(r, 0));
+    for (std::size_t i = 1; i < m; ++i)
+      addmul_region(row.data(), rhs[i].data(), len, inv->at(r, i));
+    result[missing[r]] = std::move(row);
   }
   return result;
 }

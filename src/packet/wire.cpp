@@ -15,31 +15,15 @@ void put_entry(ByteWriter& w, const EncEntry& e) {
   w.put_u16(e.enc.tag);
 }
 
-EncEntry get_entry(ByteReader& r, std::uint32_t enc_id) {
-  EncEntry e;
-  e.enc_id = enc_id;
-  const Bytes ct = r.get_bytes(crypto::SymmetricKey::kSize);
-  std::copy(ct.begin(), ct.end(), e.enc.ciphertext.begin());
-  e.enc.tag = r.get_u16();
-  return e;
+std::uint32_t read_u32_at(WireView wire, std::size_t off) {
+  return static_cast<std::uint32_t>(wire[off]) << 24 |
+         static_cast<std::uint32_t>(wire[off + 1]) << 16 |
+         static_cast<std::uint32_t>(wire[off + 2]) << 8 |
+         static_cast<std::uint32_t>(wire[off + 3]);
 }
 
-// Reads <encryption, id> entries until zero padding or end of buffer,
-// strict about the tail: once the entry loop stops, every remaining byte
-// must be zero padding. A nonzero partial tail means the datagram was
-// truncated mid-entry or carries trailing garbage — damaged input that
-// must be rejected (nullopt), not silently dropped on the floor.
-std::optional<std::vector<EncEntry>> get_entries(ByteReader& r) {
-  std::vector<EncEntry> out;
-  while (r.remaining() >= kEntrySize) {
-    const std::uint32_t id = r.get_u32();
-    if (id == 0) break;  // padding terminator
-    out.push_back(get_entry(r, id));
-  }
-  while (r.remaining() > 0) {
-    if (r.get_u8() != 0) return std::nullopt;
-  }
-  return out;
+std::size_t enc_header_size(bool wide) {
+  return wide ? kEncHeaderSizeWide : kEncHeaderSize;
 }
 
 }  // namespace
@@ -60,12 +44,44 @@ EncEntry to_wire_entry(const tree::Encryption& e) {
   return w;
 }
 
+std::optional<EntryRegion> EntryRegion::check(WireView region) {
+  std::size_t end = 0;
+  while (region.size() - end >= kEntrySize && read_u32_at(region, end) != 0)
+    end += kEntrySize;
+  // The zero id that stopped the loop (if any) and everything after it
+  // must be padding. OR-folding the tail keeps the loop branch-free.
+  std::uint8_t tail = 0;
+  for (std::size_t i = end; i < region.size(); ++i) tail |= region[i];
+  if (tail != 0) return std::nullopt;
+  return EntryRegion(region.first(end));
+}
+
+std::vector<EncEntry> EntryRegion::to_vector() const {
+  std::vector<EncEntry> out(entries_.size() / kEntrySize);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const WireView b = entries_.subspan(i * kEntrySize, kEntrySize);
+    EncEntry& e = out[i];
+    e.enc_id = read_u32_at(b, 0);
+    std::copy_n(b.begin() + 4, e.enc.ciphertext.size(),
+                e.enc.ciphertext.begin());
+    e.enc.tag = static_cast<std::uint16_t>(b[kEntrySize - 2] << 8 |
+                                           b[kEntrySize - 1]);
+  }
+  return out;
+}
+
+std::optional<EntryRegion> enc_entries(WireView wire, bool wide) {
+  const std::size_t header = enc_header_size(wide);
+  if (wire.size() < header) return std::nullopt;
+  return EntryRegion::check(wire.subspan(header));
+}
+
 Bytes EncPacket::serialize(std::size_t packet_size, bool wide) const {
   REKEY_ENSURE(msg_id < 64);
   REKEY_ENSURE(seq < 128);
-  const std::size_t header = wide ? kEncHeaderSizeWide : kEncHeaderSize;
-  REKEY_ENSURE_MSG(header + entries.size() * kEntrySize <= packet_size,
-                   "too many encryptions for the packet size");
+  REKEY_ENSURE_MSG(
+      enc_header_size(wide) + entries.size() * kEntrySize <= packet_size,
+      "too many encryptions for the packet size");
   ByteWriter w;
   w.put_bits(static_cast<std::uint32_t>(PacketType::Enc), 2);
   w.put_bits(msg_id, 6);
@@ -90,28 +106,19 @@ Bytes EncPacket::serialize(std::size_t packet_size, bool wide) const {
 }
 
 std::optional<EncPacket> EncPacket::parse(WireView wire, bool wide) {
-  const std::size_t header = wide ? kEncHeaderSizeWide : kEncHeaderSize;
-  if (wire.size() < header) return std::nullopt;
-  ByteReader r(wire);
-  if (r.get_bits(2) != static_cast<std::uint32_t>(PacketType::Enc))
-    return std::nullopt;
+  const auto h = parse_enc_header(wire, wide);
+  if (!h) return std::nullopt;
+  const auto region = enc_entries(wire, wide);
+  if (!region) return std::nullopt;  // truncated or damaged entry region
   EncPacket p;
-  p.msg_id = static_cast<std::uint8_t>(r.get_bits(6));
-  p.block_id = r.get_u16();
-  p.duplicate = r.get_bits(1) != 0;
-  p.seq = static_cast<std::uint8_t>(r.get_bits(7));
-  if (wide) {
-    p.max_kid = r.get_u32();
-    p.frm_id = r.get_u32();
-    p.to_id = r.get_u32();
-  } else {
-    p.max_kid = r.get_u16();
-    p.frm_id = r.get_u16();
-    p.to_id = r.get_u16();
-  }
-  auto entries = get_entries(r);
-  if (!entries) return std::nullopt;  // truncated or damaged entry region
-  p.entries = std::move(*entries);
+  p.msg_id = h->msg_id;
+  p.block_id = h->block_id;
+  p.seq = h->seq;
+  p.duplicate = h->duplicate;
+  p.max_kid = h->max_kid;
+  p.frm_id = h->frm_id;
+  p.to_id = h->to_id;
+  p.entries = region->to_vector();
   return p;
 }
 
@@ -156,8 +163,8 @@ Bytes UsrPacket::serialize(bool wide) const {
 }
 
 std::optional<UsrPacket> UsrPacket::parse(WireView wire, bool wide) {
-  if (wire.size() < (wide ? kUsrHeaderSizeWide : kUsrHeaderSize))
-    return std::nullopt;
+  const std::size_t header = wide ? kUsrHeaderSizeWide : kUsrHeaderSize;
+  if (wire.size() < header) return std::nullopt;
   ByteReader r(wire);
   if (r.get_bits(2) != static_cast<std::uint32_t>(PacketType::Usr))
     return std::nullopt;
@@ -170,9 +177,9 @@ std::optional<UsrPacket> UsrPacket::parse(WireView wire, bool wide) {
     p.new_user_id = r.get_u16();
     p.max_kid = r.get_u16();
   }
-  auto entries = get_entries(r);
-  if (!entries) return std::nullopt;  // truncated or damaged entry region
-  p.entries = std::move(*entries);
+  const auto region = EntryRegion::check(wire.subspan(header));
+  if (!region) return std::nullopt;  // truncated or damaged entry region
+  p.entries = region->to_vector();
   return p;
 }
 
@@ -232,20 +239,9 @@ std::uint16_t udp_checksum(WireView wire) {
   return folded == 0 ? std::uint16_t{0xFFFF} : folded;
 }
 
-namespace {
-
-std::uint32_t read_u32_at(WireView wire, std::size_t off) {
-  return static_cast<std::uint32_t>(wire[off]) << 24 |
-         static_cast<std::uint32_t>(wire[off + 1]) << 16 |
-         static_cast<std::uint32_t>(wire[off + 2]) << 8 |
-         static_cast<std::uint32_t>(wire[off + 3]);
-}
-
-}  // namespace
-
 std::optional<EncHeader> parse_enc_header(WireView wire, bool wide) {
-  const std::size_t header = wide ? kEncHeaderSizeWide : kEncHeaderSize;
-  if (wire.size() < header || peek_type(wire) != PacketType::Enc)
+  if (wire.size() < enc_header_size(wide) ||
+      peek_type(wire) != PacketType::Enc)
     return std::nullopt;
   EncHeader h;
   h.msg_id = wire[0] & 0x3F;

@@ -74,6 +74,28 @@ struct EncEntry {
 tree::Encryption to_tree_encryption(const EncEntry& e, unsigned degree);
 EncEntry to_wire_entry(const tree::Encryption& e);
 
+// The entry region of an ENC or USR packet (or of a decoded ENC region),
+// checked in place. Entries run until a zero id or until fewer than
+// kEntrySize bytes remain; every byte after the last entry must be zero.
+// A nonzero tail means the datagram was truncated mid-entry or carries
+// trailing garbage, and the whole region is rejected. Checking allocates
+// nothing; entries are built only by to_vector().
+class EntryRegion {
+ public:
+  static std::optional<EntryRegion> check(WireView region);
+
+  std::vector<EncEntry> to_vector() const;
+
+ private:
+  explicit EntryRegion(WireView entries) : entries_(entries) {}
+  WireView entries_;  // whole entries only, no padding
+};
+
+// The checked entry region of a serialized ENC packet: everything after
+// its header. nullopt when the packet is shorter than the header or the
+// region is damaged. The header itself is not inspected here.
+std::optional<EntryRegion> enc_entries(WireView wire, bool wide = false);
+
 struct EncPacket {
   std::uint8_t msg_id = 0;  // 6 bits
   std::uint16_t block_id = 0;
@@ -143,8 +165,8 @@ std::optional<PacketType> peek_type(WireView wire);
 std::uint16_t udp_checksum(WireView wire);
 
 // Header-only views: the receive path classifies hundreds of packets per
-// round and only fully parses the few it actually consumes, so these avoid
-// copying entry lists / parity payloads.
+// round and reads the entries of only the one it keeps (through
+// enc_entries), so these avoid copying entry lists / parity payloads.
 struct EncHeader {
   std::uint8_t msg_id = 0;
   std::uint16_t block_id = 0;

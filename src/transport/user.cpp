@@ -11,38 +11,32 @@ namespace rekey::transport {
 
 namespace {
 
-// Decoded FEC region of an ENC packet: maxKID, frmID, toID, entries.
+// A decoded FEC region of an ENC packet (maxKID onward): the served id
+// range and its checked entries, viewing the decoded bytes. nullopt when
+// the region is too short or its entry region is damaged, which only
+// forged or corrupted shards can cause.
 struct DecodedRegion {
-  std::uint32_t max_kid = 0;
-  std::uint32_t frm_id = 0;
-  std::uint32_t to_id = 0;
-  std::vector<packet::EncEntry> entries;
+  std::uint32_t frm_id;
+  std::uint32_t to_id;
+  packet::EntryRegion entries;
 };
 
-DecodedRegion parse_region(const Bytes& region, bool wide) {
-  REKEY_ENSURE(region.size() >= (wide ? 12u : 6u));
+std::optional<DecodedRegion> parse_region(const Bytes& region, bool wide) {
+  const std::size_t ids = (wide ? packet::kEncHeaderSizeWide
+                                : packet::kEncHeaderSize) -
+                          packet::kFecOffset;
+  if (region.size() < ids) return std::nullopt;
+  const auto entries =
+      packet::EntryRegion::check(packet::WireView(region).subspan(ids));
+  if (!entries) return std::nullopt;
   ByteReader r(region);
-  DecodedRegion d;
-  if (wide) {
-    d.max_kid = r.get_u32();
-    d.frm_id = r.get_u32();
-    d.to_id = r.get_u32();
-  } else {
-    d.max_kid = r.get_u16();
-    d.frm_id = r.get_u16();
-    d.to_id = r.get_u16();
-  }
-  while (r.remaining() >= packet::kEntrySize) {
-    const std::uint32_t id = r.get_u32();
-    if (id == 0) break;  // padding
-    packet::EncEntry e;
-    e.enc_id = id;
-    const Bytes ct = r.get_bytes(crypto::SymmetricKey::kSize);
-    std::copy(ct.begin(), ct.end(), e.enc.ciphertext.begin());
-    e.enc.tag = r.get_u16();
-    d.entries.push_back(e);
-  }
-  return d;
+  const auto id = [&r, wide]() -> std::uint32_t {
+    return wide ? r.get_u32() : r.get_u16();
+  };
+  id();  // maxKID: the user's id was settled before any decode
+  const std::uint32_t frm = id();
+  const std::uint32_t to = id();
+  return DecodedRegion{frm, to, *entries};
 }
 
 }  // namespace
@@ -50,7 +44,12 @@ DecodedRegion parse_region(const Bytes& region, bool wide) {
 UserTransport::UserTransport(std::uint32_t old_id, std::size_t k,
                              unsigned degree, const PacketPool* pool,
                              bool wide)
-    : id_(old_id), k_(k), degree_(degree), pool_(pool), wide_(wide) {
+    : wide_(wide),
+      id_(old_id),
+      k_(k),
+      pool_(pool),
+      estimator_(old_id, k, degree),
+      degree_(degree) {
   REKEY_ENSURE(pool != nullptr);
 }
 
@@ -66,21 +65,23 @@ bool UserTransport::note_max_kid(std::uint32_t max_kid) {
   max_kid_ = max_kid;
   id_ = static_cast<std::uint32_t>(*derived);
   id_updated_ = true;
-  estimator_.emplace(id_, k_, degree_);
+  estimator_ = packet::BlockIdEstimator(id_, k_, degree_);
   return true;
 }
 
 void UserTransport::prune_out_of_range() {
-  if (!estimator_ || !estimator_->bounded()) return;
-  const std::uint32_t lo = estimator_->low();
-  const std::uint32_t hi = estimator_->high();
-  for (auto it = blocks_.begin(); it != blocks_.end();) {
-    if (it->first < lo || it->first > hi) {
-      it = blocks_.erase(it);
-    } else {
-      ++it;
-    }
-  }
+  if (!estimator_.bounded()) return;
+  const std::uint32_t lo = estimator_.low();
+  const std::uint32_t hi = estimator_.high();
+  std::erase_if(shards_, [lo, hi](const StoredShard& s) {
+    return s.block < lo || s.block > hi;
+  });
+}
+
+void UserTransport::recover(int round) {
+  recovered_ = true;
+  recovery_round_ = round;
+  shards_ = std::vector<StoredShard>();  // a recovered user holds no shards
 }
 
 void UserTransport::on_packet(std::size_t pool_index, int round) {
@@ -94,25 +95,30 @@ void UserTransport::on_packet(std::size_t pool_index, int round) {
     if (!h) return;
     if (!note_max_kid(h->max_kid)) return;  // corrupt header
     if (h->frm_id <= id_ && id_ <= h->to_id) {
-      // My specific packet. The full parse can still fail on a damaged
+      // My specific packet: check its entry region in place and keep the
+      // pool index, nothing else. The check can still fail on a damaged
       // entry region that slipped past the header checks (e.g. a
       // corrupted copy whose checksum collided); that is a bad datagram,
       // not a protocol error — drop it and wait for FEC or a resend.
-      const auto pkt = packet::EncPacket::parse(wire, wide_);
-      if (!pkt.has_value()) return;
-      entries_ = pkt->entries;
-      recovered_ = true;
-      recovery_round_ = round;
-      blocks_.clear();
+      if (!packet::enc_entries(wire, wide_)) return;
+      own_packet_ = static_cast<std::uint32_t>(pool_index);
+      recover(round);
       return;
     }
-    estimator_->observe(*h);
-    prune_out_of_range();
+    // An exact range cannot move (consistent observations only narrow
+    // it), and only a moved range has shards to prune.
+    if (!estimator_.exact()) {
+      const std::uint32_t low = estimator_.low();
+      const std::uint32_t high = estimator_.high();
+      estimator_.observe(*h);
+      if (estimator_.low() != low || estimator_.high() != high)
+        prune_out_of_range();
+    }
     if (h->seq + 1u >= k_)
       complete_through_ =
           std::max(complete_through_, static_cast<std::int64_t>(h->block_id));
-    if (h->block_id >= estimator_->low() &&
-        h->block_id <= estimator_->high()) {
+    if (h->block_id >= estimator_.low() &&
+        h->block_id <= estimator_.high()) {
       store_shard(h->block_id, h->seq, pool_index);
     }
     return;
@@ -123,10 +129,13 @@ void UserTransport::on_packet(std::size_t pool_index, int round) {
     if (!h) return;
     // Parities follow the last ENC slot wave: every block is complete.
     complete_through_ = std::numeric_limits<std::int64_t>::max();
+    // The code has 256 - k parities: a larger parity_seq is forged, and
+    // the decoder would throw on its shard index.
+    if (k_ + h->parity_seq >= 256) return;
     const bool in_range =
-        !estimator_ || !estimator_->bounded() ||
-        (h->block_id >= estimator_->low() &&
-         h->block_id <= estimator_->high());
+        !estimator_.bounded() ||
+        (h->block_id >= estimator_.low() &&
+         h->block_id <= estimator_.high());
     if (in_range) {
       store_shard(h->block_id, static_cast<std::uint32_t>(k_ + h->parity_seq),
                   pool_index);
@@ -141,18 +150,23 @@ void UserTransport::store_shard(std::uint32_t block, std::uint32_t shard,
   // already held is ignored, so duplicates can neither inflate the
   // shard count past k (which would fake decodability and understate
   // NACKs) nor feed the decoder a singular system of repeated rows.
-  auto& shards = blocks_[block];
-  for (const StoredShard& s : shards)
+  const StoredShard* first = nullptr;
+  for (const StoredShard& s : shards_) {
+    if (s.block != block) continue;
     if (s.shard == shard) return;
+    if (first == nullptr) first = &s;
+  }
   // All shards of a block must be the same wire size (the FEC code is over
   // equal-length regions). The simnet always pads to packet_size, but a
   // real socket can hand us a truncated datagram whose header still parses
-  // — storing it would poison the decode. First full-length shard wins;
-  // the RSE decoder additionally refuses mixed-size inputs outright.
-  if (!shards.empty() &&
-      (*pool_)[pool_index].size() != (*pool_)[shards.front().pool_index].size())
+  // — storing it would poison the decode. The block's first stored shard
+  // sets the size; the RSE decoder additionally refuses mixed-size inputs
+  // outright.
+  if (first != nullptr &&
+      (*pool_)[pool_index].size() != (*pool_)[first->pool_index].size())
     return;
-  shards.push_back({shard, static_cast<std::uint32_t>(pool_index)});
+  if (shards_.capacity() == 0) shards_.reserve(k_);  // one block, one alloc
+  shards_.push_back({block, shard, static_cast<std::uint32_t>(pool_index)});
 }
 
 void UserTransport::on_usr(const packet::UsrPacket& usr) {
@@ -161,17 +175,23 @@ void UserTransport::on_usr(const packet::UsrPacket& usr) {
   id_ = usr.new_user_id;
   id_updated_ = true;
   entries_ = usr.entries;
-  recovered_ = true;
-  blocks_.clear();
+  recover(/*round=*/0);  // unicast, not a multicast round
+}
+
+std::vector<packet::EncEntry> UserTransport::entries() const {
+  if (!own_packet_) return entries_;
+  // Checked on arrival; the pool keeps its packets unchanged.
+  const auto region = packet::enc_entries(pool_->at(*own_packet_), wide_);
+  REKEY_ENSURE_MSG(region.has_value(),
+                   "own ENC packet changed in the pool after its check");
+  return region->to_vector();
 }
 
 bool UserTransport::try_decode_block(std::uint32_t block, int round) {
-  const auto it = blocks_.find(block);
-  if (it == blocks_.end() || it->second.size() < k_) return false;
-
   std::vector<fec::Shard> shards;
-  shards.reserve(it->second.size());
-  for (const StoredShard& s : it->second) {
+  shards.reserve(shards_.size());
+  for (const StoredShard& s : shards_) {
+    if (s.block != block) continue;
     const Bytes& wire = (*pool_)[s.pool_index];
     fec::Shard shard;
     shard.index = static_cast<int>(s.shard);
@@ -183,13 +203,10 @@ bool UserTransport::try_decode_block(std::uint32_t block, int round) {
   if (!decoded.has_value()) return false;
 
   for (const Bytes& region : *decoded) {
-    const DecodedRegion d = parse_region(region, wide_);
-    note_max_kid(d.max_kid);
-    if (d.frm_id <= id_ && id_ <= d.to_id) {
-      entries_ = d.entries;
-      recovered_ = true;
-      recovery_round_ = round;
-      blocks_.clear();
+    const auto d = parse_region(region, wide_);
+    if (d && d->frm_id <= id_ && id_ <= d->to_id) {
+      entries_ = d->entries.to_vector();
+      recover(round);
       return true;
     }
   }
@@ -200,7 +217,7 @@ std::vector<packet::NackEntry> UserTransport::end_of_round(int round) {
   if (recovered_) return {};
   ++rounds_ended_;
 
-  if (!estimator_ || !estimator_->bounded()) {
+  if (!estimator_.bounded()) {
     // Nothing usable arrived: wake-up NACK so the server learns about us.
     packet::NackEntry e;
     e.parities_needed = static_cast<std::uint8_t>(k_);
@@ -209,10 +226,15 @@ std::vector<packet::NackEntry> UserTransport::end_of_round(int round) {
   }
 
   std::vector<packet::NackEntry> needs;
-  for (std::uint32_t blk = estimator_->low(); blk <= estimator_->high();
+  for (std::uint32_t blk = estimator_.low(); blk <= estimator_.high();
        ++blk) {
-    const auto it = blocks_.find(blk);
-    const std::size_t have = it == blocks_.end() ? 0 : it->second.size();
+    std::size_t have = 0;
+    std::uint32_t max_shard = 0;
+    for (const StoredShard& s : shards_) {
+      if (s.block != blk) continue;
+      ++have;
+      max_shard = std::max(max_shard, s.shard);
+    }
     if (have >= k_) {
       if (try_decode_block(blk, round)) return {};
       continue;  // decodable block that is not mine
@@ -220,17 +242,24 @@ std::vector<packet::NackEntry> UserTransport::end_of_round(int round) {
     packet::NackEntry e;
     e.parities_needed = static_cast<std::uint8_t>(k_ - have);
     e.block_id = static_cast<std::uint16_t>(blk);
-    if (it != blocks_.end()) {
-      std::uint32_t max_shard = 0;
-      for (const StoredShard& s : it->second)
-        max_shard = std::max(max_shard, s.shard);
-      e.max_shard_seen =
-          static_cast<std::uint8_t>(std::min<std::uint32_t>(max_shard, 255));
-    }
+    e.max_shard_seen =
+        static_cast<std::uint8_t>(std::min<std::uint32_t>(max_shard, 255));
     needs.push_back(e);
   }
-  REKEY_ENSURE_MSG(!needs.empty(),
-                   "all candidate blocks decoded but own packet missing");
+  if (needs.empty()) {
+    // Every candidate block decoded, yet none held my packet: genuine
+    // shards cannot do that, so some were forged. Fail closed: drop the
+    // shards and NACK each candidate block in full; fresh parities or the
+    // unicast phase still reach this user.
+    shards_.clear();
+    for (std::uint32_t blk = estimator_.low(); blk <= estimator_.high();
+         ++blk) {
+      packet::NackEntry e;
+      e.parities_needed = static_cast<std::uint8_t>(k_);
+      e.block_id = static_cast<std::uint16_t>(blk);
+      needs.push_back(e);
+    }
+  }
   return needs;
 }
 

@@ -6,7 +6,10 @@
 // retained (by reference into the session's packet pool) for FEC decoding.
 // At each round end the user tries to decode every candidate block with >=
 // k shards; if its packet is still missing it emits NACK entries — one
-// <parities needed, block> pair per candidate block.
+// <parities needed, block> pair per candidate block. Genuine blocks cannot
+// all decode without yielding the user's packet; when they do, some shards
+// were forged, and the user fails closed: it drops every stored shard and
+// NACKs each candidate block in full.
 //
 // A user that received *nothing* cannot bound its block range; it emits a
 // conservative wake-up NACK for block 0 so the server learns it exists
@@ -14,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
@@ -25,6 +27,9 @@ namespace rekey::transport {
 
 // Packets live in a per-message pool owned by the session; users hold
 // indices, so N users retaining the same packet costs N*4 bytes, not N KB.
+// That includes a user's own ENC packet: its entries are read from the
+// pool on demand, so the pool must outlive every entries() call and keep
+// its packets unchanged.
 using PacketPool = std::vector<Bytes>;
 
 class UserTransport {
@@ -67,13 +72,16 @@ class UserTransport {
   // "detects a loss" (paper Appendix A) once every block that could hold
   // its packet is provably complete yet still undecodable.
   bool initial_pass_complete() const {
-    return estimator_.has_value() && estimator_->bounded() &&
-           complete_through_ >= static_cast<std::int64_t>(estimator_->high());
+    return estimator_.bounded() &&
+           complete_through_ >= static_cast<std::int64_t>(estimator_.high());
   }
 
   // After recovery: the user's encryption entries (empty when the rekey
-  // message carried nothing for this user).
-  const std::vector<packet::EncEntry>& entries() const { return entries_; }
+  // message carried nothing for this user). Built on each call: from the
+  // pool when the user's own ENC packet arrived (it was checked in place
+  // and is kept only by index), else from the copy an FEC decode or a USR
+  // packet left behind.
+  std::vector<packet::EncEntry> entries() const;
 
  private:
   // Updates this user's id from an advertised maxKID; false (packet
@@ -85,29 +93,39 @@ class UserTransport {
   void store_shard(std::uint32_t block, std::uint32_t shard,
                    std::size_t pool_index);
   bool try_decode_block(std::uint32_t block, int round);
+  void recover(int round);
 
+  // What every delivered packet reads comes first, in 64 bytes; the rest
+  // is cold.
+  bool recovered_ = false;
+  bool wide_;
+  bool id_updated_ = false;
   std::uint32_t id_;
   std::size_t k_;
-  unsigned degree_;
   const PacketPool* pool_;
-  bool wide_;
+  // Built for the updated id once a usable maxKID arrives; unbounded
+  // until then.
+  packet::BlockIdEstimator estimator_;
+  std::int64_t complete_through_ = -1;  // last provably-complete block id
 
-  bool id_updated_ = false;
-  std::uint32_t max_kid_ = 0;
-  std::optional<packet::BlockIdEstimator> estimator_;
-
-  // Per candidate block: pool indices of its shards, ENC slots and
+  // Shards of the candidate blocks in arrival order, ENC slots and
   // parities alike (shard index = seq for ENC, k + parity_seq for PARITY).
+  // One flat array: a user holds a few blocks of at most a few dozen
+  // shards, so a linear scan beats a per-block map.
   struct StoredShard {
+    std::uint32_t block;
     std::uint32_t shard;
     std::uint32_t pool_index;
   };
-  std::map<std::uint32_t, std::vector<StoredShard>> blocks_;
+  std::vector<StoredShard> shards_;
 
-  bool recovered_ = false;
-  std::int64_t complete_through_ = -1;  // last provably-complete block id
+  unsigned degree_;
+  std::uint32_t max_kid_ = 0;
   int recovery_round_ = 0;
   int rounds_ended_ = 0;
+  // Recovered through the own ENC packet: its pool index. Otherwise
+  // entries_ holds what an FEC decode or a USR packet delivered.
+  std::optional<std::uint32_t> own_packet_;
   std::vector<packet::EncEntry> entries_;
 };
 

@@ -66,6 +66,12 @@ void KeyServerDaemon::send_control(Endpoint to, const Bytes& frame) {
   ++stats_.control_frames;
 }
 
+bool KeyServerDaemon::all_live(bool EndpointState::*flag) const {
+  for (const auto& [ep, es] : endpoints_)
+    if (!es.dead && !(es.*flag)) return false;
+  return true;
+}
+
 bool KeyServerDaemon::step_clock() {
   fault_clock_ms_ += config_.round_quantum_ms;
   if (!dead_ && config_.fault.blackout_at(fault_clock_ms_)) {
@@ -188,7 +194,7 @@ std::size_t KeyServerDaemon::pump(int timeout_ms) {
       }
       case ControlOp::FinAck: {
         const auto it = endpoints_.find(d.from);
-        if (it != endpoints_.end()) it->second.done_acked = true;
+        if (it != endpoints_.end()) it->second.fin_acked = true;
         break;
       }
       case ControlOp::SnapChunk: {
@@ -343,9 +349,7 @@ void KeyServerDaemon::send_slot_maps() {
       Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
   bool first = true;
   while (!stopped()) {
-    bool all = true;
-    for (const auto& [ep, es] : endpoints_) all = all && es.slot_map_acked;
-    if (all) return;
+    if (all_live(&EndpointState::slot_map_acked)) return;
     REKEY_ENSURE_MSG(Clock::now() < deadline,
                      "slot map delivery timed out before the first batch");
     for (auto& [ep, es] : endpoints_) {
@@ -356,7 +360,9 @@ void KeyServerDaemon::send_slot_maps() {
     first = false;
     const auto retry =
         Clock::now() + std::chrono::milliseconds(config_.retry_ms);
-    while (!stopped() && Clock::now() < retry) pump(ms_until(retry));
+    while (!stopped() && Clock::now() < retry &&
+           !all_live(&EndpointState::slot_map_acked))
+      pump(ms_until(retry));
   }
 }
 
@@ -378,10 +384,7 @@ void KeyServerDaemon::collect_reports(std::uint32_t batch_seq,
       Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
   bool first = true;
   for (;;) {
-    bool all = true;
-    for (const auto& [ep, es] : endpoints_)
-      all = all && (es.dead || es.report_done);
-    if (all || stopped()) break;
+    if (all_live(&EndpointState::report_done) || stopped()) break;
     if (Clock::now() >= deadline) {
       // Proceed with partial feedback; an endpoint that keeps missing
       // deadlines is dead weight and gets dropped from the lockstep.
@@ -402,13 +405,9 @@ void KeyServerDaemon::collect_reports(std::uint32_t batch_seq,
     first = false;
     const auto retry = std::min(
         deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped()) {
+    while (Clock::now() < retry && !stopped() &&
+           !all_live(&EndpointState::report_done))
       pump(ms_until(retry));
-      bool done = true;
-      for (const auto& [ep, es] : endpoints_)
-        done = done && (es.dead || es.report_done);
-      if (done) break;
-    }
   }
   cur_server_ = nullptr;
 }
@@ -423,9 +422,9 @@ void KeyServerDaemon::collect_done_acks(std::uint32_t batch_seq,
       Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
   bool first = true;
   for (;;) {
-    bool all = true;
-    for (const auto& [ep, es] : endpoints_) all = all && (es.dead || es.done_acked);
-    if (all || stopped() || Clock::now() >= deadline) break;
+    if (all_live(&EndpointState::done_acked) || stopped() ||
+        Clock::now() >= deadline)
+      break;
     for (auto& [ep, es] : endpoints_) {
       if (es.dead || es.done_acked) continue;
       send_control(ep, done);
@@ -434,7 +433,9 @@ void KeyServerDaemon::collect_done_acks(std::uint32_t batch_seq,
     first = false;
     const auto retry = std::min(
         deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped()) pump(ms_until(retry));
+    while (Clock::now() < retry && !stopped() &&
+           !all_live(&EndpointState::done_acked))
+      pump(ms_until(retry));
   }
   // DoneAck collection is a lockstep step like any round: an endpoint
   // that blows its deadline takes a missed-deadline strike (and is
@@ -710,21 +711,21 @@ DaemonStats KeyServerDaemon::run() {
 }
 
 void KeyServerDaemon::fin_handshake() {
-  for (auto& [ep, es] : endpoints_) es.done_acked = false;
+  for (auto& [ep, es] : endpoints_) es.fin_acked = false;
   const Bytes fin = serialize(FinFrame{});
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
   while (!stopped() && Clock::now() < deadline) {
-    bool all = true;
-    for (const auto& [ep, es] : endpoints_) all = all && (es.dead || es.done_acked);
-    if (all) break;
+    if (all_live(&EndpointState::fin_acked)) break;
     for (const auto& [ep, es] : endpoints_)
-      if (!es.dead && !es.done_acked) send_control(ep, fin);
+      if (!es.dead && !es.fin_acked) send_control(ep, fin);
     if (config_.peer.has_value() && !config_.standby && !peer_dead_)
       send_control(*config_.peer, fin);
     const auto retry = std::min(
         deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped()) pump(ms_until(retry));
+    while (Clock::now() < retry && !stopped() &&
+           !all_live(&EndpointState::fin_acked))
+      pump(ms_until(retry));
   }
   // Retire a healthy standby even when every client acked on the first
   // try (the loop above may never have reached a Fin broadcast).
@@ -876,9 +877,7 @@ void KeyServerDaemon::resub_barrier() {
   const auto deadline =
       Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
   for (;;) {
-    bool all = true;
-    for (const auto& [ep, es] : endpoints_) all = all && (es.dead || es.resubbed);
-    if (all || stopped()) return;
+    if (all_live(&EndpointState::resubbed) || stopped()) return;
     if (Clock::now() >= deadline) {
       // A client that cannot re-sync is dead weight, exactly like one
       // that stops reporting: drop it so the replay can proceed.
@@ -893,12 +892,9 @@ void KeyServerDaemon::resub_barrier() {
       if (!es.dead && !es.resubbed) send_control(ep, start);
     const auto retry = std::min(
         deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped()) {
+    while (Clock::now() < retry && !stopped() &&
+           !all_live(&EndpointState::resubbed))
       pump(ms_until(retry));
-      bool done = true;
-      for (const auto& [ep, es] : endpoints_) done = done && (es.dead || es.resubbed);
-      if (done) break;
-    }
   }
 }
 

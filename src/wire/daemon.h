@@ -198,11 +198,17 @@ class KeyServerDaemon {
     // straggler set).
     std::vector<std::uint32_t> unrecovered_uids;
 
-    bool done_acked = false;  // BatchDone / Fin acks
+    bool done_acked = false;  // BatchDone acks
+    // Fin acks: a flag of their own, so a duplicate DoneAck of the last
+    // batch still in flight during the Fin handshake is not taken for one.
+    bool fin_acked = false;
     bool resubbed = false;    // re-subscribed after a failover (Resub)
   };
 
   bool stopped() const { return stop_.load(std::memory_order_relaxed); }
+  // True when every endpoint not written off as dead has `flag` set: the
+  // exit test of each lockstep wait.
+  bool all_live(bool EndpointState::*flag) const;
 
   void send_control(Endpoint to, const Bytes& frame);
   // One receive-and-dispatch pass; control frames outside the current

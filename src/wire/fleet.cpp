@@ -99,6 +99,8 @@ void ClientFleet::open_batch(std::uint32_t seq, std::uint8_t msg_id) {
   b.users.reserve(config_.count);
   for (std::size_t u = 0; u < config_.count; ++u)
     b.users.emplace_back(ids_[u], k_, degree_, &b.pool, wide());
+  b.active.resize(config_.count);
+  for (std::uint32_t u = 0; u < config_.count; ++u) b.active[u] = u;
   b.via_usr.assign(config_.count, false);
   b.recover_ms.assign(config_.count, -1.0);
   b.usr_frag_arrivals.assign(config_.count, 0);
@@ -110,6 +112,12 @@ void ClientFleet::note_recovered(std::size_t u, bool usr) {
   Batch& b = *batch_;
   b.recover_ms[u] = ms_since(b.t0);
   b.via_usr[u] = usr;
+}
+
+void ClientFleet::drop_recovered() {
+  Batch& b = *batch_;
+  std::erase_if(b.active,
+                [&b](std::uint32_t u) { return b.users[u].recovered(); });
 }
 
 void ClientFleet::deliver_data(const Bytes& frame) {
@@ -136,9 +144,9 @@ void ClientFleet::deliver_data(const Bytes& frame) {
   const std::uint64_t n =
       (static_cast<std::uint64_t>(b.seq) << 40) | b.frame_counter++;
   const int round_now = b.last_round + 1;
-  for (std::size_t u = 0; u < config_.count; ++u) {
+  for (const std::uint32_t u : b.active) {
     transport::UserTransport& user = b.users[u];
-    if (user.recovered()) continue;
+    if (user.recovered()) continue;  // through USR since the last pass
     if (config_.shaping.drop(config_.first_uid + u, kTagData, n,
                              config_.shaping.down_loss)) {
       ++stats_.shaped_off;
@@ -147,18 +155,17 @@ void ClientFleet::deliver_data(const Bytes& frame) {
     user.on_packet(idx, round_now);
     if (user.recovered()) note_recovered(u, false);
   }
+  drop_recovered();
 }
 
 void ClientFleet::build_and_send_report(std::uint16_t round,
                                         std::uint8_t phase) {
+  drop_recovered();
   Batch& b = *batch_;
   std::vector<ReportUser> users_out;
-  std::uint32_t unrecovered = 0;
-  for (std::size_t u = 0; u < config_.count; ++u) {
-    if (b.users[u].recovered()) continue;
-    ++unrecovered;
-    const std::uint32_t uid =
-        config_.first_uid + static_cast<std::uint32_t>(u);
+  const auto unrecovered = static_cast<std::uint32_t>(b.active.size());
+  for (const std::uint32_t u : b.active) {  // ascending uid order
+    const std::uint32_t uid = config_.first_uid + u;
     if (phase == 0) {
       // Upstream shaping loses the whole NACK, not the user: the report's
       // unrecovered count still carries it (that count is the lockstep
@@ -228,9 +235,9 @@ void ClientFleet::on_round_mark(const RoundMarkFrame& f) {
   if (f.phase == 0) {
     if (f.round <= b.last_round) return;  // older than what we reported
     const int round = f.round;
-    for (std::size_t u = 0; u < config_.count; ++u) {
+    for (const std::uint32_t u : b.active) {
       transport::UserTransport& user = b.users[u];
-      if (user.recovered()) continue;
+      if (user.recovered()) continue;  // through USR since the last pass
       auto entries = user.end_of_round(round);
       if (user.recovered()) {
         note_recovered(u, false);  // decoded at round end

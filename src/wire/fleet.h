@@ -94,7 +94,9 @@ struct FleetStats {
   std::uint32_t epoch = 0;       // highest fencing epoch adopted
   std::uint32_t failovers = 0;   // server switches to a failover endpoint
   std::uint64_t resubs_sent = 0;
-  // Per recovered client-batch: ms from batch open to group-key recovery.
+  // Per recovered client-batch: ms from batch open until the client holds
+  // its ENC entries (its own packet, an FEC decode or a USR packet). No
+  // client decrypts them, so this is not yet time to the group key.
   std::vector<double> recovery_ms;
 };
 
@@ -116,6 +118,10 @@ class ClientFleet {
     std::uint8_t msg_id = 0;
     transport::PacketPool pool;
     std::vector<transport::UserTransport> users;  // index: uid - first_uid
+    // Indices of the unrecovered users, ascending: the per-frame and
+    // per-mark loops walk only these (compacted after each pass), so a
+    // recovered user costs nothing for the rest of the batch.
+    std::vector<std::uint32_t> active;
     std::vector<bool> via_usr;
     std::vector<double> recover_ms;  // -1 until recovered
     UsrReassembly reasm;
@@ -141,6 +147,7 @@ class ClientFleet {
   void open_batch(std::uint32_t seq, std::uint8_t msg_id);
   void deliver_data(const Bytes& frame);
   void note_recovered(std::size_t u, bool usr);
+  void drop_recovered();
   void on_round_mark(const RoundMarkFrame& f);
   void build_and_send_report(std::uint16_t round, std::uint8_t phase);
   // Both USR fragment widths share one delivery path (UsrReassembly has

@@ -17,6 +17,86 @@ Bytes random_bytes(Rng& rng, std::size_t n) {
   return b;
 }
 
+// The entry-region rule written out with ByteReader, independently of
+// packet::EntryRegion: entries until a zero id or until fewer than
+// kEntrySize bytes remain, then only zero bytes.
+std::optional<std::vector<packet::EncEntry>> reference_entries(
+    packet::WireView region) {
+  ByteReader r(region);
+  std::vector<packet::EncEntry> out;
+  while (r.remaining() >= packet::kEntrySize) {
+    packet::EncEntry e;
+    e.enc_id = r.get_u32();
+    if (e.enc_id == 0) break;
+    const Bytes ct = r.get_bytes(crypto::SymmetricKey::kSize);
+    std::copy(ct.begin(), ct.end(), e.enc.ciphertext.begin());
+    e.enc.tag = r.get_u16();
+    out.push_back(e);
+  }
+  while (r.remaining() > 0)
+    if (r.get_u8() != 0) return std::nullopt;
+  return out;
+}
+
+// The in-place check accepts exactly the ENC packets EncPacket::parse
+// accepts, with equal entries, and both follow the reference rule.
+void expect_enc_parsers_agree(const Bytes& wire, bool wide) {
+  const auto parsed = packet::EncPacket::parse(wire, wide);
+  const auto header = packet::parse_enc_header(wire, wide);
+  const auto region = packet::enc_entries(wire, wide);
+  ASSERT_EQ(parsed.has_value(), header.has_value() && region.has_value());
+  const std::size_t hdr =
+      wide ? packet::kEncHeaderSizeWide : packet::kEncHeaderSize;
+  const auto ref = wire.size() < hdr
+                       ? std::nullopt
+                       : reference_entries(packet::WireView(wire).subspan(hdr));
+  ASSERT_EQ(region.has_value(), ref.has_value());
+  if (!region) return;
+  EXPECT_EQ(region->to_vector(), *ref);
+  if (parsed) {
+    EXPECT_EQ(parsed->entries, *ref);
+  }
+}
+
+// The same for USR packets: UsrPacket::parse accepts exactly the packets
+// with a USR header whose entry region passes the in-place check.
+void expect_usr_parsers_agree(const Bytes& wire, bool wide) {
+  const auto parsed = packet::UsrPacket::parse(wire, wide);
+  const std::size_t hdr =
+      wide ? packet::kUsrHeaderSizeWide : packet::kUsrHeaderSize;
+  const bool usr_header =
+      wire.size() >= hdr && packet::peek_type(wire) == packet::PacketType::Usr;
+  const auto region =
+      wire.size() < hdr
+          ? std::nullopt
+          : packet::EntryRegion::check(packet::WireView(wire).subspan(hdr));
+  const auto ref = wire.size() < hdr
+                       ? std::nullopt
+                       : reference_entries(packet::WireView(wire).subspan(hdr));
+  ASSERT_EQ(region.has_value(), ref.has_value());
+  ASSERT_EQ(parsed.has_value(), usr_header && region.has_value());
+  if (!region) return;
+  EXPECT_EQ(region->to_vector(), *ref);
+  if (parsed) {
+    EXPECT_EQ(parsed->entries, *ref);
+  }
+}
+
+// Every single-bit flip of `wire`, each checked by `agree`.
+template <typename Agree>
+void for_each_bit_flip(const Bytes& wire, Agree agree) {
+  for (std::size_t pos = 0; pos < wire.size(); ++pos)
+    for (int bit = 0; bit < 8; ++bit) {
+      Bytes flipped = wire;
+      flipped[pos] ^= static_cast<std::uint8_t>(1u << bit);
+      agree(flipped);
+      if (::testing::Test::HasFatalFailure()) {
+        ADD_FAILURE() << "flip of byte " << pos << " bit " << bit;
+        return;
+      }
+    }
+}
+
 TEST(Fuzz, ParsersNeverThrowOnRandomInput) {
   Rng rng(1);
   for (int trial = 0; trial < 5000; ++trial) {
@@ -74,6 +154,7 @@ TEST(Fuzz, BitflippedEncPacketsParseOrRejectCleanly) {
       wire[pos] ^= static_cast<std::uint8_t>(1u << rng.next_in(0, 7));
     }
     EXPECT_NO_THROW((void)packet::EncPacket::parse(wire));
+    expect_enc_parsers_agree(wire, /*wide=*/false);
   }
 }
 
@@ -137,60 +218,120 @@ std::vector<packet::EncEntry> nonzero_id_entries(std::size_t n) {
 // byte-identical to a genuine shorter packet, so the parser accepts the
 // prefix; detecting those is the UDP length/checksum's job, not the
 // format's.
+//
+// Each sweep runs for the narrow and the wide layout, and every cut (and
+// every single-bit flip of the full packet) must also be judged the same
+// way by the in-place entry check as by the copying parser.
 TEST(Fuzz, TruncationSweepEncPacket) {
-  packet::EncPacket p;
-  p.msg_id = 11;
-  p.block_id = 2;
-  p.seq = 1;
-  p.max_kid = 300;
-  p.frm_id = 301;
-  p.to_id = 320;
-  p.entries = nonzero_id_entries(8);
-  const Bytes full = p.serialize(512);
-  const std::size_t data_end =
-      packet::kEncHeaderSize + p.entries.size() * packet::kEntrySize;
-  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
-    const Bytes wire(full.begin(), full.begin() + cut);
-    std::optional<packet::EncPacket> parsed;
-    ASSERT_NO_THROW(parsed = packet::EncPacket::parse(wire)) << "cut " << cut;
-    if (cut < packet::kEncHeaderSize) {
-      EXPECT_FALSE(parsed.has_value()) << "cut " << cut;
-    } else if (cut < data_end &&
-               (cut - packet::kEncHeaderSize) % packet::kEntrySize != 0) {
-      EXPECT_FALSE(parsed.has_value()) << "mid-entry cut " << cut;
-    } else {
-      // Entry boundary or inside the zero padding: a valid prefix.
-      ASSERT_TRUE(parsed.has_value()) << "cut " << cut;
-      const std::size_t expect_entries =
-          cut >= data_end ? p.entries.size()
-                          : (cut - packet::kEncHeaderSize) / packet::kEntrySize;
-      EXPECT_EQ(parsed->entries.size(), expect_entries) << "cut " << cut;
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "wide" : "narrow");
+    packet::EncPacket p;
+    p.msg_id = 11;
+    p.block_id = 2;
+    p.seq = 1;
+    p.max_kid = 300;
+    p.frm_id = 301;
+    p.to_id = 320;
+    p.entries = nonzero_id_entries(8);
+    const Bytes full = p.serialize(512, wide);
+    const std::size_t hdr =
+        wide ? packet::kEncHeaderSizeWide : packet::kEncHeaderSize;
+    const std::size_t data_end = hdr + p.entries.size() * packet::kEntrySize;
+    for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+      const Bytes wire(full.begin(), full.begin() + cut);
+      std::optional<packet::EncPacket> parsed;
+      ASSERT_NO_THROW(parsed = packet::EncPacket::parse(wire, wide))
+          << "cut " << cut;
+      if (cut < hdr) {
+        EXPECT_FALSE(parsed.has_value()) << "cut " << cut;
+      } else if (cut < data_end && (cut - hdr) % packet::kEntrySize != 0) {
+        EXPECT_FALSE(parsed.has_value()) << "mid-entry cut " << cut;
+      } else {
+        // Entry boundary or inside the zero padding: a valid prefix.
+        ASSERT_TRUE(parsed.has_value()) << "cut " << cut;
+        const std::size_t expect_entries =
+            cut >= data_end ? p.entries.size()
+                            : (cut - hdr) / packet::kEntrySize;
+        EXPECT_EQ(parsed->entries.size(), expect_entries) << "cut " << cut;
+      }
+      expect_enc_parsers_agree(wire, wide);
     }
+    for_each_bit_flip(full, [wide](const Bytes& w) {
+      expect_enc_parsers_agree(w, wide);
+    });
   }
 }
 
 TEST(Fuzz, TruncationSweepUsrPacket) {
-  packet::UsrPacket p;
-  p.msg_id = 12;
-  p.new_user_id = 77;
-  p.max_kid = 400;
-  p.entries = nonzero_id_entries(5);
-  const Bytes full = p.serialize();
-  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
-    const Bytes wire(full.begin(), full.begin() + cut);
-    std::optional<packet::UsrPacket> parsed;
-    ASSERT_NO_THROW(parsed = packet::UsrPacket::parse(wire)) << "cut " << cut;
-    if (cut < packet::kUsrHeaderSize) {
-      EXPECT_FALSE(parsed.has_value()) << "cut " << cut;
-    } else if ((cut - packet::kUsrHeaderSize) % packet::kEntrySize != 0) {
-      EXPECT_FALSE(parsed.has_value()) << "mid-entry cut " << cut;
-    } else {
-      ASSERT_TRUE(parsed.has_value()) << "cut " << cut;
-      EXPECT_EQ(parsed->entries.size(),
-                (cut - packet::kUsrHeaderSize) / packet::kEntrySize)
+  for (const bool wide : {false, true}) {
+    SCOPED_TRACE(wide ? "wide" : "narrow");
+    packet::UsrPacket p;
+    p.msg_id = 12;
+    p.new_user_id = 77;
+    p.max_kid = 400;
+    p.entries = nonzero_id_entries(5);
+    const Bytes full = p.serialize(wide);
+    const std::size_t hdr =
+        wide ? packet::kUsrHeaderSizeWide : packet::kUsrHeaderSize;
+    for (std::size_t cut = 0; cut <= full.size(); ++cut) {
+      const Bytes wire(full.begin(), full.begin() + cut);
+      std::optional<packet::UsrPacket> parsed;
+      ASSERT_NO_THROW(parsed = packet::UsrPacket::parse(wire, wide))
           << "cut " << cut;
+      if (cut < hdr) {
+        EXPECT_FALSE(parsed.has_value()) << "cut " << cut;
+      } else if ((cut - hdr) % packet::kEntrySize != 0) {
+        EXPECT_FALSE(parsed.has_value()) << "mid-entry cut " << cut;
+      } else {
+        ASSERT_TRUE(parsed.has_value()) << "cut " << cut;
+        EXPECT_EQ(parsed->entries.size(), (cut - hdr) / packet::kEntrySize)
+            << "cut " << cut;
+      }
+      expect_usr_parsers_agree(wire, wide);
+    }
+    for_each_bit_flip(full, [wide](const Bytes& w) {
+      expect_usr_parsers_agree(w, wide);
+    });
+  }
+}
+
+TEST(Fuzz, EntryCheckMatchesParsersOnRandomBuffers) {
+  // Random ENC- and USR-typed buffers: random headers, a few entries with
+  // random (possibly zero) ids, then a tail that is zero padding half of
+  // the time and random otherwise, so both verdicts occur often.
+  Rng rng(8);
+  std::size_t accepted = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    const bool usr = trial % 2 == 1;
+    const bool wide = trial % 4 >= 2;
+    Bytes wire = random_bytes(rng, rng.next_in(0, 20));
+    if (!wire.empty()) {
+      const auto type = usr ? packet::PacketType::Usr : packet::PacketType::Enc;
+      wire[0] = static_cast<std::uint8_t>(static_cast<unsigned>(type) << 6 |
+                                          (wire[0] & 0x3F));
+    }
+    const std::size_t entries = rng.next_in(0, 4);
+    for (std::size_t e = 0; e < entries; ++e) {
+      const Bytes entry = random_bytes(rng, packet::kEntrySize);
+      wire.insert(wire.end(), entry.begin(), entry.end());
+    }
+    const std::size_t tail = rng.next_in(0, 30);
+    const Bytes noise = random_bytes(rng, tail);
+    if (rng.next_in(0, 1) == 0)
+      wire.insert(wire.end(), tail, 0);
+    else
+      wire.insert(wire.end(), noise.begin(), noise.end());
+    if (usr) {
+      expect_usr_parsers_agree(wire, wide);
+      accepted += packet::UsrPacket::parse(wire, wide).has_value();
+    } else {
+      expect_enc_parsers_agree(wire, wide);
+      accepted += packet::EncPacket::parse(wire, wide).has_value();
     }
   }
+  // Both verdicts were exercised.
+  EXPECT_GT(accepted, 400u);
+  EXPECT_LT(accepted, 3600u);
 }
 
 TEST(Fuzz, TruncationSweepNackPacket) {

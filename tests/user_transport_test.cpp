@@ -1,11 +1,39 @@
 // User (receiver) protocol tests: recovery via own packet, via FEC
-// decoding, via USR; block estimation integration; NACK generation.
+// decoding, via USR; block estimation integration; NACK generation; the
+// flat shard store; failing closed on forged FEC blocks; and the
+// allocation-free own-packet path.
+#include <atomic>
+#include <cstdlib>
+#include <new>
+
 #include <gtest/gtest.h>
 
 #include "common/ensure.h"
+#include "common/rng.h"
 #include "transport/server.h"
 #include "transport/user.h"
 #include "transport/workload.h"
+
+// Global allocation counter for the no-allocation assertion. Counting
+// operator new is enough: the receive path allocates only through
+// standard containers.
+namespace {
+std::atomic<std::size_t> g_allocs{0};
+}
+
+void* operator new(std::size_t size) {
+  ++g_allocs;
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+
+// These pair malloc with free. GCC does not see that through the inlined
+// operator calls and would warn of a new/free mismatch.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#pragma GCC diagnostic pop
 
 namespace rekey::transport {
 namespace {
@@ -45,6 +73,35 @@ struct Rig {
   UserTransport user(std::size_t i) const {
     return UserTransport(msg.old_ids[i], cfg.block_size, msg.payload.degree,
                          &pool);
+  }
+
+  // Block of user i's own ENC packet among the pooled packets `idx`.
+  std::uint16_t own_block(const std::vector<std::size_t>& idx,
+                          std::size_t i) const {
+    for (const auto p : idx) {
+      const auto h = packet::parse_enc_header(pool[p]);
+      if (h && h->frm_id <= msg.old_ids[i] && msg.old_ids[i] <= h->to_id)
+        return h->block_id;
+    }
+    ADD_FAILURE() << "user " << i << " has no ENC packet";
+    return 0;
+  }
+
+  // Delivers round-1 ENC packets to `u`, withholding every packet of
+  // block `withheld`.
+  void deliver_all_but_block(UserTransport& u,
+                             const std::vector<std::size_t>& idx,
+                             std::uint16_t withheld) const {
+    for (const auto p : idx) {
+      const auto h = packet::parse_enc_header(pool[p]);
+      if (h && h->block_id == withheld) continue;
+      u.on_packet(p, 1);
+    }
+  }
+
+  std::size_t add(Bytes wire) {
+    pool.push_back(std::move(wire));
+    return pool.size() - 1;
   }
 };
 
@@ -267,6 +324,179 @@ TEST(UserTransport, CorruptedDatagramIsIgnoredNotFatal) {
   // The clean copies still work.
   for (const auto i : idx) u.on_packet(i, 1);
   EXPECT_TRUE(u.recovered());
+}
+
+// k forged parities for the user's one candidate block, with the user's
+// own block withheld, so the forged parities are the block's only shards.
+// Genuine traffic cannot make a block decode without yielding the user's
+// packet: the user must fail closed (no throw, no recovery, the block
+// NACKed in full with its forged shards dropped) and then recover from
+// the genuine parities that NACK asks for. The forged parities reuse the
+// genuine parity indices, so a forged shard kept around would shadow a
+// genuine one.
+void expect_fails_closed_then_recovers(std::size_t fec_bytes,
+                                       std::uint64_t seed) {
+  Rig rig(512, 128, 5, /*proactive=*/0);
+  const auto idx = rig.send_round(1);
+  // In the first of two blocks: the second block's packets bound the
+  // user's candidate range to exactly its own block.
+  const std::size_t me = 100;
+  const std::uint16_t block = rig.own_block(idx, me);
+  ASSERT_EQ(block, 0);
+  UserTransport u = rig.user(me);
+  rig.deliver_all_but_block(u, idx, block);
+
+  Rng rng(seed);
+  for (std::uint8_t p = 0; p < rig.cfg.block_size; ++p) {
+    packet::ParityPacket forged;
+    forged.msg_id = 1;
+    forged.block_id = block;
+    forged.parity_seq = p;
+    for (std::size_t i = 0; i < fec_bytes; ++i)
+      forged.fec.push_back(static_cast<std::uint8_t>(rng.next_in(0, 255)));
+    u.on_packet(rig.add(forged.serialize()), 1);
+  }
+  std::vector<packet::NackEntry> nack;
+  ASSERT_NO_THROW(nack = u.end_of_round(1));
+  EXPECT_FALSE(u.recovered());
+  ASSERT_EQ(nack.size(), 1u);
+  EXPECT_EQ(nack[0], (packet::NackEntry{
+                         static_cast<std::uint8_t>(rig.cfg.block_size), block,
+                         /*max_shard_seen=*/0}));
+
+  rig.server->accept_nack(static_cast<std::uint32_t>(me), nack);
+  for (const auto p : rig.send_round(2)) u.on_packet(p, 2);
+  EXPECT_TRUE(u.end_of_round(2).empty());
+  EXPECT_TRUE(u.recovered());
+  EXPECT_FALSE(u.entries().empty());
+}
+
+TEST(UserTransport, ShortForgedParitiesFailClosed) {
+  // Header plus one byte: the block decodes to 1-byte regions.
+  expect_fails_closed_then_recovers(/*fec_bytes=*/1, /*seed=*/21);
+}
+
+TEST(UserTransport, FullLengthForgedParitiesFailClosed) {
+  // Packet-sized random parities: the block decodes to regions that
+  // carry no packet for this user.
+  expect_fails_closed_then_recovers(
+      ProtocolConfig{}.packet_size - packet::kFecOffset, /*seed=*/22);
+}
+
+TEST(UserTransport, ParityIndexPastTheCodeIsIgnored) {
+  // A parity_seq of 255 names shard k + 255, past the code's 256 shards.
+  // It must not count as a shard (the decoder would throw on it): four
+  // genuine ENC shards plus the forged parity still NACK one parity.
+  Rig rig(512, 128, 5, /*proactive=*/0);
+  const auto idx = rig.send_round(1);
+  const std::size_t me = 200;
+  const std::uint16_t block = rig.own_block(idx, me);
+  UserTransport u = rig.user(me);
+  std::uint32_t max_seq = 0;
+  std::size_t have = 0;
+  for (const auto p : idx) {
+    const auto h = packet::parse_enc_header(rig.pool[p]);
+    ASSERT_TRUE(h.has_value());
+    if (h->frm_id <= rig.msg.old_ids[me] && rig.msg.old_ids[me] <= h->to_id)
+      continue;  // own packet lost
+    if (h->block_id == block && !h->duplicate) {
+      ++have;
+      max_seq = std::max<std::uint32_t>(max_seq, h->seq);
+    }
+    u.on_packet(p, 1);
+  }
+  ASSERT_EQ(have, rig.cfg.block_size - 1);
+  packet::ParityPacket forged;
+  forged.msg_id = 1;
+  forged.block_id = block;
+  forged.parity_seq = 255;
+  forged.fec.assign(rig.pool[idx[0]].size() - packet::kFecOffset, 0x5A);
+  u.on_packet(rig.add(forged.serialize()), 1);
+  std::vector<packet::NackEntry> nack;
+  ASSERT_NO_THROW(nack = u.end_of_round(1));
+  EXPECT_FALSE(u.recovered());
+  ASSERT_EQ(nack.size(), 1u);
+  EXPECT_EQ(nack[0], (packet::NackEntry{1, block,
+                                        static_cast<std::uint8_t>(max_seq)}));
+}
+
+TEST(UserTransport, FlatShardStoreCountsDedupsAndPrunes) {
+  // Hand-built packets for a user with id 150 in a degree-4 tree whose
+  // maxKID is 100 (so the id stays 150), k = 4, 100-byte packets. The
+  // expected NACKs below are computed by hand from the store's rules:
+  // a (block, shard) pair counts once, every shard of a block has the
+  // size of the block's first shard, and a narrowed block range drops
+  // the shards outside it.
+  constexpr std::size_t kK = 4;
+  constexpr std::size_t kSize = 100;
+  PacketPool pool;
+  const auto enc = [&pool](std::uint16_t block, std::uint8_t seq,
+                           std::uint32_t frm, std::uint32_t to) {
+    packet::EncPacket p;
+    p.msg_id = 1;
+    p.block_id = block;
+    p.seq = seq;
+    p.max_kid = 100;
+    p.frm_id = frm;
+    p.to_id = to;
+    pool.push_back(p.serialize(kSize));
+    return pool.size() - 1;
+  };
+  const auto parity = [&pool](std::uint16_t block, std::uint8_t seq,
+                              std::size_t size) {
+    packet::ParityPacket p;
+    p.msg_id = 1;
+    p.block_id = block;
+    p.parity_seq = seq;
+    p.fec.assign(size - packet::kFecOffset, 0x33);
+    pool.push_back(p.serialize());
+    return pool.size() - 1;
+  };
+  UserTransport u(/*old_id=*/150, kK, /*degree=*/4, &pool);
+  // Before me, block 0 seq 1: range [0, 73]; keeps (0, 1).
+  u.on_packet(enc(0, 1, 101, 110), 1);
+  // After me, block 2 seq 0: range [0, 1]; block 2 is not stored.
+  u.on_packet(enc(2, 0, 200, 210), 1);
+  // Interleaved parities. Block 1's first shard is short (50 bytes), so
+  // its full-length parity 1 is refused and its short parity 2 kept.
+  u.on_packet(parity(1, 0, 50), 1);     // (1, 4)
+  u.on_packet(parity(0, 1, kSize), 1);  // (0, 5)
+  u.on_packet(parity(1, 1, kSize), 1);  // refused: size differs
+  u.on_packet(parity(1, 2, 50), 1);     // (1, 6)
+  u.on_packet(parity(0, 1, kSize), 1);  // duplicate of (0, 5)
+  u.on_packet(enc(0, 2, 111, 115), 1);  // (0, 2)
+  EXPECT_EQ(u.end_of_round(1),
+            (std::vector<packet::NackEntry>{{/*parities_needed=*/1, 0, 5},
+                                            {/*parities_needed=*/2, 1, 6}}));
+
+  // Before me, block 1 seq 0: range [1, 1]. Block 0's shards are pruned;
+  // the full-length ENC shard itself is refused by block 1's size rule.
+  u.on_packet(enc(1, 0, 120, 130), 2);
+  EXPECT_EQ(u.end_of_round(2),
+            (std::vector<packet::NackEntry>{{/*parities_needed=*/2, 1, 6}}));
+  EXPECT_FALSE(u.recovered());
+}
+
+TEST(UserTransport, OwnPacketDeliveryAllocatesNothing) {
+  // The own ENC packet is checked in place and kept by pool index: the
+  // delivery that recovers a user makes no heap allocation, whether it is
+  // the first packet the user sees or comes after stored shards.
+  Rig rig;
+  const auto idx = rig.send_round(1);
+  for (const std::size_t me : {std::size_t{0}, std::size_t{200},
+                               rig.msg.old_ids.size() - 1}) {
+    UserTransport u = rig.user(me);
+    std::size_t allocs = 0;
+    for (const auto p : idx) {
+      const std::size_t before = g_allocs.load();
+      u.on_packet(p, 1);
+      allocs = g_allocs.load() - before;
+      if (u.recovered()) break;
+    }
+    ASSERT_TRUE(u.recovered()) << "user " << me;
+    EXPECT_EQ(allocs, 0u) << "user " << me;
+    EXPECT_FALSE(u.entries().empty()) << "user " << me;
+  }
 }
 
 }  // namespace

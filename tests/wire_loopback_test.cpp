@@ -7,7 +7,10 @@
 // they run anywhere and never flake on kernel buffers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <thread>
+#include <tuple>
 
 #include "wire/daemon.h"
 #include "wire/fleet.h"
@@ -19,6 +22,33 @@ namespace {
 struct RunResult {
   DaemonStats daemon;
   std::vector<FleetStats> fleets;
+  // Per fleet: every control payload it sent, in order.
+  std::vector<std::vector<Bytes>> fleet_control;
+};
+
+// Passes everything through and records the control payloads sent.
+class TapWire : public WireTransport {
+ public:
+  TapWire(WireTransport& inner, std::vector<Bytes>& control)
+      : inner_(inner), control_(control) {}
+  bool send(Endpoint to, std::uint8_t channel,
+            std::span<const std::uint8_t> payload) override {
+    if (channel == kChanControl)
+      control_.emplace_back(payload.begin(), payload.end());
+    return inner_.send(to, channel, payload);
+  }
+  std::size_t send_frames(Endpoint to, std::uint8_t channel,
+                          std::span<const Bytes* const> frames) override {
+    return inner_.send_frames(to, channel, frames);
+  }
+  std::size_t receive(std::vector<Datagram>& out, int timeout_ms) override {
+    return inner_.receive(out, timeout_ms);
+  }
+  std::size_t max_payload() const override { return inner_.max_payload(); }
+
+ private:
+  WireTransport& inner_;
+  std::vector<Bytes>& control_;
 };
 
 RunResult run_session(LoopbackHub& hub, DaemonConfig dc,
@@ -27,12 +57,14 @@ RunResult run_session(LoopbackHub& hub, DaemonConfig dc,
   KeyServerDaemon daemon(*daemon_wire, dc);
   RunResult r;
   r.fleets.resize(fleet_configs.size());
+  r.fleet_control.resize(fleet_configs.size());
   std::thread daemon_thread([&] { r.daemon = daemon.run(); });
   std::vector<std::thread> fleet_threads;
   for (std::size_t i = 0; i < fleet_configs.size(); ++i) {
     fleet_threads.emplace_back([&, i] {
       auto wire = hub.attach();
-      ClientFleet fleet(*wire, daemon_wire->endpoint(), fleet_configs[i]);
+      TapWire tap(*wire, r.fleet_control[i]);
+      ClientFleet fleet(tap, daemon_wire->endpoint(), fleet_configs[i]);
       r.fleets[i] = fleet.run();
     });
   }
@@ -167,6 +199,47 @@ TEST(WireLoopback, UnicastPhaseServesStragglersWithFragmentation) {
   EXPECT_GT(r.daemon.usr_frags, r.daemon.via_usr);
   EXPECT_TRUE(r.fleets[0].finished);
   EXPECT_EQ(r.fleets[0].unrecovered, 0u);
+}
+
+TEST(WireLoopback, ReportsListExactlyTheUnrecoveredInUidOrder) {
+  // The fleet walks a compacted list of its unrecovered clients. Under
+  // loss, FEC decodes at round ends and USR recoveries between unicast
+  // waves, every report must still list exactly its unrecovered count of
+  // distinct clients, in ascending uid order across all of its parts.
+  LoopbackHub hub(150);  // small MTU: reports split into several parts
+  DaemonConfig dc = base_daemon(48);
+  dc.batches = 2;
+  dc.max_multicast_rounds = 2;
+  dc.protocol.packet_size = 120;
+  auto fc = fleet_slice(0, 48);
+  fc.shaping.down_loss = 0.5;
+  fc.shaping.seed = 7;
+  auto r = run_session(hub, dc, {fc});
+  ASSERT_EQ(r.daemon.recovered, 96u);
+  ASSERT_GT(r.daemon.via_usr, 0u);
+
+  // (batch, round, phase) -> parts by index; retransmits repeat a part.
+  std::map<std::tuple<std::uint32_t, std::uint16_t, std::uint8_t>,
+           std::map<std::uint16_t, ReportFrame>>
+      reports;
+  for (const Bytes& payload : r.fleet_control[0]) {
+    if (peek_op(payload) != ControlOp::Report) continue;
+    const auto f = parse_report(payload);
+    ASSERT_TRUE(f.has_value());
+    reports[{f->batch_seq, f->round, f->phase}][f->part] = *f;
+  }
+  std::size_t multi_part = 0;
+  for (const auto& [step, parts] : reports) {
+    ASSERT_EQ(parts.size(), parts.begin()->second.nparts);
+    multi_part += parts.size() > 1;
+    std::vector<std::uint32_t> uids;
+    for (const auto& [part, f] : parts)
+      for (const ReportUser& u : f.users) uids.push_back(u.uid);
+    EXPECT_EQ(uids.size(), parts.begin()->second.unrecovered);
+    EXPECT_TRUE(std::is_sorted(uids.begin(), uids.end()));
+    EXPECT_EQ(std::adjacent_find(uids.begin(), uids.end()), uids.end());
+  }
+  EXPECT_GT(multi_part, 0u);
 }
 
 TEST(WireLoopback, UpstreamLossDelaysButDoesNotLoseClients) {
