@@ -14,14 +14,6 @@
 // throughput section's wall-clock columns (wall_ms, kpkt_s, mb_s,
 // recovery percentiles, syscalls) are hardware-dependent and diffed with
 // unbounded tolerance in CI.
-//
-// Every scenario runs once per wire backend (wire/backend.h): epoll
-// always, io_uring when the kernel supports it. The delivery and shaping
-// counters must come out backend-invariant — the same differential the
-// wire_backend_test suite enforces — while the throughput table's
-// syscalls column shows what the io_uring backend buys: linked-SQE
-// submits and multishot receives in place of per-64-datagram sendmmsg/
-// recvmmsg/epoll_wait calls.
 #include <algorithm>
 #include <chrono>
 #include <iostream>
@@ -30,7 +22,6 @@
 
 #include "common/ensure.h"
 #include "sweep.h"
-#include "wire/backend.h"
 #include "wire/daemon.h"
 #include "wire/fleet.h"
 #include "wire/udp.h"
@@ -69,8 +60,7 @@ struct Scenario {
   unsigned wire_version = 0;
 };
 
-WireRun run_scenario(const Scenario& sc, wire::WireBackend backend,
-                     std::uint64_t shape_seed) {
+WireRun run_scenario(const Scenario& sc, std::uint64_t shape_seed) {
   wire::DaemonConfig dc;
   dc.clients = sc.clients;
   dc.churn_pool = std::max<std::uint32_t>(64, 2 * sc.churn);
@@ -83,9 +73,9 @@ WireRun run_scenario(const Scenario& sc, wire::WireBackend backend,
   dc.retry_ms = 20;
   dc.wire_version = sc.wire_version;
 
-  auto daemon_udp = wire::make_socket_wire(backend, kLoopback, 0);
-  const wire::Endpoint server = daemon_udp->local_endpoint();
-  wire::KeyServerDaemon daemon(*daemon_udp, dc);
+  wire::UdpWire daemon_udp(kLoopback, 0);
+  const wire::Endpoint server = daemon_udp.local_endpoint();
+  wire::KeyServerDaemon daemon(daemon_udp, dc);
 
   const std::uint64_t sys0 = wire::wire_syscalls().value();
   const auto t0 = Clock::now();
@@ -101,14 +91,14 @@ WireRun run_scenario(const Scenario& sc, wire::WireBackend backend,
   for (unsigned t = 0; t < sc.endpoints; ++t) {
     const std::uint32_t count = base + (t < extra ? 1 : 0);
     fleets.emplace_back([&, t, uid, count] {
-      auto udp = wire::make_socket_wire(backend, kLoopback, 0);
+      wire::UdpWire udp(kLoopback, 0);
       wire::FleetConfig fc;
       fc.first_uid = uid;
       fc.count = count;
       fc.shaping.down_loss = sc.down_loss;
       fc.shaping.up_loss = sc.up_loss;
       fc.shaping.seed = shape_seed;
-      wire::ClientFleet fleet(*udp, server, fc);
+      wire::ClientFleet fleet(udp, server, fc);
       fss[t] = fleet.run();
     });
     uid += count;
@@ -170,39 +160,27 @@ int main(int argc, char** argv) {
       {"wide-slot", N, endpoints, batches, churn, 0.0, 0.0, 8, 1027,
        wire::kWireV2},
   };
-  // Epoll rows first (they are the golden reference), then the same
-  // scenarios again on io_uring when the kernel can run it.
-  std::vector<wire::WireBackend> backends = {wire::WireBackend::kEpoll};
-  if (wire::io_uring_supported())
-    backends.push_back(wire::WireBackend::kIoUring);
-  else
-    std::cerr << "bench_w1: io_uring unsupported on this kernel; "
-                 "emitting epoll rows only\n";
-
   struct Row {
     const Scenario* sc;
-    wire::WireBackend backend;
     WireRun run;
   };
   std::vector<Row> rows;
-  for (const wire::WireBackend b : backends)
-    for (const Scenario& sc : scenarios)
-      rows.push_back({&sc, b, run_scenario(sc, b, shape_seed)});
+  for (const Scenario& sc : scenarios)
+    rows.push_back({&sc, run_scenario(sc, shape_seed)});
 
   json.header(std::cout, "W1 (delivery)",
-              "wire protocol composition per scenario and backend",
+              "wire protocol composition per scenario",
               "d=4, k=10, UDP loopback, MTU 1500, " +
                   std::to_string(endpoints) + " endpoints");
   {
-    Table t({"scenario", "backend", "N", "pkt_size", "wire_v", "batches",
+    Table t({"scenario", "N", "pkt_size", "wire_v", "batches",
              "churn", "enc_pkts", "slots", "rounds", "react_par", "waves",
              "usr_frags", "recovered", "via_usr", "gave_up", "rho_final"});
     t.set_precision(3);
     for (const Row& row : rows) {
       const Scenario& sc = *row.sc;
       const wire::DaemonStats& d = row.run.daemon;
-      t.add_row({std::string(sc.name), wire::backend_name(row.backend),
-                 static_cast<long long>(sc.clients),
+      t.add_row({std::string(sc.name), static_cast<long long>(sc.clients),
                  static_cast<long long>(sc.packet_size),
                  static_cast<long long>(d.wire_version),
                  static_cast<long long>(d.batches_run),
@@ -224,12 +202,11 @@ int main(int argc, char** argv) {
               "deterministic client-side loss draws (fixed seed)",
               "down_loss/up_loss per scenario; counters are seed-exact");
   {
-    Table t({"scenario", "backend", "down_loss", "up_loss", "frames_rx",
-             "shaped_off", "nacks_dropped", "nack_users"});
+    Table t({"scenario", "down_loss", "up_loss", "frames_rx", "shaped_off",
+             "nacks_dropped", "nack_users"});
     t.set_precision(3);
     for (const Row& row : rows) {
-      t.add_row({std::string(row.sc->name), wire::backend_name(row.backend),
-                 row.sc->down_loss, row.sc->up_loss,
+      t.add_row({std::string(row.sc->name), row.sc->down_loss, row.sc->up_loss,
                  static_cast<long long>(row.run.fleet.data_frames),
                  static_cast<long long>(row.run.fleet.shaped_off),
                  static_cast<long long>(row.run.fleet.nacks_suppressed),
@@ -243,7 +220,7 @@ int main(int argc, char** argv) {
               "timing columns are hardware-dependent (CI tolerance "
               "unbounded)");
   {
-    Table t({"scenario", "backend", "data_frames", "data_mb", "b_per_frame",
+    Table t({"scenario", "data_frames", "data_mb", "b_per_frame",
              "wall_ms", "kpkt_s", "mb_s", "syscalls", "sys_per_batch",
              "p50_ms", "p90_ms", "p99_ms", "max_ms"});
     t.set_precision(3);
@@ -255,10 +232,9 @@ int main(int argc, char** argv) {
       // b_per_frame is exact (two deterministic counters): the zero-loss
       // vs wide-slot delta is the measured wide-header overhead. syscalls
       // counts every wire-layer kernel entry across the daemon and all
-      // fleet sockets — the epoll-vs-io_uring contrast this table exists
-      // to show — but retransmit timing makes it jitter, so CI diffs it
-      // unbounded like the wall-clock columns.
-      t.add_row({std::string(row.sc->name), wire::backend_name(row.backend),
+      // fleet sockets, but retransmit timing makes it jitter, so CI diffs
+      // it unbounded like the wall-clock columns.
+      t.add_row({std::string(row.sc->name),
                  static_cast<long long>(d.data_frames), mb,
                  d.data_frames == 0
                      ? 0.0
@@ -289,11 +265,9 @@ int main(int argc, char** argv) {
                    "a wire scenario left clients unrecovered or unfinished");
   json.note(std::cout,
             "Delivery and shaping counters are deterministic (seeded "
-            "client-side shaping; lockstep rounds) and backend-invariant: "
-            "epoll and io_uring rows must agree on every protocol column. "
-            "The wide-slot row pays for 32-bit slot ids in ENC packet "
-            "capacity (45 vs 46 entries at 1027 bytes), not frame size. "
-            "Throughput and syscall columns are wall-clock and "
-            "machine-dependent.");
+            "client-side shaping; lockstep rounds). The wide-slot row pays "
+            "for 32-bit slot ids in ENC packet capacity (45 vs 46 entries "
+            "at 1027 bytes), not frame size. Throughput and syscall "
+            "columns are wall-clock and machine-dependent.");
   return json.write();
 }

@@ -1,67 +1,32 @@
-// Runtime wire-backend selection — the dispatch pattern REKEY_SIMD
-// established, applied to the socket layer.
-//
-// Two kernel backends implement SocketWire (wire/wire.h):
-//
-//   * epoll    — UdpWire (wire/udp.h): nonblocking socket, readiness via
-//     epoll, batched sendmmsg/recvmmsg. Works on every Linux (and, in a
-//     degraded poll() form, on non-Linux). This path's wire bytes and
-//     syscall ordering are the golden reference; it stays byte-identical
-//     no matter which other backends exist.
-//   * io_uring — IoUringWire (wire/uring.h): raw-syscall submission/
-//     completion rings, registered fixed buffers from a FrameBufferPool,
-//     multishot recvmsg, linked send SQEs. Needs kernel >= 6.0 and an
-//     unfiltered io_uring (container seccomp policies often deny it).
-//
-// Selection: explicit request (`--backend`, parse_backend) wins; else the
-// REKEY_WIRE_BACKEND environment variable ({epoll, io_uring}, strict,
-// warn-once on nonsense); else epoll. An io_uring request on a kernel
-// that cannot run it falls back to epoll with a warn-once note instead of
-// failing — the protocol is backend-agnostic, so degraded is better than
-// down. effective_backend() reports the backend that will actually run.
+// Compatibility shim for perfbench/main.cpp and perfbench/trace_wire.cpp,
+// which still compile against the names of the old wire-backend
+// selection layer. UdpWire (wire/udp.h) is the one socket transport:
+// make_socket_wire builds it and backend_name always reads "epoll". The
+// next change to the benchmark moves those two files onto UdpWire and
+// deletes this header; nothing else may include it.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 
-#include "common/obs.h"
-#include "wire/wire.h"
+#include "wire/udp.h"
 
 namespace rekey::wire {
 
-enum class WireBackend { kEpoll, kIoUring };
+enum class WireBackend { kEpoll };
 
-// "epoll" / "io_uring" (the canonical spellings; "uring" is accepted as
-// shorthand). Returns nullopt on anything else.
-std::optional<WireBackend> parse_backend(std::string_view name);
-std::string backend_name(WireBackend b);
+inline WireBackend effective_backend(std::optional<WireBackend>) {
+  return WireBackend::kEpoll;
+}
 
-// REKEY_WIRE_BACKEND when set and well-formed (warn-once and fall back to
-// nullopt on nonsense), else nullopt.
-std::optional<WireBackend> env_wire_backend();
+inline std::string backend_name(WireBackend) { return "epoll"; }
 
-// True when IoUringWire::supported() — probed once per process.
-bool io_uring_supported();
-
-// The backend that make_socket_wire(requested, ...) will really build:
-// requested (or env, or epoll) downgraded to epoll when io_uring is
-// unavailable (warn-once on the downgrade).
-WireBackend effective_backend(std::optional<WireBackend> requested);
-
-// Builds the selected backend bound to `bind_addr_host`:`bind_port` with
-// the given MTU. `requested` = nullopt defers to REKEY_WIRE_BACKEND.
-std::unique_ptr<SocketWire> make_socket_wire(
-    std::optional<WireBackend> requested, std::uint32_t bind_addr_host,
-    std::uint16_t bind_port, std::size_t mtu = 1500);
-
-// Process-wide count of per-operation wire-layer syscalls (sendmmsg/
-// recvmmsg/sendmsg/recvfrom/epoll_wait/poll on the epoll path,
-// io_uring_enter on the io_uring path; one-time setup/registration calls
-// are not counted). The W1 bench snapshots it around each scenario to
-// report syscalls per batch — the number io_uring exists to shrink.
-obs::Counter& wire_syscalls();
+inline std::unique_ptr<UdpWire> make_socket_wire(
+    std::optional<WireBackend>, std::uint32_t bind_addr_host,
+    std::uint16_t bind_port, std::size_t mtu = 1500) {
+  return std::make_unique<UdpWire>(bind_addr_host, bind_port, mtu);
+}
 
 }  // namespace rekey::wire

@@ -148,7 +148,8 @@ struct RoundMarkFrame {
 // One client's end-of-round feedback inside a report.
 struct ReportUser {
   std::uint32_t uid = 0;
-  std::vector<packet::NackEntry> entries;  // empty in the unicast phase
+  // Empty in the unicast phase, and when shaping lost the client's NACK.
+  std::vector<packet::NackEntry> entries;
 };
 
 // An endpoint's end-of-round report. Large fleets overflow one datagram,

@@ -350,8 +350,17 @@ void KeyServerDaemon::send_slot_maps() {
   bool first = true;
   while (!stopped()) {
     if (all_live(&EndpointState::slot_map_acked)) return;
-    REKEY_ENSURE_MSG(Clock::now() < deadline,
-                     "slot map delivery timed out before the first batch");
+    if (Clock::now() >= deadline) {
+      // An endpoint that never acks its slot map cannot decode a batch:
+      // drop it, as resub_barrier does, so one silent subscriber cannot
+      // stall the session. Its clients land in gave_up_dead every batch.
+      for (auto& [ep, es] : endpoints_) {
+        if (es.dead || es.slot_map_acked) continue;
+        es.dead = true;
+        ++stats_.endpoints_dropped;
+      }
+      return;
+    }
     for (auto& [ep, es] : endpoints_) {
       if (es.slot_map_acked) continue;
       for (const Bytes& f : frames[ep]) send_control(ep, f);

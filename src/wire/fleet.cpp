@@ -167,14 +167,16 @@ void ClientFleet::build_and_send_report(std::uint16_t round,
   for (const std::uint32_t u : b.active) {  // ascending uid order
     const std::uint32_t uid = config_.first_uid + u;
     if (phase == 0) {
-      // Upstream shaping loses the whole NACK, not the user: the report's
-      // unrecovered count still carries it (that count is the lockstep
-      // stand-in for the protocol's unicast wake-up path).
+      // Upstream shaping loses the NACK entries, not the user: the user
+      // stays listed with no entries, so the server requests no parities
+      // for it but still serves it in the unicast phase (the listing is
+      // the lockstep stand-in for the protocol's unicast wake-up path).
       if (config_.shaping.drop(
               uid, kTagUp,
               (static_cast<std::uint64_t>(b.seq) << 16) | round,
               config_.shaping.up_loss)) {
         ++stats_.nacks_suppressed;
+        users_out.push_back(ReportUser{uid, {}});
         continue;
       }
       users_out.push_back(ReportUser{uid, b.last_nacks[u]});

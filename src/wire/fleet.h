@@ -14,9 +14,9 @@
 // so two runs with the same seed shape identically regardless of socket
 // timing. Downstream draws drop data frames and USR fragments per
 // client; upstream draws suppress a client's NACK entries from the
-// round report (its unrecovered count still travels — the unicast
+// round report (the client stays listed with no entries — the unicast
 // wake-up path is how the real protocol survives lost NACKs, and the
-// lockstep report's count plays that role here).
+// lockstep report's listing plays that role here).
 #pragma once
 
 #include <atomic>

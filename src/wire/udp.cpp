@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
@@ -14,9 +15,6 @@
 #endif
 
 #include "common/ensure.h"
-#include "common/env.h"
-#include "wire/backend.h"
-#include "wire/sockutil.h"
 
 namespace rekey::wire {
 
@@ -25,23 +23,62 @@ namespace {
 // IPv4 + UDP header bytes (matches packet::kUdpIpOverheadBytes).
 constexpr std::size_t kIpUdpOverhead = 28;
 
-std::size_t g_io_batch_override = 0;
+sockaddr_in to_sockaddr(Endpoint e) {
+  sockaddr_in sa{};
+  sa.sin_family = AF_INET;
+  sa.sin_addr.s_addr = htonl(endpoint_addr(e));
+  sa.sin_port = htons(endpoint_port(e));
+  return sa;
+}
+
+Endpoint from_sockaddr(const sockaddr_in& sa) {
+  return make_endpoint(ntohl(sa.sin_addr.s_addr), ntohs(sa.sin_port));
+}
+
+void grow_socket_buffers(int fd) {
+  // A round-1 burst for N=2^15 is tens of MB arriving faster than the
+  // fleet drains it; an 8 MB receive queue rides it out. RCVBUFFORCE
+  // needs CAP_NET_ADMIN — fall back to the rmem_max-clamped plain knob.
+  constexpr int kBytes = 8 << 20;
+  int v = kBytes;
+#ifdef SO_RCVBUFFORCE
+  if (setsockopt(fd, SOL_SOCKET, SO_RCVBUFFORCE, &v, sizeof v) != 0)
+#endif
+    setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &v, sizeof v);
+  v = kBytes;
+  setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &v, sizeof v);
+}
+
+// Creates a nonblocking UDP socket with grown send/receive buffers,
+// bound to `bind_addr_host`:`bind_port` (0 = ephemeral), and reports the
+// bound address through `local`. Throws EnsureError on failure.
+int open_bound_udp_socket(std::uint32_t bind_addr_host,
+                          std::uint16_t bind_port, Endpoint& local) {
+  const int fd = socket(AF_INET, SOCK_DGRAM, 0);
+  REKEY_ENSURE_MSG(fd >= 0, "socket() failed");
+  const int flags = fcntl(fd, F_GETFL, 0);
+  REKEY_ENSURE(flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0);
+  grow_socket_buffers(fd);
+
+  sockaddr_in sa = to_sockaddr(make_endpoint(bind_addr_host, bind_port));
+  REKEY_ENSURE_MSG(
+      bind(fd, reinterpret_cast<const sockaddr*>(&sa), sizeof sa) == 0,
+      "bind() failed");
+  sockaddr_in bound{};
+  socklen_t len = sizeof bound;
+  REKEY_ENSURE(getsockname(fd, reinterpret_cast<sockaddr*>(&bound), &len) ==
+               0);
+  local = from_sockaddr(bound);
+  return fd;
+}
 
 }  // namespace
 
-std::size_t io_batch() {
-  if (g_io_batch_override != 0) return g_io_batch_override;
-  static const std::size_t cached = [] {
-    if (const auto v = env::int_value("REKEY_IO_BATCH", 1, 1024))
-      return static_cast<std::size_t>(*v);
-    return std::size_t{64};
-  }();
-  return cached;
+obs::Counter& wire_syscalls() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::global().counter("wire.syscalls");
+  return c;
 }
-
-namespace detail {
-void set_io_batch_for_test(std::size_t n) { g_io_batch_override = n; }
-}  // namespace detail
 
 std::optional<Endpoint> parse_endpoint(const std::string& spec) {
   const auto colon = spec.rfind(':');
@@ -69,9 +106,8 @@ UdpWire::UdpWire(std::uint32_t bind_addr_host, std::uint16_t bind_port,
                  std::size_t mtu) {
   REKEY_ENSURE_MSG(mtu > kIpUdpOverhead + 1, "MTU below IP/UDP header size");
   max_payload_ = mtu - kIpUdpOverhead - 1;
-  batch_ = io_batch();
 
-  fd_ = sockutil::open_bound_udp_socket(bind_addr_host, bind_port, &local_);
+  fd_ = open_bound_udp_socket(bind_addr_host, bind_port, local_);
 
 #ifdef __linux__
   epoll_fd_ = epoll_create1(0);
@@ -81,10 +117,7 @@ UdpWire::UdpWire(std::uint32_t bind_addr_host, std::uint16_t bind_port,
   ev.data.fd = fd_;
   REKEY_ENSURE(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd_, &ev) == 0);
 
-  msgs_.resize(batch_);
-  iovs_.resize(batch_ * 2);
-  addrs_.resize(batch_);
-  recv_buf_.resize(batch_ * (max_payload_ + 1));
+  recv_buf_.resize(kBatch * (max_payload_ + 1));
 #endif
 }
 
@@ -115,7 +148,7 @@ bool UdpWire::send(Endpoint to, std::uint8_t channel,
 
 std::size_t UdpWire::send_frames(Endpoint to, std::uint8_t channel,
                                  std::span<const Bytes* const> frames) {
-  sockaddr_in sa = sockutil::to_sockaddr(to);
+  sockaddr_in sa = to_sockaddr(to);
   std::uint8_t chan = channel;
   std::size_t sent = 0;
   std::size_t i = 0;
@@ -123,7 +156,7 @@ std::size_t UdpWire::send_frames(Endpoint to, std::uint8_t channel,
 #ifdef __linux__
     std::size_t n = 0;
     std::size_t scan = i;
-    while (scan < frames.size() && n < batch_) {
+    while (scan < frames.size() && n < kBatch) {
       const Bytes& body = *frames[scan];
       ++scan;
       if (body.size() > max_payload_) continue;  // refused, not fragmented
@@ -188,7 +221,7 @@ std::size_t UdpWire::receive(std::vector<Datagram>& out, int timeout_ms) {
   const auto drain = [&]() {
 #ifdef __linux__
     for (;;) {
-      for (std::size_t j = 0; j < batch_; ++j) {
+      for (std::size_t j = 0; j < kBatch; ++j) {
         iovs_[j] = {recv_buf_.data() + j * slot, slot};
         std::memset(&msgs_[j], 0, sizeof msgs_[j]);
         msgs_[j].msg_hdr.msg_name = &addrs_[j];
@@ -198,7 +231,7 @@ std::size_t UdpWire::receive(std::vector<Datagram>& out, int timeout_ms) {
       }
       wire_syscalls().add();
       const int rc = recvmmsg(fd_, msgs_.data(),
-                              static_cast<unsigned>(batch_), MSG_DONTWAIT,
+                              static_cast<unsigned>(kBatch), MSG_DONTWAIT,
                               nullptr);
       if (rc < 0 && errno == EINTR) continue;
       if (rc <= 0) return;
@@ -206,14 +239,14 @@ std::size_t UdpWire::receive(std::vector<Datagram>& out, int timeout_ms) {
         const std::size_t len = msgs_[j].msg_len;
         if (len == 0) continue;  // no channel byte: not ours
         Datagram d;
-        d.from = sockutil::from_sockaddr(addrs_[j]);
+        d.from = from_sockaddr(addrs_[j]);
         const std::uint8_t* base = recv_buf_.data() + j * slot;
         d.channel = base[0];
         d.payload.assign(base + 1, base + len);
         out.push_back(std::move(d));
         ++added;
       }
-      if (static_cast<std::size_t>(rc) < batch_) return;
+      if (static_cast<std::size_t>(rc) < kBatch) return;
     }
 #else
     std::vector<std::uint8_t> buf(slot);
@@ -227,7 +260,7 @@ std::size_t UdpWire::receive(std::vector<Datagram>& out, int timeout_ms) {
       if (len < 0 && errno == EINTR) continue;
       if (len <= 0) return;
       Datagram d;
-      d.from = sockutil::from_sockaddr(from);
+      d.from = from_sockaddr(from);
       d.channel = buf[0];
       d.payload.assign(buf.begin() + 1, buf.begin() + len);
       out.push_back(std::move(d));

@@ -1,5 +1,5 @@
-// UdpWire — the epoll SocketWire backend behind tools/rekeyd and
-// tools/rekey_load (wire/backend.h selects it or IoUringWire at runtime).
+// UdpWire — the socket WireTransport behind tools/rekeyd and
+// tools/rekey_load.
 //
 // One nonblocking IPv4 UDP socket, readiness via epoll, and batched I/O:
 // sends go through sendmmsg with two iovecs per datagram (the 1-byte
@@ -13,11 +13,13 @@
 // Endpoint::id: (host-order address << 16) | port.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "common/obs.h"
 #include "wire/wire.h"
 
 #ifdef __linux__
@@ -43,21 +45,13 @@ constexpr std::uint16_t endpoint_port(Endpoint e) {
 std::optional<Endpoint> parse_endpoint(const std::string& spec);
 std::string endpoint_to_string(Endpoint e);
 
-// Datagrams per sendmmsg/recvmmsg syscall: REKEY_IO_BATCH in [1, 1024]
-// (strict-parsed through common/env.h, warn-once and default on
-// nonsense), default 64 — small per-call arrays, syscall amortized
-// across a round's burst. Sampled once per UdpWire construction.
-std::size_t io_batch();
+// Process-wide count of per-operation wire-layer syscalls (sendmmsg/
+// recvmmsg/sendmsg/recvfrom/epoll_wait/poll; socket setup is not
+// counted). The W1 bench snapshots it around each scenario to report
+// syscalls per batch.
+obs::Counter& wire_syscalls();
 
-namespace detail {
-// Test hook: force a batch size for subsequently constructed UdpWires
-// (0 restores the REKEY_IO_BATCH / default behavior). The env value is
-// cached per process, so tests can't exercise odd batch sizes through
-// setenv alone.
-void set_io_batch_for_test(std::size_t n);
-}  // namespace detail
-
-class UdpWire : public SocketWire {
+class UdpWire : public WireTransport {
  public:
   // Binds to `bind_addr_host`:`bind_port` (port 0 = ephemeral; the bound
   // port is available via local_endpoint()). `mtu` caps every emitted
@@ -77,26 +71,30 @@ class UdpWire : public SocketWire {
   std::size_t receive(std::vector<Datagram>& out, int timeout_ms) override;
   std::size_t max_payload() const override { return max_payload_; }
 
-  Endpoint local_endpoint() const override { return local_; }
+  // The bound local address (bind with port 0 to learn the ephemeral
+  // port).
+  Endpoint local_endpoint() const { return local_; }
 
  private:
   // Blocks (poll/epoll on POLLOUT) until the socket accepts writes again;
   // a saturated loopback send queue is backpressure, not loss.
   bool wait_writable(int timeout_ms);
 
+  // Datagrams per sendmmsg/recvmmsg syscall: small per-call arrays, the
+  // syscall amortized across a round's burst.
+  static constexpr std::size_t kBatch = 64;
+
   int fd_ = -1;
   int epoll_fd_ = -1;
   std::size_t max_payload_ = 0;
-  std::size_t batch_ = 64;
   Endpoint local_{};
 
 #ifdef __linux__
-  // Reusable per-call I/O arrays, sized to batch_ at construction (the
-  // batch became a runtime knob, so these left the stack).
-  std::vector<mmsghdr> msgs_;
-  std::vector<iovec> iovs_;  // send: 2 per message; receive: 1 per message
-  std::vector<sockaddr_in> addrs_;
-  std::vector<std::uint8_t> recv_buf_;
+  // Reusable per-call I/O arrays.
+  std::array<mmsghdr, kBatch> msgs_{};
+  std::array<iovec, kBatch * 2> iovs_{};  // send: 2 per message; receive: 1
+  std::array<sockaddr_in, kBatch> addrs_{};
+  std::vector<std::uint8_t> recv_buf_;  // kBatch slots of max_payload_ + 1
 #endif
 };
 

@@ -77,17 +77,4 @@ class WireTransport {
   virtual std::size_t max_payload() const = 0;
 };
 
-// A WireTransport bound to a real socket. Both kernel backends implement
-// this interface — UdpWire (wire/udp.h, epoll + sendmmsg/recvmmsg) and
-// IoUringWire (wire/uring.h, io_uring submission/completion rings) — and
-// wire/backend.h picks between them at runtime (REKEY_WIRE_BACKEND /
-// --backend), so tools and tests hold a SocketWire without caring which
-// syscall family moves the bytes.
-class SocketWire : public WireTransport {
- public:
-  // The bound local address (bind with port 0 to learn the ephemeral
-  // port), in the Endpoint packing of wire/udp.h.
-  virtual Endpoint local_endpoint() const = 0;
-};
-
 }  // namespace rekey::wire

@@ -9,8 +9,10 @@
 
 #include <algorithm>
 #include <map>
+#include <string>
 #include <thread>
 #include <tuple>
+#include <utility>
 
 #include "wire/daemon.h"
 #include "wire/fleet.h"
@@ -205,63 +207,77 @@ TEST(WireLoopback, ReportsListExactlyTheUnrecoveredInUidOrder) {
   // The fleet walks a compacted list of its unrecovered clients. Under
   // loss, FEC decodes at round ends and USR recoveries between unicast
   // waves, every report must still list exactly its unrecovered count of
-  // distinct clients, in ascending uid order across all of its parts.
-  LoopbackHub hub(150);  // small MTU: reports split into several parts
-  DaemonConfig dc = base_daemon(48);
-  dc.batches = 2;
-  dc.max_multicast_rounds = 2;
-  dc.protocol.packet_size = 120;
-  auto fc = fleet_slice(0, 48);
-  fc.shaping.down_loss = 0.5;
-  fc.shaping.seed = 7;
-  auto r = run_session(hub, dc, {fc});
-  ASSERT_EQ(r.daemon.recovered, 96u);
-  ASSERT_GT(r.daemon.via_usr, 0u);
+  // distinct clients, in ascending uid order across all of its parts. A
+  // client whose NACK upstream shaping lost is listed too, with no
+  // entries.
+  for (const double up_loss : {0.0, 0.5}) {
+    SCOPED_TRACE(::testing::Message() << "up_loss " << up_loss);
+    LoopbackHub hub(150);  // small MTU: reports split into several parts
+    DaemonConfig dc = base_daemon(48);
+    dc.batches = 2;
+    dc.max_multicast_rounds = 2;
+    dc.protocol.packet_size = 120;
+    auto fc = fleet_slice(0, 48);
+    fc.shaping.down_loss = 0.5;
+    fc.shaping.up_loss = up_loss;
+    fc.shaping.seed = 7;
+    auto r = run_session(hub, dc, {fc});
+    ASSERT_EQ(r.daemon.recovered, 96u);
+    ASSERT_GT(r.daemon.via_usr, 0u);
 
-  // (batch, round, phase) -> parts by index; retransmits repeat a part.
-  std::map<std::tuple<std::uint32_t, std::uint16_t, std::uint8_t>,
-           std::map<std::uint16_t, ReportFrame>>
-      reports;
-  for (const Bytes& payload : r.fleet_control[0]) {
-    if (peek_op(payload) != ControlOp::Report) continue;
-    const auto f = parse_report(payload);
-    ASSERT_TRUE(f.has_value());
-    reports[{f->batch_seq, f->round, f->phase}][f->part] = *f;
+    // (batch, round, phase) -> parts by index; retransmits repeat a part.
+    std::map<std::tuple<std::uint32_t, std::uint16_t, std::uint8_t>,
+             std::map<std::uint16_t, ReportFrame>>
+        reports;
+    for (const Bytes& payload : r.fleet_control[0]) {
+      if (peek_op(payload) != ControlOp::Report) continue;
+      const auto f = parse_report(payload);
+      ASSERT_TRUE(f.has_value());
+      reports[{f->batch_seq, f->round, f->phase}][f->part] = *f;
+    }
+    std::size_t multi_part = 0;
+    for (const auto& [step, parts] : reports) {
+      ASSERT_EQ(parts.size(), parts.begin()->second.nparts);
+      multi_part += parts.size() > 1;
+      std::vector<std::uint32_t> uids;
+      for (const auto& [part, f] : parts)
+        for (const ReportUser& u : f.users) uids.push_back(u.uid);
+      EXPECT_EQ(uids.size(), parts.begin()->second.unrecovered);
+      EXPECT_TRUE(std::is_sorted(uids.begin(), uids.end()));
+      EXPECT_EQ(std::adjacent_find(uids.begin(), uids.end()), uids.end());
+    }
+    EXPECT_GT(multi_part, 0u);
   }
-  std::size_t multi_part = 0;
-  for (const auto& [step, parts] : reports) {
-    ASSERT_EQ(parts.size(), parts.begin()->second.nparts);
-    multi_part += parts.size() > 1;
-    std::vector<std::uint32_t> uids;
-    for (const auto& [part, f] : parts)
-      for (const ReportUser& u : f.users) uids.push_back(u.uid);
-    EXPECT_EQ(uids.size(), parts.begin()->second.unrecovered);
-    EXPECT_TRUE(std::is_sorted(uids.begin(), uids.end()));
-    EXPECT_EQ(std::adjacent_find(uids.begin(), uids.end()), uids.end());
-  }
-  EXPECT_GT(multi_part, 0u);
 }
 
 TEST(WireLoopback, UpstreamLossDelaysButDoesNotLoseClients) {
   // Suppressed NACK reports starve the server of parity requests, but the
-  // lockstep report's unrecovered count keeps the round open, so every
-  // client still converges (possibly via more rounds or unicast).
-  LoopbackHub hub;
-  DaemonConfig dc = base_daemon(96);
-  dc.churn_pool = 128;
-  dc.churn_joins = 64;  // enough traffic for multiple FEC blocks
-  dc.churn_leaves = 64;
-  dc.protocol.packet_size = 300;
-  dc.max_multicast_rounds = 4;
-  auto fc = fleet_slice(0, 96);
-  fc.shaping.down_loss = 0.25;
-  fc.shaping.up_loss = 0.5;
-  fc.shaping.seed = 99;
-  auto r = run_session(hub, dc, {fc});
-  EXPECT_EQ(r.daemon.recovered, 96u);
-  EXPECT_EQ(r.daemon.gave_up, 0u);
-  EXPECT_GT(r.fleets[0].nacks_suppressed, 0u);
-  EXPECT_TRUE(r.fleets[0].finished);
+  // lockstep report still lists every unrecovered client, so every client
+  // converges (possibly via more rounds or unicast). With every NACK lost
+  // and a single multicast round, only the unicast phase can serve them.
+  for (const auto& [up_loss, max_rounds] :
+       {std::pair{0.5, 4}, std::pair{1.0, 1}}) {
+    SCOPED_TRACE(::testing::Message() << "up_loss " << up_loss);
+    LoopbackHub hub;
+    DaemonConfig dc = base_daemon(96);
+    dc.churn_pool = 128;
+    dc.churn_joins = 64;  // enough traffic for multiple FEC blocks
+    dc.churn_leaves = 64;
+    dc.protocol.packet_size = 300;
+    dc.max_multicast_rounds = max_rounds;
+    auto fc = fleet_slice(0, 96);
+    fc.shaping.down_loss = 0.25;
+    fc.shaping.up_loss = up_loss;
+    fc.shaping.seed = 99;
+    auto r = run_session(hub, dc, {fc});
+    EXPECT_EQ(r.daemon.recovered, 96u);
+    EXPECT_EQ(r.daemon.gave_up, 0u);
+    EXPECT_GT(r.fleets[0].nacks_suppressed, 0u);
+    EXPECT_TRUE(r.fleets[0].finished);
+    if (up_loss == 1.0) {
+      EXPECT_GT(r.daemon.via_usr, 0u);
+    }
+  }
 }
 
 TEST(WireLoopback, NegotiationPicksV1ForSmallGroups) {
@@ -426,6 +442,46 @@ TEST(WireLoopback, EndpointDeathAtBatchBoundaryKeepsLaterBatchesMoving) {
   EXPECT_EQ(r.fleets[0].recovered, 48u * 3u);
   EXPECT_FALSE(r.fleets[1].finished);
   EXPECT_EQ(r.fleets[1].recovered, 16u);  // batch 0 only
+}
+
+TEST(WireLoopback, SilentSubscriberIsDroppedAtSlotMapDeadline) {
+  // An endpoint that subscribes and then never acks its slot map: the
+  // daemon drops it at the slot-map deadline instead of ending the
+  // session, runs every batch for the honest fleet, and ledgers the
+  // silent endpoint's clients in gave_up_dead.
+  LoopbackHub hub;
+  auto daemon_wire = hub.attach();
+  DaemonConfig dc = base_daemon(48);
+  dc.batches = 2;
+  dc.round_wait_ms = 1000;  // the slot-map deadline the silent one misses
+  KeyServerDaemon daemon(*daemon_wire, dc);
+  auto silent = hub.attach();
+  ASSERT_TRUE(silent->send(daemon_wire->endpoint(), kChanControl,
+                           serialize(SubFrame{32, 16, kWireV2})));
+  DaemonStats ds;
+  std::string error;
+  std::thread daemon_thread([&] {
+    try {
+      ds = daemon.run();
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+  });
+  auto fleet_wire = hub.attach();
+  ClientFleet fleet(*fleet_wire, daemon_wire->endpoint(), fleet_slice(0, 32));
+  const FleetStats fs = fleet.run();
+  daemon_thread.join();
+
+  ASSERT_EQ(error, "");
+  EXPECT_TRUE(ds.completed);
+  EXPECT_EQ(ds.batches_run, 2u);
+  EXPECT_EQ(ds.endpoints, 2u);
+  EXPECT_EQ(ds.endpoints_dropped, 1u);
+  EXPECT_EQ(ds.gave_up_dead, 16u * 2u);
+  EXPECT_EQ(ds.recovered + ds.gave_up + ds.gave_up_dead, 48u * 2u);
+  EXPECT_TRUE(fs.finished);
+  EXPECT_EQ(fs.recovered, 32u * 2u);
+  EXPECT_EQ(fs.unrecovered, 0u);
 }
 
 TEST(WireLoopback, ManyEndpointsPartitionTheFleet) {

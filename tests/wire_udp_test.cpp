@@ -1,16 +1,12 @@
 // Real-socket end-to-end tests: KeyServerDaemon and ClientFleet over
-// actual UDP on 127.0.0.1 with ephemeral ports. The socket cases run
-// once per kernel backend (epoll and, when the kernel supports it,
-// io_uring — wire/backend.h); the tier-1 cases keep N small; the soak
-// case is the acceptance run — a full N = 2^15 churn batch where every
-// client must recover.
+// actual UDP on 127.0.0.1 with ephemeral ports. The tier-1 cases keep N
+// small; the soak case is the acceptance run — a full N = 2^15 churn
+// batch where every client must recover.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <thread>
 #include <vector>
 
-#include "wire/backend.h"
 #include "wire/daemon.h"
 #include "wire/fleet.h"
 #include "wire/udp.h"
@@ -25,20 +21,19 @@ struct UdpRun {
   std::vector<FleetStats> fleets;
 };
 
-UdpRun run_udp(WireBackend backend, DaemonConfig dc,
-               const std::vector<FleetConfig>& fleet_configs,
+UdpRun run_udp(DaemonConfig dc, const std::vector<FleetConfig>& fleet_configs,
                std::size_t mtu = 1500) {
-  auto daemon_wire = make_socket_wire(backend, kLoopback, 0, mtu);
-  const Endpoint server = daemon_wire->local_endpoint();
-  KeyServerDaemon daemon(*daemon_wire, dc);
+  UdpWire daemon_wire(kLoopback, 0, mtu);
+  const Endpoint server = daemon_wire.local_endpoint();
+  KeyServerDaemon daemon(daemon_wire, dc);
   UdpRun r;
   r.fleets.resize(fleet_configs.size());
   std::thread daemon_thread([&] { r.daemon = daemon.run(); });
   std::vector<std::thread> fleet_threads;
   for (std::size_t i = 0; i < fleet_configs.size(); ++i) {
     fleet_threads.emplace_back([&, i] {
-      auto wire = make_socket_wire(backend, kLoopback, 0, mtu);
-      ClientFleet fleet(*wire, server, fleet_configs[i]);
+      UdpWire wire(kLoopback, 0, mtu);
+      ClientFleet fleet(wire, server, fleet_configs[i]);
       r.fleets[i] = fleet.run();
     });
   }
@@ -72,81 +67,39 @@ TEST(WireUdp, EndpointPackingRoundtrips) {
   EXPECT_FALSE(parse_endpoint("1.2.3:5").has_value());
 }
 
-TEST(WireUdp, BackendNamesRoundtrip) {
-  EXPECT_EQ(parse_backend("epoll"), WireBackend::kEpoll);
-  EXPECT_EQ(parse_backend("io_uring"), WireBackend::kIoUring);
-  EXPECT_EQ(parse_backend("uring"), WireBackend::kIoUring);
-  EXPECT_FALSE(parse_backend("kqueue").has_value());
-  EXPECT_EQ(backend_name(WireBackend::kEpoll), "epoll");
-  EXPECT_EQ(backend_name(WireBackend::kIoUring), "io_uring");
-  // Whatever the kernel supports, the factory must hand back a working
-  // epoll wire when epoll is requested explicitly.
-  EXPECT_EQ(effective_backend(WireBackend::kEpoll), WireBackend::kEpoll);
-}
-
-// A tiny sendmmsg/recvmmsg batch still delivers a burst larger than the
-// batch (REKEY_IO_BATCH's cached parse is bypassed via the test hook).
-TEST(WireUdp, TinyIoBatchStillDelivers) {
-  detail::set_io_batch_for_test(3);
-  {
-    UdpWire a(kLoopback, 0);
-    UdpWire b(kLoopback, 0);
-    std::vector<Bytes> bodies;
-    std::vector<const Bytes*> frames;
-    for (std::uint8_t i = 0; i < 10; ++i) bodies.push_back(Bytes{i, i, i});
-    for (const Bytes& body : bodies) frames.push_back(&body);
-    ASSERT_EQ(a.send_frames(b.local_endpoint(), kChanData, frames), 10u);
-    std::vector<Datagram> in;
-    while (in.size() < 10 && b.receive(in, 2000) > 0) {
-    }
-    ASSERT_EQ(in.size(), 10u);
-    for (std::uint8_t i = 0; i < 10; ++i)
-      EXPECT_EQ(in[i].payload, (Bytes{i, i, i}));
-  }
-  detail::set_io_batch_for_test(0);
-}
-
-// Socket-level cases, once per kernel backend.
-class WireUdpBackends : public ::testing::TestWithParam<WireBackend> {
- protected:
-  void SetUp() override {
-    if (GetParam() == WireBackend::kIoUring && !io_uring_supported())
-      GTEST_SKIP() << "kernel lacks io_uring support";
-  }
-};
-
-TEST_P(WireUdpBackends, DatagramsRoundtripThroughRealSockets) {
-  auto a = make_socket_wire(GetParam(), kLoopback, 0);
-  auto b = make_socket_wire(GetParam(), kLoopback, 0);
-  EXPECT_EQ(a->max_payload(), 1500u - 28u - 1u);
+TEST(WireUdp, DatagramsRoundtripThroughRealSockets) {
+  UdpWire a(kLoopback, 0);
+  UdpWire b(kLoopback, 0);
+  EXPECT_EQ(a.max_payload(), 1500u - 28u - 1u);
   const Bytes payload{1, 2, 3, 4, 5};
-  ASSERT_TRUE(a->send(b->local_endpoint(), kChanControl, payload));
+  ASSERT_TRUE(a.send(b.local_endpoint(), kChanControl, payload));
   std::vector<Datagram> in;
-  ASSERT_EQ(b->receive(in, 2000), 1u);
+  ASSERT_EQ(b.receive(in, 2000), 1u);
   EXPECT_EQ(in[0].channel, kChanControl);
   EXPECT_EQ(in[0].payload, payload);
-  EXPECT_EQ(in[0].from.id, a->local_endpoint().id);
+  EXPECT_EQ(in[0].from.id, a.local_endpoint().id);
   // Reply addressing: the receiver can answer the sender's from-endpoint.
-  ASSERT_TRUE(b->send(in[0].from, kChanData, payload));
+  ASSERT_TRUE(b.send(in[0].from, kChanData, payload));
   in.clear();
-  ASSERT_EQ(a->receive(in, 2000), 1u);
+  ASSERT_EQ(a.receive(in, 2000), 1u);
   EXPECT_EQ(in[0].channel, kChanData);
 }
 
-TEST_P(WireUdpBackends, BurstPreservesSendOrder) {
-  auto a = make_socket_wire(GetParam(), kLoopback, 0);
-  auto b = make_socket_wire(GetParam(), kLoopback, 0);
-  // The fleet's shaping draws index arrivals, so backends must not
-  // reorder a burst (io_uring links its send SQEs for exactly this).
+TEST(WireUdp, BurstPreservesSendOrder) {
+  UdpWire a(kLoopback, 0);
+  UdpWire b(kLoopback, 0);
+  // The fleet's shaping draws index arrivals, so the wire must not
+  // reorder a burst. At 64 datagrams per call, 300 frames take five
+  // sendmmsg calls and several recvmmsg drains.
   std::vector<Bytes> bodies;
   std::vector<const Bytes*> frames;
   for (unsigned i = 0; i < 300; ++i)
     bodies.push_back(Bytes{static_cast<std::uint8_t>(i >> 8),
                            static_cast<std::uint8_t>(i & 0xFF)});
   for (const Bytes& body : bodies) frames.push_back(&body);
-  ASSERT_EQ(a->send_frames(b->local_endpoint(), kChanData, frames), 300u);
+  ASSERT_EQ(a.send_frames(b.local_endpoint(), kChanData, frames), 300u);
   std::vector<Datagram> in;
-  while (in.size() < 300 && b->receive(in, 2000) > 0) {
+  while (in.size() < 300 && b.receive(in, 2000) > 0) {
   }
   ASSERT_EQ(in.size(), 300u);
   for (unsigned i = 0; i < 300; ++i) {
@@ -155,20 +108,20 @@ TEST_P(WireUdpBackends, BurstPreservesSendOrder) {
   }
 }
 
-TEST_P(WireUdpBackends, OversizePayloadIsRefusedNotTruncated) {
-  auto a = make_socket_wire(GetParam(), kLoopback, 0, 600);
-  auto b = make_socket_wire(GetParam(), kLoopback, 0, 600);
-  EXPECT_EQ(a->max_payload(), 600u - 28u - 1u);
-  const Bytes too_big(a->max_payload() + 1, 0xEE);
-  EXPECT_FALSE(a->send(b->local_endpoint(), kChanData, too_big));
-  const Bytes exact(a->max_payload(), 0xEE);
-  EXPECT_TRUE(a->send(b->local_endpoint(), kChanData, exact));
+TEST(WireUdp, OversizePayloadIsRefusedNotTruncated) {
+  UdpWire a(kLoopback, 0, 600);
+  UdpWire b(kLoopback, 0, 600);
+  EXPECT_EQ(a.max_payload(), 600u - 28u - 1u);
+  const Bytes too_big(a.max_payload() + 1, 0xEE);
+  EXPECT_FALSE(a.send(b.local_endpoint(), kChanData, too_big));
+  const Bytes exact(a.max_payload(), 0xEE);
+  EXPECT_TRUE(a.send(b.local_endpoint(), kChanData, exact));
   std::vector<Datagram> in;
-  ASSERT_EQ(b->receive(in, 2000), 1u);
+  ASSERT_EQ(b.receive(in, 2000), 1u);
   EXPECT_EQ(in[0].payload.size(), exact.size());
 }
 
-TEST_P(WireUdpBackends, SmallSessionRecoversOverRealSockets) {
+TEST(WireUdp, SmallSessionRecoversOverRealSockets) {
   DaemonConfig dc;
   dc.clients = 256;
   dc.batches = 2;
@@ -177,7 +130,7 @@ TEST_P(WireUdpBackends, SmallSessionRecoversOverRealSockets) {
   dc.churn_leaves = 24;
   dc.retry_ms = 20;
   dc.round_wait_ms = 20000;
-  auto r = run_udp(GetParam(), dc, {slice(0, 128), slice(128, 128)});
+  auto r = run_udp(dc, {slice(0, 128), slice(128, 128)});
   EXPECT_EQ(r.daemon.batches_run, 2u);
   EXPECT_EQ(r.daemon.recovered, 512u);
   EXPECT_EQ(r.daemon.gave_up, 0u);
@@ -188,7 +141,7 @@ TEST_P(WireUdpBackends, SmallSessionRecoversOverRealSockets) {
   }
 }
 
-TEST_P(WireUdpBackends, ShapedLossRecoversOverRealSockets) {
+TEST(WireUdp, ShapedLossRecoversOverRealSockets) {
   DaemonConfig dc;
   dc.clients = 192;
   dc.batches = 1;
@@ -202,20 +155,13 @@ TEST_P(WireUdpBackends, ShapedLossRecoversOverRealSockets) {
   fc.shaping.down_loss = 0.2;
   fc.shaping.up_loss = 0.1;
   fc.shaping.seed = 0x51CC;
-  auto r = run_udp(GetParam(), dc, {fc});
+  auto r = run_udp(dc, {fc});
   EXPECT_EQ(r.daemon.recovered, 192u);
   EXPECT_EQ(r.daemon.gave_up, 0u);
   EXPECT_GT(r.fleets[0].shaped_off, 0u);
   EXPECT_TRUE(r.fleets[0].finished);
   EXPECT_EQ(r.fleets[0].unrecovered, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    Kernel, WireUdpBackends,
-    ::testing::Values(WireBackend::kEpoll, WireBackend::kIoUring),
-    [](const ::testing::TestParamInfo<WireBackend>& info) {
-      return backend_name(info.param);
-    });
 
 // Acceptance run: a full 2^15-client churn batch over UDP loopback with
 // every client recovering. Four fleet endpoints multiplex 8192 virtual
@@ -236,7 +182,7 @@ TEST(WireUdpSoak, FullChurnBatchAt32768Clients) {
     fc.idle_timeout_ms = 180000;
     fleets.push_back(fc);
   }
-  auto r = run_udp(WireBackend::kEpoll, dc, fleets);
+  auto r = run_udp(dc, fleets);
   EXPECT_EQ(r.daemon.batches_run, 1u);
   EXPECT_EQ(r.daemon.endpoints, 4u);
   EXPECT_EQ(r.daemon.recovered, static_cast<std::uint64_t>(kN));

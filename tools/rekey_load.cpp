@@ -24,7 +24,6 @@
 
 #include "common/json.h"
 #include "common/stats.h"
-#include "wire/backend.h"
 #include "wire/fleet.h"
 #include "wire/udp.h"
 
@@ -42,9 +41,6 @@ using namespace rekey;
                "  --up-loss P           P(client NACK suppressed per round)\n"
                "  --shape-seed S        shaping determinism seed\n"
                "  --mtu BYTES           datagram size cap (default 1500)\n"
-               "  --backend B           wire backend: epoll or io_uring\n"
-               "                        (default REKEY_WIRE_BACKEND, else "
-               "epoll)\n"
                "  --idle-timeout-ms MS  abort if the server goes silent\n"
                "  --allow-unrecovered   don't fail on abandoned clients\n"
                "  --wire V              max wire version to advertise "
@@ -74,7 +70,6 @@ int main(int argc, char** argv) {
   int idle_timeout_ms = 30000;
   bool allow_unrecovered = false;
   unsigned max_wire = wire::kMaxWireVersion;
-  std::optional<wire::WireBackend> backend;
   wire::ShapingConfig shaping;
   std::vector<wire::Endpoint> failover;
   for (int i = 1; i < argc; ++i) {
@@ -95,12 +90,6 @@ int main(int argc, char** argv) {
       shaping.seed = static_cast<std::uint64_t>(arg_int(argc, argv, i));
     } else if (a == "--mtu") {
       mtu = static_cast<std::size_t>(arg_int(argc, argv, i));
-    } else if (a == "--backend" && i + 1 < argc) {
-      backend = wire::parse_backend(argv[++i]);
-      if (!backend) {
-        std::fprintf(stderr, "rekey_load: bad --backend %s\n", argv[i]);
-        return 2;
-      }
     } else if (a == "--idle-timeout-ms") {
       idle_timeout_ms = static_cast<int>(arg_int(argc, argv, i));
     } else if (a == "--allow-unrecovered") {
@@ -145,8 +134,7 @@ int main(int argc, char** argv) {
   workers.reserve(slices.size());
   for (std::size_t t = 0; t < slices.size(); ++t) {
     workers.emplace_back([&, t] {
-      // INADDR_ANY, ephemeral port
-      auto udp = wire::make_socket_wire(backend, 0, 0, mtu);
+      wire::UdpWire udp(0, 0, mtu);  // INADDR_ANY, ephemeral port
       wire::FleetConfig fc;
       fc.first_uid = slices[t].first;
       fc.count = slices[t].count;
@@ -154,7 +142,7 @@ int main(int argc, char** argv) {
       fc.idle_timeout_ms = idle_timeout_ms;
       fc.max_version = static_cast<std::uint8_t>(max_wire);
       fc.failover = failover;
-      wire::ClientFleet fleet(*udp, *server, fc);
+      wire::ClientFleet fleet(udp, *server, fc);
       stats[t] = fleet.run();
     });
   }
@@ -184,7 +172,6 @@ int main(int argc, char** argv) {
 
   Json out = Json::object();
   out.set("tool", "rekey_load");
-  out.set("backend", wire::backend_name(wire::effective_backend(backend)));
   out.set("clients", sum.clients);
   out.set("threads", static_cast<unsigned long long>(slices.size()));
   out.set("batches", sum.batches);

@@ -27,7 +27,6 @@
 #include <string>
 
 #include "common/json.h"
-#include "wire/backend.h"
 #include "wire/daemon.h"
 #include "wire/udp.h"
 
@@ -52,11 +51,6 @@ using namespace rekey;
                "  --round-wait-ms MS    report-collection deadline\n"
                "  --retry-ms MS         control retransmit cadence\n"
                "  --mtu BYTES           datagram size cap (default 1500)\n"
-               "  --backend B           wire backend: epoll or io_uring\n"
-               "                        (default REKEY_WIRE_BACKEND, else "
-               "epoll;\n"
-               "                        io_uring falls back when "
-               "unsupported)\n"
                "  --seed S              key material seed\n"
                "  --shards S            key-tree shards, power of two "
                "(default 1)\n"
@@ -93,7 +87,6 @@ long long arg_int(int argc, char** argv, int& i) {
 int main(int argc, char** argv) {
   std::string bind_spec = ":9915";
   std::size_t mtu = 1500;
-  std::optional<wire::WireBackend> backend;
   bool churn_pool_set = false;
   wire::DaemonConfig cfg;
   for (int i = 1; i < argc; ++i) {
@@ -128,12 +121,6 @@ int main(int argc, char** argv) {
       cfg.retry_ms = static_cast<int>(arg_int(argc, argv, i));
     } else if (a == "--mtu") {
       mtu = static_cast<std::size_t>(arg_int(argc, argv, i));
-    } else if (a == "--backend" && i + 1 < argc) {
-      backend = wire::parse_backend(argv[++i]);
-      if (!backend) {
-        std::fprintf(stderr, "rekeyd: bad --backend %s\n", argv[i]);
-        return 2;
-      }
     } else if (a == "--seed") {
       cfg.key_seed = static_cast<std::uint64_t>(arg_int(argc, argv, i));
     } else if (a == "--shards") {
@@ -195,27 +182,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const wire::WireBackend eff = wire::effective_backend(backend);
-  auto udp = wire::make_socket_wire(backend, wire::endpoint_addr(*bind_ep),
-                                    wire::endpoint_port(*bind_ep), mtu);
+  wire::UdpWire udp(wire::endpoint_addr(*bind_ep),
+                    wire::endpoint_port(*bind_ep), mtu);
   if (cfg.standby)
-    std::fprintf(stderr,
-                 "rekeyd: standby on %s (%s), watching primary %s\n",
-                 wire::endpoint_to_string(udp->local_endpoint()).c_str(),
-                 wire::backend_name(eff).c_str(),
+    std::fprintf(stderr, "rekeyd: standby on %s, watching primary %s\n",
+                 wire::endpoint_to_string(udp.local_endpoint()).c_str(),
                  wire::endpoint_to_string(*cfg.peer).c_str());
   else
-    std::fprintf(stderr,
-                 "rekeyd: listening on %s (%s), waiting for %u clients\n",
-                 wire::endpoint_to_string(udp->local_endpoint()).c_str(),
-                 wire::backend_name(eff).c_str(), cfg.clients);
+    std::fprintf(stderr, "rekeyd: listening on %s, waiting for %u clients\n",
+                 wire::endpoint_to_string(udp.local_endpoint()).c_str(),
+                 cfg.clients);
 
-  wire::KeyServerDaemon daemon(*udp, cfg);
+  wire::KeyServerDaemon daemon(udp, cfg);
   const wire::DaemonStats st = daemon.run();
 
   Json out = Json::object();
   out.set("tool", "rekeyd");
-  out.set("backend", wire::backend_name(eff));
   out.set("clients", cfg.clients);
   out.set("endpoints", st.endpoints);
   out.set("batches_run", st.batches_run);
