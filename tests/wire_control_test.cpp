@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "crypto/keys.h"
@@ -37,6 +39,73 @@ Bytes usr_wire(std::size_t n, std::uint64_t seed) {
     p.entries.push_back(e);
   }
   return p.serialize();
+}
+
+std::string hex(const Bytes& b) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string s;
+  for (const std::uint8_t c : b) {
+    s.push_back(kDigits[c >> 4]);
+    s.push_back(kDigits[c & 0xF]);
+  }
+  return s;
+}
+
+std::vector<std::string> hex(const std::vector<Bytes>& frames) {
+  std::vector<std::string> out;
+  for (const Bytes& f : frames) out.push_back(hex(f));
+  return out;
+}
+
+// The frames WireBytesArePinned serializes, at either slot width. Only
+// these helpers name frame types, so the pinned bytes stay independent of
+// how the frame API spells a width.
+Bytes slot_map_wire(bool wide, std::uint32_t base_uid,
+                    const std::vector<std::uint32_t>& slots) {
+  if (wide) return *serialize(SlotMapV2Frame{base_uid, slots});
+  return *serialize(SlotMapFrame{base_uid, {slots.begin(), slots.end()}});
+}
+
+Bytes report_wire(bool wide, std::uint32_t part, std::uint32_t nparts,
+                  const std::vector<ReportUser>& users) {
+  if (wide) return *serialize(ReportV2Frame{2, 3, 1, part, nparts, 17, users});
+  return *serialize(ReportFrame{2, 3, 1, static_cast<std::uint16_t>(part),
+                                static_cast<std::uint16_t>(nparts), 17,
+                                users});
+}
+
+Bytes usr_frag_wire(bool wide, std::uint16_t frag, std::uint16_t nfrags,
+                    const Bytes& bytes) {
+  if (wide) return *serialize(UsrFragV2Frame{9, 0x1ABCDE, frag, nfrags, bytes});
+  return *serialize(UsrFragFrame{9, 0x1ABCDE, static_cast<std::uint8_t>(frag),
+                                 static_cast<std::uint8_t>(nfrags), bytes});
+}
+
+std::vector<Bytes> report_chunks_wire(bool wide,
+                                      const std::vector<ReportUser>& users,
+                                      std::size_t max_payload) {
+  std::vector<Bytes> out;
+  if (wide) {
+    for (const auto& f : chunk_report_v2(5, 2, 0, 9, users, max_payload))
+      out.push_back(*serialize(f));
+  } else {
+    for (const auto& f : chunk_report(5, 2, 0, 9, users, max_payload))
+      out.push_back(*serialize(f));
+  }
+  return out;
+}
+
+std::vector<Bytes> usr_frags_wire(bool wide, const Bytes& usr,
+                                  std::size_t max_payload) {
+  std::vector<Bytes> out;
+  if (wide) {
+    for (const auto& f : fragment_usr_v2(4, 0x10203, usr, max_payload))
+      out.push_back(*serialize(f));
+  } else {
+    for (const auto& f : fragment_usr(4, 0x10203, usr, max_payload))
+      out.push_back(*serialize(f));
+  }
+  return out;
 }
 
 TEST(Control, FixedFrameRoundtrips) {
@@ -212,6 +281,66 @@ TEST(Control, VersionNegotiationBytes) {
     apadded.push_back(bad);
     EXPECT_FALSE(parse_sub_ack(apadded).has_value());
   }
+}
+
+TEST(Control, WireBytesArePinned) {
+  // Exact bytes of both widths of every width-dependent op (SlotMap /
+  // SlotMapV2, Report / ReportV2, UsrFrag / UsrFragV2), fixed frames and
+  // chunker output alike. Deployed clients parse these streams, and CI's
+  // daemon smoke runs v1 while the benchmark runs v2, so neither width
+  // may move by a byte.
+  EXPECT_EQ(hex(slot_map_wire(false, 0x01020304, {0x0001, 0xABCD, 0xFFFF})),
+            "03" "01020304" "0003" "0001abcdffff");
+  EXPECT_EQ(hex(slot_map_wire(true, 0x0012D687, {0x15555, 0x3FFFC,
+                                                 0xFFFFFFFF})),
+            "0d" "0012d687" "0003" "00015555" "0003fffc" "ffffffff");
+  const std::vector<ReportUser> users = {
+      {100, {nack(2, 0, 9), nack(1, 3, 11)}}, {0x20001, {}}};
+  EXPECT_EQ(hex(report_wire(false, 1, 4, users)),
+            "07" "00000002" "0003" "01" "0001" "0004" "00000011" "0002"
+            "00000064" "02" "020000" "09" "010003" "0b" "00020001" "00");
+  EXPECT_EQ(hex(report_wire(true, 70000, 70001, users)),
+            "0e" "00000002" "0003" "01" "00011170" "00011171" "00000011"
+            "00000002"
+            "00000064" "02" "020000" "09" "010003" "0b" "00020001" "00");
+  const Bytes payload = {0xA5, 0x5A, 0x00, 0xFF, 0x01};
+  EXPECT_EQ(hex(usr_frag_wire(false, 1, 3, payload)),
+            "08" "00000009" "001abcde" "01" "03" "0005" "a55a00ff01");
+  EXPECT_EQ(hex(usr_frag_wire(true, 300, 400, payload)),
+            "0f" "00000009" "001abcde" "012c" "0190" "0005" "a55a00ff01");
+
+  // Chunker output at a budget small enough to split: the narrow report
+  // fits in two parts, the wide one (6 bytes more header) needs three.
+  const std::vector<ReportUser> stream = {{7, {nack(1, 0, 2)}},
+                                          {8, {}},
+                                          {9, {nack(2, 1, 3), nack(1, 2, 0)}},
+                                          {10, {}}};
+  EXPECT_EQ(hex(report_chunks_wire(false, stream, 40)),
+            (std::vector<std::string>{
+                "07000000050002000000000200000009000200000007010100000200"
+                "00000800",
+                "07000000050002000001000200000009000200000009020200010301"
+                "0002000000000a00"}));
+  EXPECT_EQ(hex(report_chunks_wire(true, stream, 40)),
+            (std::vector<std::string>{
+                "0e000000050002000000000000000003000000090000000200000007"
+                "01010000020000000800",
+                "0e000000050002000000000100000003000000090000000100000009"
+                "020200010301000200",
+                "0e00000005000200000000020000000300000009000000010000000a"
+                "00"}));
+  Bytes usr(20);
+  for (std::size_t i = 0; i < usr.size(); ++i)
+    usr[i] = static_cast<std::uint8_t>(i * 37 + 1);
+  EXPECT_EQ(hex(usr_frags_wire(false, usr, 24)),
+            (std::vector<std::string>{
+                "0800000004000102030002000b01264b7095badf04294e73",
+                "0800000004000102030102000998bde2072c51769bc0"}));
+  EXPECT_EQ(hex(usr_frags_wire(true, usr, 24)),
+            (std::vector<std::string>{
+                "0f000000040001020300000003000901264b7095badf0429",
+                "0f00000004000102030001000300094e7398bde2072c5176",
+                "0f00000004000102030002000300029bc0"}));
 }
 
 TEST(Control, V2FrameRoundtrips) {
