@@ -11,14 +11,12 @@ namespace {
 // Serialized sizes (op byte included).
 constexpr std::size_t kSubSize = 9;       // legacy v1 form; +1 with version
 constexpr std::size_t kSubAckSize = 17;   // legacy v1 form; +1 with version
-constexpr std::size_t kSlotMapHeaderSize = 7;  // op + base_uid + count
+constexpr std::size_t kSlotMapHeaderSize = 7;  // op + base_uid + count (u16)
 constexpr std::size_t kSlotMapAckSize = 5;
 constexpr std::size_t kBatchStartSize = 6;
 constexpr std::size_t kRoundMarkSize = 9;
-constexpr std::size_t kReportHeaderSize = 16;
 constexpr std::size_t kReportUserSize = 5;   // uid + entry_count
 constexpr std::size_t kReportEntrySize = 4;  // parities + block + max_shard
-constexpr std::size_t kUsrFragHeaderSize = 13;
 constexpr std::size_t kBatchDoneSize = 6;
 constexpr std::size_t kDoneAckSize = 17;
 // Replication frames.
@@ -26,15 +24,44 @@ constexpr std::size_t kSnapChunkHeaderSize = 15;  // op + seq + part + nparts + 
 constexpr std::size_t kSnapAckSize = 5;
 constexpr std::size_t kHeartbeatSize = 9;
 constexpr std::size_t kResubSize = 25;
-// v2 widened frames.
-constexpr std::size_t kSlotMapV2HeaderSize = 7;  // op + base_uid + count u16
-constexpr std::size_t kReportV2HeaderSize = 20;  // part/nparts are u32
-constexpr std::size_t kUsrFragV2HeaderSize = 15; // frag/nfrags are u16
+
+// Width-dependent sizes (op byte included): a slot id is a u16 or a u32;
+// a report header (through its user count) carries three u16 or u32
+// counters; a UsrFrag header carries u8 or u16 frag/nfrags.
+constexpr std::size_t slot_size(bool wide) { return wide ? 4 : 2; }
+constexpr std::size_t report_header_size(bool wide) { return wide ? 24 : 18; }
+constexpr std::size_t usr_frag_header_size(bool wide) { return wide ? 15 : 13; }
 
 ByteWriter begin_frame(ControlOp op) {
   ByteWriter w;
   w.put_u8(static_cast<std::uint8_t>(op));
   return w;
+}
+
+// A u32 field wide, a u16 field narrow; false when `v` overflows the
+// narrow field.
+bool put_u16_or_u32(ByteWriter& w, bool wide, std::uint32_t v) {
+  if (wide) {
+    w.put_u32(v);
+  } else if (v > 0xFFFF) {
+    return false;
+  } else {
+    w.put_u16(static_cast<std::uint16_t>(v));
+  }
+  return true;
+}
+
+std::uint32_t get_u16_or_u32(ByteReader& r, bool wide) {
+  return wide ? r.get_u32() : r.get_u16();
+}
+
+// The op of a width-dependent frame: `narrow` or `wide`, nullopt for any
+// other op byte.
+std::optional<bool> width_of(packet::WireView payload, ControlOp narrow,
+                             ControlOp wide) {
+  const auto op = peek_op(payload);
+  if (op != narrow && op != wide) return std::nullopt;
+  return op == wide;
 }
 
 }  // namespace
@@ -63,19 +90,12 @@ Bytes serialize(const SubAckFrame& f) {
 
 std::optional<Bytes> serialize(const SlotMapFrame& f) {
   if (f.slots.size() > 0xFFFF) return std::nullopt;  // count is a u16
-  ByteWriter w = begin_frame(ControlOp::SlotMap);
+  ByteWriter w =
+      begin_frame(f.wide ? ControlOp::SlotMapV2 : ControlOp::SlotMap);
   w.put_u32(f.base_uid);
   w.put_u16(static_cast<std::uint16_t>(f.slots.size()));
-  for (const std::uint16_t s : f.slots) w.put_u16(s);
-  return std::move(w).take();
-}
-
-std::optional<Bytes> serialize(const SlotMapV2Frame& f) {
-  if (f.slots.size() > 0xFFFF) return std::nullopt;  // count is a u16
-  ByteWriter w = begin_frame(ControlOp::SlotMapV2);
-  w.put_u32(f.base_uid);
-  w.put_u16(static_cast<std::uint16_t>(f.slots.size()));
-  for (const std::uint32_t s : f.slots) w.put_u32(s);
+  for (const std::uint32_t s : f.slots)
+    if (!put_u16_or_u32(w, f.wide, s)) return std::nullopt;
   return std::move(w).take();
 }
 
@@ -107,8 +127,8 @@ Bytes serialize(const RoundMarkFrame& f) {
 
 namespace {
 
-// Shared entry-list emitter of both report widths; false when any user's
-// entry list overflows its u8 count field.
+// Entry-list emitter of a report; false when any user's entry list
+// overflows its u8 count field.
 bool put_report_users(ByteWriter& w, const std::vector<ReportUser>& users) {
   for (const ReportUser& u : users) {
     if (u.entries.size() > 0xFF) return false;
@@ -126,52 +146,35 @@ bool put_report_users(ByteWriter& w, const std::vector<ReportUser>& users) {
 }  // namespace
 
 std::optional<Bytes> serialize(const ReportFrame& f) {
-  if (f.users.size() > 0xFFFF) return std::nullopt;  // count is a u16
-  ByteWriter w = begin_frame(ControlOp::Report);
-  w.put_u32(f.batch_seq);
-  w.put_u16(f.round);
-  w.put_u8(f.phase);
-  w.put_u16(f.part);
-  w.put_u16(f.nparts);
-  w.put_u32(f.unrecovered);
-  w.put_u16(static_cast<std::uint16_t>(f.users.size()));
-  if (!put_report_users(w, f.users)) return std::nullopt;
-  return std::move(w).take();
-}
-
-std::optional<Bytes> serialize(const ReportV2Frame& f) {
   if (f.users.size() > 0xFFFFFFFFull) return std::nullopt;
-  ByteWriter w = begin_frame(ControlOp::ReportV2);
+  ByteWriter w = begin_frame(f.wide ? ControlOp::ReportV2 : ControlOp::Report);
   w.put_u32(f.batch_seq);
   w.put_u16(f.round);
   w.put_u8(f.phase);
-  w.put_u32(f.part);
-  w.put_u32(f.nparts);
+  if (!put_u16_or_u32(w, f.wide, f.part) ||
+      !put_u16_or_u32(w, f.wide, f.nparts))
+    return std::nullopt;
   w.put_u32(f.unrecovered);
-  w.put_u32(static_cast<std::uint32_t>(f.users.size()));
-  if (!put_report_users(w, f.users)) return std::nullopt;
+  const auto n = static_cast<std::uint32_t>(f.users.size());
+  if (!put_u16_or_u32(w, f.wide, n) || !put_report_users(w, f.users))
+    return std::nullopt;
   return std::move(w).take();
 }
 
 std::optional<Bytes> serialize(const UsrFragFrame& f) {
   if (f.bytes.size() > 0xFFFF) return std::nullopt;  // length is a u16
-  ByteWriter w = begin_frame(ControlOp::UsrFrag);
+  if (!f.wide && (f.frag > 0xFF || f.nfrags > 0xFF)) return std::nullopt;
+  ByteWriter w =
+      begin_frame(f.wide ? ControlOp::UsrFragV2 : ControlOp::UsrFrag);
   w.put_u32(f.batch_seq);
   w.put_u32(f.uid);
-  w.put_u8(f.frag);
-  w.put_u8(f.nfrags);
-  w.put_u16(static_cast<std::uint16_t>(f.bytes.size()));
-  w.put_bytes(f.bytes);
-  return std::move(w).take();
-}
-
-std::optional<Bytes> serialize(const UsrFragV2Frame& f) {
-  if (f.bytes.size() > 0xFFFF) return std::nullopt;  // length is a u16
-  ByteWriter w = begin_frame(ControlOp::UsrFragV2);
-  w.put_u32(f.batch_seq);
-  w.put_u32(f.uid);
-  w.put_u16(f.frag);
-  w.put_u16(f.nfrags);
+  if (f.wide) {
+    w.put_u16(f.frag);
+    w.put_u16(f.nfrags);
+  } else {
+    w.put_u8(static_cast<std::uint8_t>(f.frag));
+    w.put_u8(static_cast<std::uint8_t>(f.nfrags));
+  }
   w.put_u16(static_cast<std::uint16_t>(f.bytes.size()));
   w.put_bytes(f.bytes);
   return std::move(w).take();
@@ -281,30 +284,17 @@ std::optional<SubAckFrame> parse_sub_ack(packet::WireView payload) {
 }
 
 std::optional<SlotMapFrame> parse_slot_map(packet::WireView payload) {
-  if (payload.size() < kSlotMapHeaderSize ||
-      peek_op(payload) != ControlOp::SlotMap)
-    return std::nullopt;
+  const auto wide = width_of(payload, ControlOp::SlotMap, ControlOp::SlotMapV2);
+  if (!wide || payload.size() < kSlotMapHeaderSize) return std::nullopt;
   ByteReader r(payload.subspan(1));
   SlotMapFrame f;
+  f.wide = *wide;
   f.base_uid = r.get_u32();
   const std::uint16_t n = r.get_u16();
-  if (r.remaining() != static_cast<std::size_t>(n) * 2) return std::nullopt;
+  if (r.remaining() != n * slot_size(f.wide)) return std::nullopt;
   f.slots.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) f.slots.push_back(r.get_u16());
-  return f;
-}
-
-std::optional<SlotMapV2Frame> parse_slot_map_v2(packet::WireView payload) {
-  if (payload.size() < kSlotMapV2HeaderSize ||
-      peek_op(payload) != ControlOp::SlotMapV2)
-    return std::nullopt;
-  ByteReader r(payload.subspan(1));
-  SlotMapV2Frame f;
-  f.base_uid = r.get_u32();
-  const std::uint16_t n = r.get_u16();
-  if (r.remaining() != static_cast<std::size_t>(n) * 4) return std::nullopt;
-  f.slots.reserve(n);
-  for (std::uint16_t i = 0; i < n; ++i) f.slots.push_back(r.get_u32());
+  for (std::uint16_t i = 0; i < n; ++i)
+    f.slots.push_back(get_u16_or_u32(r, f.wide));
   return f;
 }
 
@@ -352,7 +342,7 @@ std::optional<RoundMarkFrame> parse_round_mark(packet::WireView payload) {
 
 namespace {
 
-// Shared strict user-list reader of both report widths.
+// Strict user-list reader of a report.
 bool get_report_users(ByteReader& r, std::uint32_t n,
                       std::vector<ReportUser>& users) {
   users.reserve(n);
@@ -378,36 +368,18 @@ bool get_report_users(ByteReader& r, std::uint32_t n,
 }  // namespace
 
 std::optional<ReportFrame> parse_report(packet::WireView payload) {
-  if (payload.size() < kReportHeaderSize + 2 ||
-      peek_op(payload) != ControlOp::Report)
-    return std::nullopt;
+  const auto wide = width_of(payload, ControlOp::Report, ControlOp::ReportV2);
+  if (!wide || payload.size() < report_header_size(*wide)) return std::nullopt;
   ByteReader r(payload.subspan(1));
   ReportFrame f;
+  f.wide = *wide;
   f.batch_seq = r.get_u32();
   f.round = r.get_u16();
   f.phase = r.get_u8();
-  f.part = r.get_u16();
-  f.nparts = r.get_u16();
+  f.part = get_u16_or_u32(r, f.wide);
+  f.nparts = get_u16_or_u32(r, f.wide);
   f.unrecovered = r.get_u32();
-  const std::uint16_t n = r.get_u16();
-  if (f.nparts == 0 || f.part >= f.nparts) return std::nullopt;
-  if (!get_report_users(r, n, f.users)) return std::nullopt;
-  return f;
-}
-
-std::optional<ReportV2Frame> parse_report_v2(packet::WireView payload) {
-  if (payload.size() < kReportV2HeaderSize + 4 ||
-      peek_op(payload) != ControlOp::ReportV2)
-    return std::nullopt;
-  ByteReader r(payload.subspan(1));
-  ReportV2Frame f;
-  f.batch_seq = r.get_u32();
-  f.round = r.get_u16();
-  f.phase = r.get_u8();
-  f.part = r.get_u32();
-  f.nparts = r.get_u32();
-  f.unrecovered = r.get_u32();
-  const std::uint32_t n = r.get_u32();
+  const std::uint32_t n = get_u16_or_u32(r, f.wide);
   if (f.nparts == 0 || f.part >= f.nparts) return std::nullopt;
   // A count the remaining bytes cannot possibly hold is rejected before
   // reserve() trusts it (each user costs at least kReportUserSize bytes).
@@ -418,32 +390,16 @@ std::optional<ReportV2Frame> parse_report_v2(packet::WireView payload) {
 }
 
 std::optional<UsrFragFrame> parse_usr_frag(packet::WireView payload) {
-  if (payload.size() < kUsrFragHeaderSize ||
-      peek_op(payload) != ControlOp::UsrFrag)
+  const auto wide = width_of(payload, ControlOp::UsrFrag, ControlOp::UsrFragV2);
+  if (!wide || payload.size() < usr_frag_header_size(*wide))
     return std::nullopt;
   ByteReader r(payload.subspan(1));
   UsrFragFrame f;
+  f.wide = *wide;
   f.batch_seq = r.get_u32();
   f.uid = r.get_u32();
-  f.frag = r.get_u8();
-  f.nfrags = r.get_u8();
-  const std::uint16_t len = r.get_u16();
-  if (f.nfrags == 0 || f.frag >= f.nfrags) return std::nullopt;
-  if (r.remaining() != len) return std::nullopt;  // truncated or padded
-  f.bytes = r.get_bytes(len);
-  return f;
-}
-
-std::optional<UsrFragV2Frame> parse_usr_frag_v2(packet::WireView payload) {
-  if (payload.size() < kUsrFragV2HeaderSize ||
-      peek_op(payload) != ControlOp::UsrFragV2)
-    return std::nullopt;
-  ByteReader r(payload.subspan(1));
-  UsrFragV2Frame f;
-  f.batch_seq = r.get_u32();
-  f.uid = r.get_u32();
-  f.frag = r.get_u16();
-  f.nfrags = r.get_u16();
+  f.frag = f.wide ? r.get_u16() : r.get_u8();
+  f.nfrags = f.wide ? r.get_u16() : r.get_u8();
   const std::uint16_t len = r.get_u16();
   if (f.nfrags == 0 || f.frag >= f.nfrags) return std::nullopt;
   if (r.remaining() != len) return std::nullopt;  // truncated or padded
@@ -524,11 +480,11 @@ std::optional<ResubFrame> parse_resub(packet::WireView payload) {
 }
 
 std::vector<SlotMapFrame> chunk_slot_map(
-    std::uint32_t first_uid, const std::vector<std::uint16_t>& slots,
-    std::size_t max_payload) {
-  REKEY_ENSURE(max_payload > kSlotMapHeaderSize + 2);
-  const std::size_t per_chunk =
-      std::min<std::size_t>((max_payload - kSlotMapHeaderSize) / 2, 0xFFFF);
+    std::uint32_t first_uid, const std::vector<std::uint32_t>& slots,
+    std::size_t max_payload, bool wide) {
+  REKEY_ENSURE(max_payload > kSlotMapHeaderSize + slot_size(wide));
+  const std::size_t per_chunk = std::min<std::size_t>(
+      (max_payload - kSlotMapHeaderSize) / slot_size(wide), 0xFFFF);
   std::vector<SlotMapFrame> out;
   for (std::size_t base = 0; base < slots.size(); base += per_chunk) {
     SlotMapFrame f;
@@ -536,61 +492,26 @@ std::vector<SlotMapFrame> chunk_slot_map(
     const std::size_t end = std::min(slots.size(), base + per_chunk);
     f.slots.assign(slots.begin() + static_cast<std::ptrdiff_t>(base),
                    slots.begin() + static_cast<std::ptrdiff_t>(end));
+    f.wide = wide;
     out.push_back(std::move(f));
   }
-  if (out.empty()) out.push_back(SlotMapFrame{first_uid, {}});
+  if (out.empty()) out.push_back(SlotMapFrame{first_uid, {}, wide});
   return out;
 }
 
-std::vector<SlotMapV2Frame> chunk_slot_map_v2(
-    std::uint32_t first_uid, const std::vector<std::uint32_t>& slots,
-    std::size_t max_payload) {
-  REKEY_ENSURE(max_payload > kSlotMapV2HeaderSize + 4);
-  const std::size_t per_chunk =
-      std::min<std::size_t>((max_payload - kSlotMapV2HeaderSize) / 4, 0xFFFF);
-  std::vector<SlotMapV2Frame> out;
-  for (std::size_t base = 0; base < slots.size(); base += per_chunk) {
-    SlotMapV2Frame f;
-    f.base_uid = first_uid + static_cast<std::uint32_t>(base);
-    const std::size_t end = std::min(slots.size(), base + per_chunk);
-    f.slots.assign(slots.begin() + static_cast<std::ptrdiff_t>(base),
-                   slots.begin() + static_cast<std::ptrdiff_t>(end));
-    out.push_back(std::move(f));
-  }
-  if (out.empty()) out.push_back(SlotMapV2Frame{first_uid, {}});
-  return out;
-}
-
-namespace {
-
-// Shared chunking loop of both report widths. `header` is the serialized
-// header size including the user-count field; `user_cap` the per-frame
-// user-count limit; `part_cap` the part-counter limit.
-template <typename Frame>
-std::vector<Frame> chunk_report_impl(std::uint32_t batch_seq,
-                                     std::uint16_t round, std::uint8_t phase,
-                                     std::uint32_t unrecovered,
-                                     const std::vector<ReportUser>& users,
-                                     std::size_t max_payload,
-                                     std::size_t header, std::size_t user_cap,
-                                     std::size_t part_cap) {
+std::vector<ReportFrame> chunk_report(std::uint32_t batch_seq,
+                                      std::uint16_t round, std::uint8_t phase,
+                                      std::uint32_t unrecovered,
+                                      const std::vector<ReportUser>& users,
+                                      std::size_t max_payload, bool wide) {
+  const std::size_t header = report_header_size(wide);
+  // Per-frame user count and part count: the counter's limit.
+  const std::size_t cap = wide ? 0xFFFFFFFFull : 0xFFFF;
   REKEY_ENSURE(max_payload > header + kReportUserSize + kReportEntrySize);
-  std::vector<Frame> parts;
-  Frame cur;
-  cur.batch_seq = batch_seq;
-  cur.round = round;
-  cur.phase = phase;
-  cur.unrecovered = unrecovered;
+  const ReportFrame blank{batch_seq, round, phase, 0, 1, unrecovered, {}, wide};
+  std::vector<ReportFrame> parts;
+  ReportFrame cur = blank;
   std::size_t size = header;
-  const auto flush = [&] {
-    parts.push_back(std::move(cur));
-    cur = Frame{};
-    cur.batch_seq = batch_seq;
-    cur.round = round;
-    cur.phase = phase;
-    cur.unrecovered = unrecovered;
-    size = header;
-  };
   for (const ReportUser& u : users) {
     ReportUser clipped = u;
     // entry_count is a u8, and one user must fit one frame: clip the
@@ -602,68 +523,45 @@ std::vector<Frame> chunk_report_impl(std::uint32_t batch_seq,
       clipped.entries.resize(entry_budget);
     const std::size_t need =
         kReportUserSize + clipped.entries.size() * kReportEntrySize;
-    if (size + need > max_payload || cur.users.size() == user_cap) flush();
+    if (size + need > max_payload || cur.users.size() == cap) {
+      parts.push_back(std::move(cur));
+      cur = blank;
+      size = header;
+    }
     size += need;
     cur.users.push_back(std::move(clipped));
   }
   parts.push_back(std::move(cur));
   // More parts than the part counter can number cannot be represented:
   // fail (empty) rather than emit frames that alias each other's part ids.
-  if (parts.size() > part_cap) return {};
+  if (parts.size() > cap) return {};
   for (std::size_t i = 0; i < parts.size(); ++i) {
-    parts[i].part = static_cast<decltype(cur.part)>(i);
-    parts[i].nparts = static_cast<decltype(cur.nparts)>(parts.size());
+    parts[i].part = static_cast<std::uint32_t>(i);
+    parts[i].nparts = static_cast<std::uint32_t>(parts.size());
   }
   return parts;
 }
 
-}  // namespace
-
-std::vector<ReportFrame> chunk_report(std::uint32_t batch_seq,
-                                      std::uint16_t round, std::uint8_t phase,
-                                      std::uint32_t unrecovered,
-                                      const std::vector<ReportUser>& users,
-                                      std::size_t max_payload) {
-  return chunk_report_impl<ReportFrame>(batch_seq, round, phase, unrecovered,
-                                        users, max_payload,
-                                        kReportHeaderSize + 2, 0xFFFF, 0xFFFF);
-}
-
-std::vector<ReportV2Frame> chunk_report_v2(std::uint32_t batch_seq,
-                                           std::uint16_t round,
-                                           std::uint8_t phase,
-                                           std::uint32_t unrecovered,
-                                           const std::vector<ReportUser>& users,
-                                           std::size_t max_payload) {
-  return chunk_report_impl<ReportV2Frame>(
-      batch_seq, round, phase, unrecovered, users, max_payload,
-      kReportV2HeaderSize + 4, 0xFFFFFFFFull, 0xFFFFFFFFull);
-}
-
-namespace {
-
-// Shared fragmentation loop of both widths; `frag_cap` is the fragment
-// counter's limit (u8 for v1, u16 for v2). Empty on overflow: emitting
-// aliased fragment ids would reassemble a corrupt USR.
-template <typename Frame>
-std::vector<Frame> fragment_usr_impl(std::uint32_t batch_seq,
-                                     std::uint32_t uid, const Bytes& usr_wire,
-                                     std::size_t max_payload,
-                                     std::size_t header,
-                                     std::size_t frag_cap) {
+std::vector<UsrFragFrame> fragment_usr(std::uint32_t batch_seq,
+                                       std::uint32_t uid, const Bytes& usr_wire,
+                                       std::size_t max_payload, bool wide) {
+  const std::size_t header = usr_frag_header_size(wide);
   REKEY_ENSURE(max_payload > header);
   const std::size_t chunk = std::min<std::size_t>(max_payload - header, 0xFFFF);
   const std::size_t nfrags =
       usr_wire.empty() ? 1 : (usr_wire.size() + chunk - 1) / chunk;
-  if (nfrags > frag_cap) return {};  // payload too large to fragment
-  std::vector<Frame> out;
+  // Empty on counter overflow: emitting aliased fragment ids would
+  // reassemble a corrupt USR.
+  if (nfrags > (wide ? 0xFFFFu : 0xFFu)) return {};
+  std::vector<UsrFragFrame> out;
   out.reserve(nfrags);
   for (std::size_t i = 0; i < nfrags; ++i) {
-    Frame f;
+    UsrFragFrame f;
     f.batch_seq = batch_seq;
     f.uid = uid;
-    f.frag = static_cast<decltype(f.frag)>(i);
-    f.nfrags = static_cast<decltype(f.nfrags)>(nfrags);
+    f.frag = static_cast<std::uint16_t>(i);
+    f.nfrags = static_cast<std::uint16_t>(nfrags);
+    f.wide = wide;
     const std::size_t begin = i * chunk;
     const std::size_t end = std::min(usr_wire.size(), begin + chunk);
     f.bytes.assign(usr_wire.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -673,55 +571,26 @@ std::vector<Frame> fragment_usr_impl(std::uint32_t batch_seq,
   return out;
 }
 
-}  // namespace
-
-std::vector<UsrFragFrame> fragment_usr(std::uint32_t batch_seq,
-                                       std::uint32_t uid, const Bytes& usr_wire,
-                                       std::size_t max_payload) {
-  return fragment_usr_impl<UsrFragFrame>(batch_seq, uid, usr_wire, max_payload,
-                                         kUsrFragHeaderSize, 0xFF);
-}
-
-std::vector<UsrFragV2Frame> fragment_usr_v2(std::uint32_t batch_seq,
-                                            std::uint32_t uid,
-                                            const Bytes& usr_wire,
-                                            std::size_t max_payload) {
-  return fragment_usr_impl<UsrFragV2Frame>(batch_seq, uid, usr_wire,
-                                           max_payload, kUsrFragV2HeaderSize,
-                                           0xFFFF);
-}
-
 std::optional<Bytes> UsrReassembly::add(const UsrFragFrame& frag) {
-  return add_impl(frag.uid, frag.frag, frag.nfrags, frag.bytes);
-}
-
-std::optional<Bytes> UsrReassembly::add(const UsrFragV2Frame& frag) {
-  return add_impl(frag.uid, frag.frag, frag.nfrags, frag.bytes);
-}
-
-std::optional<Bytes> UsrReassembly::add_impl(std::uint32_t uid,
-                                             std::uint16_t frag,
-                                             std::uint16_t nfrags,
-                                             const Bytes& bytes) {
-  if (nfrags == 0 || frag >= nfrags) return std::nullopt;
-  Partial& p = pending_[uid];
+  if (frag.nfrags == 0 || frag.frag >= frag.nfrags) return std::nullopt;
+  Partial& p = pending_[frag.uid];
   if (p.seen.empty()) {
-    p.nfrags = nfrags;
-    p.parts.resize(nfrags);
-    p.seen.assign(nfrags, false);
+    p.nfrags = frag.nfrags;
+    p.parts.resize(frag.nfrags);
+    p.seen.assign(frag.nfrags, false);
   }
   // A fragment disagreeing with the established count is a stale or
   // damaged duplicate; keep the first wave's shape.
-  if (nfrags != p.nfrags) return std::nullopt;
-  if (p.seen[frag]) return std::nullopt;  // duplicate fragment
-  p.seen[frag] = true;
-  p.parts[frag] = bytes;
+  if (frag.nfrags != p.nfrags) return std::nullopt;
+  if (p.seen[frag.frag]) return std::nullopt;  // duplicate fragment
+  p.seen[frag.frag] = true;
+  p.parts[frag.frag] = frag.bytes;
   ++p.have;
   if (p.have < p.nfrags) return std::nullopt;
   Bytes full;
   for (const Bytes& part : p.parts)
     full.insert(full.end(), part.begin(), part.end());
-  pending_.erase(uid);
+  pending_.erase(frag.uid);
   return full;
 }
 

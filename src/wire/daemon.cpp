@@ -19,10 +19,12 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// Whole milliseconds left until `deadline`, rounded up: a wait that is
+// not over never becomes a zero-timeout poll.
 int ms_until(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
+  const auto left =
+      std::chrono::ceil<std::chrono::milliseconds>(deadline - Clock::now())
+          .count();
   return left < 0 ? 0 : static_cast<int>(left);
 }
 
@@ -39,6 +41,9 @@ KeyServerDaemon::KeyServerDaemon(WireTransport& wire,
                    "churn pool smaller than per-batch leaves");
   REKEY_ENSURE_MSG(config.max_multicast_rounds >= 1,
                    "the wire lockstep needs at least one multicast round");
+  REKEY_ENSURE_MSG(
+      config.max_multicast_rounds <= config.protocol.max_rounds_cap,
+      "max_multicast_rounds exceeds the protocol's max_rounds_cap");
   REKEY_ENSURE_MSG(config.protocol.packet_size <= wire.max_payload(),
                    "protocol packet size exceeds the wire MTU budget");
   REKEY_ENSURE_MSG(config.wire_version <= kMaxWireVersion,
@@ -70,6 +75,43 @@ bool KeyServerDaemon::all_live(bool EndpointState::*flag) const {
   for (const auto& [ep, es] : endpoints_)
     if (!es.dead && !(es.*flag)) return false;
   return true;
+}
+
+bool KeyServerDaemon::await_step(const std::function<bool()>& done,
+                                 const std::function<void(bool)>& send) {
+  const auto deadline =
+      Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
+  for (bool resend = false;; resend = true) {
+    if (done() || stopped() || Clock::now() >= deadline) return done();
+    send(resend);
+    const auto retry = std::min(
+        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
+    while (!done() && !stopped()) {
+      const int wait_ms = ms_until(retry);
+      if (wait_ms == 0) break;
+      pump(wait_ms);
+    }
+  }
+}
+
+void KeyServerDaemon::drop_laggards(bool EndpointState::*flag, int strikes) {
+  if (stopped()) return;  // the wait was cut short, not missed
+  for (auto& [ep, es] : endpoints_) {
+    if (es.dead || es.*flag) continue;
+    if (++es.missed_deadlines >= strikes) {
+      es.dead = true;
+      ++stats_.endpoints_dropped;
+    }
+  }
+}
+
+void KeyServerDaemon::send_to_laggards(bool EndpointState::*flag,
+                                       const Bytes& frame, bool resend) {
+  for (const auto& [ep, es] : endpoints_) {
+    if (es.dead || es.*flag) continue;
+    send_control(ep, frame);
+    if (resend) ++stats_.control_retransmits;
+  }
 }
 
 bool KeyServerDaemon::step_clock() {
@@ -154,30 +196,15 @@ std::size_t KeyServerDaemon::pump(int timeout_ms) {
           it->second.slot_map_acked = true;
         break;
       }
-      case ControlOp::Report: {
+      case ControlOp::Report:
+      case ControlOp::ReportV2: {
         const auto f = parse_report(d.payload);
         const auto it = endpoints_.find(d.from);
         if (!f || it == endpoints_.end()) break;
         if (f->batch_seq != cur_batch_ || f->round != cur_round_ ||
             f->phase != cur_phase_)
           break;  // stale retransmit from an earlier lockstep step
-        handle_report(it->second,
-                      ReportView{f->part, f->nparts, f->unrecovered,
-                                 &f->users},
-                      cur_server_);
-        break;
-      }
-      case ControlOp::ReportV2: {
-        const auto f = parse_report_v2(d.payload);
-        const auto it = endpoints_.find(d.from);
-        if (!f || it == endpoints_.end()) break;
-        if (f->batch_seq != cur_batch_ || f->round != cur_round_ ||
-            f->phase != cur_phase_)
-          break;
-        handle_report(it->second,
-                      ReportView{f->part, f->nparts, f->unrecovered,
-                                 &f->users},
-                      cur_server_);
+        handle_report(it->second, *f, cur_server_);
         break;
       }
       case ControlOp::DoneAck: {
@@ -272,7 +299,7 @@ std::size_t KeyServerDaemon::pump(int timeout_ms) {
   return processed;
 }
 
-void KeyServerDaemon::handle_report(EndpointState& es, const ReportView& f,
+void KeyServerDaemon::handle_report(EndpointState& es, const ReportFrame& f,
                                     transport::ServerTransport* server) {
   if (es.dead || es.report_done) return;
   // Every report part carries at least one user (a clean report is one
@@ -291,7 +318,7 @@ void KeyServerDaemon::handle_report(EndpointState& es, const ReportView& f,
   ++es.parts_have;
   es.reported_unrecovered = f.unrecovered;
   ++stats_.reports;
-  for (const ReportUser& u : *f.users) {
+  for (const ReportUser& u : f.users) {
     if (u.uid < es.first_uid || u.uid >= es.first_uid + es.count) continue;
     es.unrecovered_uids.push_back(u.uid);
     if (server != nullptr && !u.entries.empty()) {
@@ -322,57 +349,33 @@ void KeyServerDaemon::wait_for_subscriptions() {
 
 void KeyServerDaemon::send_slot_maps() {
   // Serialize each endpoint's slot map once; retransmit until acked.
+  // Version selection guarantees a narrow session's slots fit u16 (with
+  // split headroom), so no narrow frame fails to serialize.
   std::map<Endpoint, std::vector<Bytes>> frames;
   for (auto& [ep, es] : endpoints_) {
-    auto& out = frames[ep];
-    if (wide()) {
-      std::vector<std::uint32_t> slots;
-      slots.reserve(es.count);
-      for (std::uint32_t u = es.first_uid; u < es.first_uid + es.count; ++u)
-        slots.push_back(static_cast<std::uint32_t>(tree_.slot_of(u)));
-      for (const SlotMapV2Frame& f :
-           chunk_slot_map_v2(es.first_uid, slots, wire_.max_payload()))
-        if (auto b = serialize(f)) out.push_back(std::move(*b));
-    } else {
-      // Version selection guarantees narrow slots fit u16 (with split
-      // headroom), so the truncating cast below cannot lose bits.
-      std::vector<std::uint16_t> slots;
-      slots.reserve(es.count);
-      for (std::uint32_t u = es.first_uid; u < es.first_uid + es.count; ++u)
-        slots.push_back(static_cast<std::uint16_t>(tree_.slot_of(u)));
-      for (const SlotMapFrame& f :
-           chunk_slot_map(es.first_uid, slots, wire_.max_payload()))
-        if (auto b = serialize(f)) out.push_back(std::move(*b));
-    }
+    std::vector<std::uint32_t> slots;
+    slots.reserve(es.count);
+    for (std::uint32_t u = es.first_uid; u < es.first_uid + es.count; ++u)
+      slots.push_back(static_cast<std::uint32_t>(tree_.slot_of(u)));
+    for (const SlotMapFrame& f :
+         chunk_slot_map(es.first_uid, slots, wire_.max_payload(), wide()))
+      if (auto b = serialize(f)) frames[ep].push_back(std::move(*b));
   }
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
-  bool first = true;
-  while (!stopped()) {
-    if (all_live(&EndpointState::slot_map_acked)) return;
-    if (Clock::now() >= deadline) {
-      // An endpoint that never acks its slot map cannot decode a batch:
-      // drop it, as resub_barrier does, so one silent subscriber cannot
-      // stall the session. Its clients land in gave_up_dead every batch.
-      for (auto& [ep, es] : endpoints_) {
-        if (es.dead || es.slot_map_acked) continue;
-        es.dead = true;
-        ++stats_.endpoints_dropped;
-      }
-      return;
-    }
-    for (auto& [ep, es] : endpoints_) {
-      if (es.slot_map_acked) continue;
+  const auto acked = [this] {
+    return all_live(&EndpointState::slot_map_acked);
+  };
+  const auto send = [&](bool resend) {
+    for (const auto& [ep, es] : endpoints_) {
+      if (es.dead || es.slot_map_acked) continue;
       for (const Bytes& f : frames[ep]) send_control(ep, f);
-      if (!first) ++stats_.control_retransmits;
+      if (resend) ++stats_.control_retransmits;
     }
-    first = false;
-    const auto retry =
-        Clock::now() + std::chrono::milliseconds(config_.retry_ms);
-    while (!stopped() && Clock::now() < retry &&
-           !all_live(&EndpointState::slot_map_acked))
-      pump(ms_until(retry));
-  }
+  };
+  // An endpoint that never acks its slot map cannot decode a batch: drop
+  // it, as resub_barrier does, so one silent subscriber cannot stall the
+  // session. Its clients land in gave_up_dead every batch.
+  if (!await_step(acked, send))
+    drop_laggards(&EndpointState::slot_map_acked, 1);
 }
 
 void KeyServerDaemon::collect_reports(std::uint32_t batch_seq,
@@ -389,35 +392,13 @@ void KeyServerDaemon::collect_reports(std::uint32_t batch_seq,
     es.report_done = false;
   }
   const Bytes mark = serialize(RoundMarkFrame{batch_seq, msg_id, round, phase});
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
-  bool first = true;
-  for (;;) {
-    if (all_live(&EndpointState::report_done) || stopped()) break;
-    if (Clock::now() >= deadline) {
-      // Proceed with partial feedback; an endpoint that keeps missing
-      // deadlines is dead weight and gets dropped from the lockstep.
-      for (auto& [ep, es] : endpoints_) {
-        if (es.dead || es.report_done) continue;
-        if (++es.missed_deadlines >= config_.endpoint_dead_after) {
-          es.dead = true;
-          ++stats_.endpoints_dropped;
-        }
-      }
-      break;
-    }
-    for (auto& [ep, es] : endpoints_) {
-      if (es.dead || es.report_done) continue;
-      send_control(ep, mark);
-      if (!first) ++stats_.control_retransmits;
-    }
-    first = false;
-    const auto retry = std::min(
-        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped() &&
-           !all_live(&EndpointState::report_done))
-      pump(ms_until(retry));
-  }
+  // Proceed with partial feedback at the deadline; an endpoint that keeps
+  // missing deadlines is dead weight and gets dropped from the lockstep.
+  if (!await_step([this] { return all_live(&EndpointState::report_done); },
+                  [&](bool resend) {
+                    send_to_laggards(&EndpointState::report_done, mark, resend);
+                  }))
+    drop_laggards(&EndpointState::report_done, config_.endpoint_dead_after);
   cur_server_ = nullptr;
 }
 
@@ -427,36 +408,15 @@ void KeyServerDaemon::collect_done_acks(std::uint32_t batch_seq,
   for (auto& [ep, es] : endpoints_) es.done_acked = false;
   const Bytes done = serialize(
       BatchDoneFrame{batch_seq, static_cast<std::uint8_t>(last_batch)});
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
-  bool first = true;
-  for (;;) {
-    if (all_live(&EndpointState::done_acked) || stopped() ||
-        Clock::now() >= deadline)
-      break;
-    for (auto& [ep, es] : endpoints_) {
-      if (es.dead || es.done_acked) continue;
-      send_control(ep, done);
-      if (!first) ++stats_.control_retransmits;
-    }
-    first = false;
-    const auto retry = std::min(
-        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped() &&
-           !all_live(&EndpointState::done_acked))
-      pump(ms_until(retry));
-  }
   // DoneAck collection is a lockstep step like any round: an endpoint
   // that blows its deadline takes a missed-deadline strike (and is
   // dropped once it accumulates endpoint_dead_after of them, so the
   // daemon stops bursting data at a corpse for the remaining batches).
-  for (auto& [ep, es] : endpoints_) {
-    if (es.dead || es.done_acked) continue;
-    if (++es.missed_deadlines >= config_.endpoint_dead_after) {
-      es.dead = true;
-      ++stats_.endpoints_dropped;
-    }
-  }
+  if (!await_step([this] { return all_live(&EndpointState::done_acked); },
+                  [&](bool resend) {
+                    send_to_laggards(&EndpointState::done_acked, done, resend);
+                  }))
+    drop_laggards(&EndpointState::done_acked, config_.endpoint_dead_after);
   // The batch is closed at the deadline: any endpoint that did not ack —
   // already-dead or merely silent — finalized nothing, and its counts
   // travel only in DoneAcks. Ledger its clients in gave_up_dead so
@@ -603,17 +563,9 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
           // A fragmenter overflow (empty result) leaves the uid without
           // USR frames; it surfaces in gave_up instead of aborting.
           std::vector<Bytes> frames_for_uid;
-          if (wide()) {
-            for (const UsrFragV2Frame& f : fragment_usr_v2(
-                     batch_seq, uid, usr_wire, wire_.max_payload()))
-              if (auto b = serialize(f))
-                frames_for_uid.push_back(std::move(*b));
-          } else {
-            for (const UsrFragFrame& f : fragment_usr(
-                     batch_seq, uid, usr_wire, wire_.max_payload()))
-              if (auto b = serialize(f))
-                frames_for_uid.push_back(std::move(*b));
-          }
+          for (const UsrFragFrame& f : fragment_usr(
+                   batch_seq, uid, usr_wire, wire_.max_payload(), wide()))
+            if (auto b = serialize(f)) frames_for_uid.push_back(std::move(*b));
           it = frag_cache.emplace(uid, std::move(frames_for_uid)).first;
         }
         // Locate the endpoint owning this uid.
@@ -722,24 +674,16 @@ DaemonStats KeyServerDaemon::run() {
 void KeyServerDaemon::fin_handshake() {
   for (auto& [ep, es] : endpoints_) es.fin_acked = false;
   const Bytes fin = serialize(FinFrame{});
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
-  while (!stopped() && Clock::now() < deadline) {
-    if (all_live(&EndpointState::fin_acked)) break;
-    for (const auto& [ep, es] : endpoints_)
-      if (!es.dead && !es.fin_acked) send_control(ep, fin);
-    if (config_.peer.has_value() && !config_.standby && !peer_dead_)
-      send_control(*config_.peer, fin);
-    const auto retry = std::min(
-        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped() &&
-           !all_live(&EndpointState::fin_acked))
-      pump(ms_until(retry));
-  }
+  const bool retire_peer =
+      config_.peer.has_value() && !config_.standby && !peer_dead_;
+  await_step([this] { return all_live(&EndpointState::fin_acked); },
+             [&](bool) {
+               send_to_laggards(&EndpointState::fin_acked, fin, false);
+               if (retire_peer) send_control(*config_.peer, fin);
+             });
   // Retire a healthy standby even when every client acked on the first
-  // try (the loop above may never have reached a Fin broadcast).
-  if (config_.peer.has_value() && !config_.standby && !peer_dead_)
-    send_control(*config_.peer, fin);
+  // try (the wait above may never have reached a Fin broadcast).
+  if (retire_peer) send_control(*config_.peer, fin);
 }
 
 void KeyServerDaemon::ship_snapshot(std::uint32_t next_batch) {
@@ -771,30 +715,24 @@ void KeyServerDaemon::ship_snapshot(std::uint32_t next_batch) {
        chunk_snapshot(next_batch, blob, wire_.max_payload()))
     if (auto b = serialize(c)) frames.push_back(std::move(*b));
 
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
-  while (!stopped() &&
-         snap_acked_ < static_cast<std::int64_t>(next_batch)) {
-    if (Clock::now() >= deadline) {
-      // A standby that cannot ack is written off: later batches run
-      // unreplicated rather than stalling the whole group every batch.
-      peer_dead_ = true;
-      std::fprintf(stderr,
-                   "rekeyd: standby did not ack snapshot %u - replication "
-                   "disabled\n",
-                   next_batch);
-      return;
-    }
+  const auto acked = [&] {
+    return snap_acked_ >= static_cast<std::int64_t>(next_batch);
+  };
+  const auto send = [&](bool) {
     for (const Bytes& f : frames) send_control(*config_.peer, f);
     stats_.snapshot_chunks += frames.size();
-    const auto retry = std::min(
-        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped() &&
-           snap_acked_ < static_cast<std::int64_t>(next_batch))
-      pump(ms_until(retry));
-  }
-  if (snap_acked_ >= static_cast<std::int64_t>(next_batch))
+  };
+  if (await_step(acked, send)) {
     ++stats_.snapshots_sent;
+  } else if (!stopped()) {
+    // A standby that cannot ack is written off: later batches run
+    // unreplicated rather than stalling the whole group every batch.
+    peer_dead_ = true;
+    std::fprintf(stderr,
+                 "rekeyd: standby did not ack snapshot %u - replication "
+                 "disabled\n",
+                 next_batch);
+  }
 }
 
 DaemonStats KeyServerDaemon::run_standby() {
@@ -883,28 +821,13 @@ void KeyServerDaemon::resub_barrier() {
   for (auto& [ep, es] : endpoints_) es.resubbed = false;
   const std::uint8_t msg_id = static_cast<std::uint8_t>(next_batch_ % 64);
   const Bytes start = serialize(BatchStartFrame{next_batch_, msg_id, epoch_});
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(config_.round_wait_ms);
-  for (;;) {
-    if (all_live(&EndpointState::resubbed) || stopped()) return;
-    if (Clock::now() >= deadline) {
-      // A client that cannot re-sync is dead weight, exactly like one
-      // that stops reporting: drop it so the replay can proceed.
-      for (auto& [ep, es] : endpoints_) {
-        if (es.dead || es.resubbed) continue;
-        es.dead = true;
-        ++stats_.endpoints_dropped;
-      }
-      return;
-    }
-    for (const auto& [ep, es] : endpoints_)
-      if (!es.dead && !es.resubbed) send_control(ep, start);
-    const auto retry = std::min(
-        deadline, Clock::now() + std::chrono::milliseconds(config_.retry_ms));
-    while (Clock::now() < retry && !stopped() &&
-           !all_live(&EndpointState::resubbed))
-      pump(ms_until(retry));
-  }
+  // A client that cannot re-sync is dead weight, exactly like one that
+  // stops reporting: drop it so the replay can proceed.
+  if (!await_step([this] { return all_live(&EndpointState::resubbed); },
+                  [&](bool) {
+                    send_to_laggards(&EndpointState::resubbed, start, false);
+                  }))
+    drop_laggards(&EndpointState::resubbed, 1);
 }
 
 }  // namespace rekey::wire

@@ -25,6 +25,14 @@
 //   3. NACK feedback into accept_nack / RhoController, then the next
 //      round's reactive parities — identical control law to the simnet.
 //
+// Every lockstep step — slot maps, round reports, DoneAcks, the Fin
+// handshake, the snapshot ship and the failover Resub barrier — is one
+// call to await_step: send once, re-send every retry_ms, and stop when
+// every answer is in, at round_wait_ms, or on request_stop(). Its waits
+// round up to whole milliseconds, so a step blocks in receive() until
+// its retry timer fires instead of polling. Endpoints that miss a
+// step's deadline are written off by drop_laggards.
+//
 // After max_multicast_rounds the unicast phase serves reported
 // stragglers with (fragmented, duplicated) USR packets wave by wave.
 // Data-plane loss needs no transport-level reliability — FEC and NACKs
@@ -43,6 +51,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -209,6 +218,19 @@ class KeyServerDaemon {
   // True when every endpoint not written off as dead has `flag` set: the
   // exit test of each lockstep wait.
   bool all_live(bool EndpointState::*flag) const;
+  // One lockstep step: send(false) now, send(true) every retry_ms, until
+  // done() holds, round_wait_ms passes or a stop is requested. Waits in
+  // pump(), never with a zero timeout. Returns done().
+  bool await_step(const std::function<bool()>& done,
+                  const std::function<void(bool resend)>& send);
+  // Deadline bookkeeping after a step that did not complete: every live
+  // endpoint without `flag` takes a missed-deadline strike and is dropped
+  // at `strikes` of them (1 drops it at once). A no-op once stopped.
+  void drop_laggards(bool EndpointState::*flag, int strikes);
+  // Sends `frame` to every live endpoint without `flag`; a resend counts
+  // one control retransmit per endpoint when `resend` is set.
+  void send_to_laggards(bool EndpointState::*flag, const Bytes& frame,
+                        bool resend);
 
   void send_control(Endpoint to, const Bytes& frame);
   // One receive-and-dispatch pass; control frames outside the current
@@ -252,15 +274,7 @@ class KeyServerDaemon {
                        transport::ServerTransport& server);
   void collect_done_acks(std::uint32_t batch_seq, bool last_batch);
 
-  // Width-independent view of a report part; both report frame widths
-  // funnel into the same collection logic.
-  struct ReportView {
-    std::uint32_t part = 0;
-    std::uint32_t nparts = 1;
-    std::uint32_t unrecovered = 0;
-    const std::vector<ReportUser>* users = nullptr;
-  };
-  void handle_report(EndpointState& es, const ReportView& f,
+  void handle_report(EndpointState& es, const ReportFrame& f,
                      transport::ServerTransport* server);
 
   // True when the session speaks the wide-slot (v2) frame family.

@@ -42,20 +42,6 @@ void ClientFleet::subscribe() {
   const Bytes sub = serialize(sub_frame);
   const Bytes slot_ack = serialize(SlotMapAckFrame{config_.first_uid});
   bool sub_acked = false;
-  // Both slot-map widths land here; ids_ is wide enough for either.
-  const auto take_slots = [this](std::uint32_t base_uid, const auto& slots) {
-    for (std::size_t i = 0; i < slots.size(); ++i) {
-      const std::uint64_t uid = base_uid + i;
-      if (uid < config_.first_uid || uid >= config_.first_uid + config_.count)
-        continue;
-      const std::size_t u = uid - config_.first_uid;
-      if (!have_slot_[u]) {
-        have_slot_[u] = true;
-        ids_[u] = slots[i];
-        ++slots_have_;
-      }
-    }
-  };
   auto last_heard = Clock::now();
   std::vector<Datagram> in;
   while (!stopped()) {
@@ -74,15 +60,20 @@ void ClientFleet::subscribe() {
         version_ = f->version;
         stats_.wire_version = version_;
         sub_acked = true;
-      } else if (op == ControlOp::SlotMap) {
-        const auto f = parse_slot_map(d.payload);
-        if (!f) continue;
-        take_slots(f->base_uid, f->slots);
-        if (slots_have_ == config_.count) send_control(slot_ack);
-      } else if (op == ControlOp::SlotMapV2) {
-        const auto f = parse_slot_map_v2(d.payload);
-        if (!f) continue;
-        take_slots(f->base_uid, f->slots);
+      } else if (const auto f = parse_slot_map(d.payload)) {
+        // Either width; ids_ is wide enough for both.
+        for (std::size_t i = 0; i < f->slots.size(); ++i) {
+          const std::uint64_t uid = f->base_uid + i;
+          if (uid < config_.first_uid ||
+              uid >= config_.first_uid + config_.count)
+            continue;
+          const std::size_t u = uid - config_.first_uid;
+          if (!have_slot_[u]) {
+            have_slot_[u] = true;
+            ids_[u] = f->slots[i];
+            ++slots_have_;
+          }
+        }
         if (slots_have_ == config_.count) send_control(slot_ack);
       }
     }
@@ -185,17 +176,10 @@ void ClientFleet::build_and_send_report(std::uint16_t round,
     }
   }
   b.cached_report.clear();
-  if (wide()) {
-    for (const ReportV2Frame& part :
-         chunk_report_v2(b.seq, round, phase, unrecovered, users_out,
-                         wire_.max_payload()))
-      if (auto w = serialize(part)) b.cached_report.push_back(std::move(*w));
-  } else {
-    for (const ReportFrame& part :
-         chunk_report(b.seq, round, phase, unrecovered, users_out,
-                      wire_.max_payload()))
-      if (auto w = serialize(part)) b.cached_report.push_back(std::move(*w));
-  }
+  for (const ReportFrame& part :
+       chunk_report(b.seq, round, phase, unrecovered, users_out,
+                    wire_.max_payload(), wide()))
+    if (auto w = serialize(part)) b.cached_report.push_back(std::move(*w));
   for (const Bytes& part : b.cached_report) {
     send_control(part);
     ++stats_.reports_sent;
@@ -252,8 +236,7 @@ void ClientFleet::on_round_mark(const RoundMarkFrame& f) {
   build_and_send_report(f.round, f.phase);
 }
 
-template <typename Frame>
-void ClientFleet::on_usr_frag(const Frame& f) {
+void ClientFleet::on_usr_frag(const UsrFragFrame& f) {
   if (!batch_ || batch_->seq != f.batch_seq) return;
   if (f.uid < config_.first_uid || f.uid >= config_.first_uid + config_.count)
     return;
@@ -399,13 +382,9 @@ FleetStats ClientFleet::run() {
           if (f) on_round_mark(*f);
           break;
         }
-        case ControlOp::UsrFrag: {
-          const auto f = parse_usr_frag(d.payload);
-          if (f) on_usr_frag(*f);
-          break;
-        }
+        case ControlOp::UsrFrag:
         case ControlOp::UsrFragV2: {
-          const auto f = parse_usr_frag_v2(d.payload);
+          const auto f = parse_usr_frag(d.payload);
           if (f) on_usr_frag(*f);
           break;
         }

@@ -150,10 +150,7 @@ class ClientFleet {
   void drop_recovered();
   void on_round_mark(const RoundMarkFrame& f);
   void build_and_send_report(std::uint16_t round, std::uint8_t phase);
-  // Both USR fragment widths share one delivery path (UsrReassembly has
-  // an add() overload per frame family).
-  template <typename Frame>
-  void on_usr_frag(const Frame& f);
+  void on_usr_frag(const UsrFragFrame& f);
   void on_batch_done(const BatchDoneFrame& f);
 
   // Failover: adopt `d.from` as the new server iff it is in the failover

@@ -62,49 +62,33 @@ std::vector<std::string> hex(const std::vector<Bytes>& frames) {
 // how the frame API spells a width.
 Bytes slot_map_wire(bool wide, std::uint32_t base_uid,
                     const std::vector<std::uint32_t>& slots) {
-  if (wide) return *serialize(SlotMapV2Frame{base_uid, slots});
-  return *serialize(SlotMapFrame{base_uid, {slots.begin(), slots.end()}});
+  return *serialize(SlotMapFrame{base_uid, slots, wide});
 }
 
 Bytes report_wire(bool wide, std::uint32_t part, std::uint32_t nparts,
                   const std::vector<ReportUser>& users) {
-  if (wide) return *serialize(ReportV2Frame{2, 3, 1, part, nparts, 17, users});
-  return *serialize(ReportFrame{2, 3, 1, static_cast<std::uint16_t>(part),
-                                static_cast<std::uint16_t>(nparts), 17,
-                                users});
+  return *serialize(ReportFrame{2, 3, 1, part, nparts, 17, users, wide});
 }
 
 Bytes usr_frag_wire(bool wide, std::uint16_t frag, std::uint16_t nfrags,
                     const Bytes& bytes) {
-  if (wide) return *serialize(UsrFragV2Frame{9, 0x1ABCDE, frag, nfrags, bytes});
-  return *serialize(UsrFragFrame{9, 0x1ABCDE, static_cast<std::uint8_t>(frag),
-                                 static_cast<std::uint8_t>(nfrags), bytes});
+  return *serialize(UsrFragFrame{9, 0x1ABCDE, frag, nfrags, bytes, wide});
 }
 
 std::vector<Bytes> report_chunks_wire(bool wide,
                                       const std::vector<ReportUser>& users,
                                       std::size_t max_payload) {
   std::vector<Bytes> out;
-  if (wide) {
-    for (const auto& f : chunk_report_v2(5, 2, 0, 9, users, max_payload))
-      out.push_back(*serialize(f));
-  } else {
-    for (const auto& f : chunk_report(5, 2, 0, 9, users, max_payload))
-      out.push_back(*serialize(f));
-  }
+  for (const auto& f : chunk_report(5, 2, 0, 9, users, max_payload, wide))
+    out.push_back(*serialize(f));
   return out;
 }
 
 std::vector<Bytes> usr_frags_wire(bool wide, const Bytes& usr,
                                   std::size_t max_payload) {
   std::vector<Bytes> out;
-  if (wide) {
-    for (const auto& f : fragment_usr_v2(4, 0x10203, usr, max_payload))
-      out.push_back(*serialize(f));
-  } else {
-    for (const auto& f : fragment_usr(4, 0x10203, usr, max_payload))
-      out.push_back(*serialize(f));
-  }
+  for (const auto& f : fragment_usr(4, 0x10203, usr, max_payload, wide))
+    out.push_back(*serialize(f));
   return out;
 }
 
@@ -197,10 +181,11 @@ TEST(Control, ReportRoundtripWithEntries) {
   ASSERT_TRUE(w);
   const auto r = parse_report(*w);
   ASSERT_TRUE(r);
+  EXPECT_FALSE(r->wide);  // op Report
   EXPECT_EQ(r->batch_seq, 2u);
   EXPECT_EQ(r->round, 3);
-  EXPECT_EQ(r->part, 1);
-  EXPECT_EQ(r->nparts, 4);
+  EXPECT_EQ(r->part, 1u);
+  EXPECT_EQ(r->nparts, 4u);
   EXPECT_EQ(r->unrecovered, 17u);
   ASSERT_EQ(r->users.size(), 2u);
   EXPECT_EQ(r->users[0].uid, 100u);
@@ -226,24 +211,27 @@ TEST(Control, ParsersRejectTrailingGarbage) {
   padded.push_back(0xAA);
   EXPECT_FALSE(parse_report(padded).has_value());
 
-  ReportV2Frame f2;
+  ReportFrame f2;
+  f2.wide = true;
   f2.users.push_back(ReportUser{5, {nack(1, 0, 2)}});
   Bytes padded2 = *serialize(f2);
   padded2.push_back(0xAA);
-  EXPECT_FALSE(parse_report_v2(padded2).has_value());
+  EXPECT_FALSE(parse_report(padded2).has_value());
 
-  SlotMapV2Frame sm2;
+  SlotMapFrame sm2;
   sm2.base_uid = 1;
   sm2.slots = {0x12345, 0x54321};
+  sm2.wide = true;
   Bytes padded3 = *serialize(sm2);
   padded3.push_back(0x00);
-  EXPECT_FALSE(parse_slot_map_v2(padded3).has_value());
+  EXPECT_FALSE(parse_slot_map(padded3).has_value());
 
-  UsrFragV2Frame uf2;
+  UsrFragFrame uf2;
   uf2.bytes = Bytes(10, 0x7E);
+  uf2.wide = true;
   Bytes padded4 = *serialize(uf2);
   padded4.push_back(0x00);
-  EXPECT_FALSE(parse_usr_frag_v2(padded4).has_value());
+  EXPECT_FALSE(parse_usr_frag(padded4).has_value());
 }
 
 TEST(Control, VersionNegotiationBytes) {
@@ -345,20 +333,23 @@ TEST(Control, WireBytesArePinned) {
 
 TEST(Control, V2FrameRoundtrips) {
   {
-    SlotMapV2Frame f;
+    SlotMapFrame f;
     f.base_uid = 0x0012D687;                  // > 2^16 uids
     f.slots = {0x15555, 0x3FFFC, 0xFFFFFFFF};  // > 2^16 slot ids
+    f.wide = true;
     const auto w = serialize(f);
     ASSERT_TRUE(w);
-    const auto r = parse_slot_map_v2(*w);
+    EXPECT_EQ(peek_op(*w), ControlOp::SlotMapV2);
+    // The one parser reads the v2 op as a wide frame with the same slots.
+    const auto r = parse_slot_map(*w);
     ASSERT_TRUE(r);
+    EXPECT_TRUE(r->wide);
     EXPECT_EQ(r->base_uid, f.base_uid);
     EXPECT_EQ(r->slots, f.slots);
-    // The v1 parser must not accept a v2 frame (distinct ops).
-    EXPECT_FALSE(parse_slot_map(*w).has_value());
   }
   {
-    ReportV2Frame f;
+    ReportFrame f;
+    f.wide = true;
     f.batch_seq = 7;
     f.round = 3;
     f.phase = 0;
@@ -369,8 +360,10 @@ TEST(Control, V2FrameRoundtrips) {
     f.users.push_back(ReportUser{0x20001, {}});
     const auto w = serialize(f);
     ASSERT_TRUE(w);
-    const auto r = parse_report_v2(*w);
+    EXPECT_EQ(peek_op(*w), ControlOp::ReportV2);
+    const auto r = parse_report(*w);
     ASSERT_TRUE(r);
+    EXPECT_TRUE(r->wide);
     EXPECT_EQ(r->part, 70000u);
     EXPECT_EQ(r->nparts, 70001u);
     EXPECT_EQ(r->unrecovered, 1u << 20);
@@ -380,16 +373,19 @@ TEST(Control, V2FrameRoundtrips) {
     EXPECT_EQ(r->users[0].entries[0].block_id, 5);
   }
   {
-    UsrFragV2Frame f;
+    UsrFragFrame f;
     f.batch_seq = 2;
     f.uid = 0x1ABCDE;
     f.frag = 300;  // past the v1 u8 fragment counters
     f.nfrags = 400;
     f.bytes = Bytes(57, 0xA5);
+    f.wide = true;
     const auto w = serialize(f);
     ASSERT_TRUE(w);
-    const auto r = parse_usr_frag_v2(*w);
+    EXPECT_EQ(peek_op(*w), ControlOp::UsrFragV2);
+    const auto r = parse_usr_frag(*w);
     ASSERT_TRUE(r);
+    EXPECT_TRUE(r->wide);
     EXPECT_EQ(r->uid, 0x1ABCDEu);
     EXPECT_EQ(r->frag, 300);
     EXPECT_EQ(r->nfrags, 400);
@@ -403,45 +399,68 @@ TEST(Control, OversizeSerializersReturnErrorNotAbort) {
   SlotMapFrame sm;
   sm.slots.assign(0x10000, 1);  // count field is a u16
   EXPECT_FALSE(serialize(sm).has_value());
-  SlotMapV2Frame sm2;
+  SlotMapFrame sm2;
   sm2.slots.assign(0x10000, 1);
+  sm2.wide = true;
   EXPECT_FALSE(serialize(sm2).has_value());
 
   ReportFrame rep;
   rep.users.push_back(ReportUser{1, {}});
   rep.users[0].entries.assign(0x100, nack(1, 0, 0));  // entry count is a u8
   EXPECT_FALSE(serialize(rep).has_value());
-  ReportV2Frame rep2;
-  rep2.users.push_back(ReportUser{1, {}});
-  rep2.users[0].entries.assign(0x100, nack(1, 0, 0));
+  ReportFrame rep2 = rep;
+  rep2.wide = true;
   EXPECT_FALSE(serialize(rep2).has_value());
 
   UsrFragFrame uf;
   uf.bytes.assign(0x10000, 0);  // length field is a u16
   EXPECT_FALSE(serialize(uf).has_value());
-  UsrFragV2Frame uf2;
-  uf2.bytes.assign(0x10000, 0);
+  UsrFragFrame uf2 = uf;
+  uf2.wide = true;
   EXPECT_FALSE(serialize(uf2).has_value());
+
+  // A narrow frame holding a value only its wide op can carry: a slot
+  // past u16, a part count past u16, a fragment count past u8. The same
+  // frame serializes wide.
+  SlotMapFrame big_slot;
+  big_slot.slots = {7, 0x10000};
+  EXPECT_FALSE(serialize(big_slot).has_value());
+  big_slot.wide = true;
+  EXPECT_TRUE(serialize(big_slot).has_value());
+  ReportFrame many_parts;
+  many_parts.nparts = 0x10000;
+  EXPECT_FALSE(serialize(many_parts).has_value());
+  many_parts.wide = true;
+  EXPECT_TRUE(serialize(many_parts).has_value());
+  UsrFragFrame many_frags;
+  many_frags.nfrags = 0x100;
+  EXPECT_FALSE(serialize(many_frags).has_value());
+  many_frags.wide = true;
+  EXPECT_TRUE(serialize(many_frags).has_value());
 }
 
 TEST(Control, ParsersNeverThrowOnRandomInput) {
+  // Every other input leads with one of the six width-dependent op bytes,
+  // so each unified parser meets random bodies under both of its ops.
+  constexpr ControlOp kWidthOps[] = {
+      ControlOp::SlotMap, ControlOp::SlotMapV2, ControlOp::Report,
+      ControlOp::ReportV2, ControlOp::UsrFrag, ControlOp::UsrFragV2};
   Rng rng(0xC0117701);
   for (int t = 0; t < 20000; ++t) {
     Bytes wire(rng.next_u64() % 96);
     for (auto& b : wire) b = static_cast<std::uint8_t>(rng.next_u64());
+    if (t % 2 == 1 && !wire.empty())
+      wire[0] = static_cast<std::uint8_t>(kWidthOps[rng.next_u64() % 6]);
     ASSERT_NO_THROW({
       (void)peek_op(wire);
       (void)parse_sub(wire);
       (void)parse_sub_ack(wire);
       (void)parse_slot_map(wire);
-      (void)parse_slot_map_v2(wire);
       (void)parse_slot_map_ack(wire);
       (void)parse_batch_start(wire);
       (void)parse_round_mark(wire);
       (void)parse_report(wire);
-      (void)parse_report_v2(wire);
       (void)parse_usr_frag(wire);
-      (void)parse_usr_frag_v2(wire);
       (void)parse_batch_done(wire);
       (void)parse_done_ack(wire);
     });
@@ -466,20 +485,23 @@ TEST(Control, TruncationSweepNeverAccepts) {
   SlotMapFrame sm;
   sm.base_uid = 40;
   sm.slots = {100, 101, 102, 103};
-  ReportV2Frame rep2;
+  ReportFrame rep2;
+  rep2.wide = true;
   rep2.batch_seq = 9;
   rep2.part = 70000;
   rep2.nparts = 70002;
   rep2.unrecovered = 2;
   rep2.users.push_back(ReportUser{0x17007, {nack(3, 1, 4), nack(1, 2, 0)}});
   rep2.users.push_back(ReportUser{0x17008, {}});
-  UsrFragV2Frame uf2;
+  UsrFragFrame uf2;
+  uf2.wide = true;
   uf2.batch_seq = 9;
   uf2.uid = 0x17007;
   uf2.frag = 0;
   uf2.nfrags = 300;
   uf2.bytes = Bytes(33, 0x5C);
-  SlotMapV2Frame sm2;
+  SlotMapFrame sm2;
+  sm2.wide = true;
   sm2.base_uid = 0x20028;
   sm2.slots = {0x10000, 0x10001, 0x20002, 0xFFFFFFFF};
   const std::vector<Bytes> fulls = {
@@ -493,10 +515,8 @@ TEST(Control, TruncationSweepNeverAccepts) {
       const Bytes wire(full.begin(), full.begin() + cut);
       ASSERT_NO_THROW({
         EXPECT_FALSE(parse_report(wire) || parse_usr_frag(wire) ||
-                     parse_slot_map(wire) || parse_report_v2(wire) ||
-                     parse_usr_frag_v2(wire) || parse_slot_map_v2(wire) ||
-                     parse_sub(wire) || parse_sub_ack(wire) ||
-                     parse_done_ack(wire))
+                     parse_slot_map(wire) || parse_sub(wire) ||
+                     parse_sub_ack(wire) || parse_done_ack(wire))
             << "frame " << fi << " cut " << cut;
       });
     }
@@ -534,9 +554,9 @@ TEST(Control, TruncationSweepNeverAccepts) {
 }
 
 TEST(Control, SlotMapChunkingCoversEveryUidOnce) {
-  std::vector<std::uint16_t> slots(5000);
+  std::vector<std::uint32_t> slots(5000);
   for (std::size_t i = 0; i < slots.size(); ++i)
-    slots[i] = static_cast<std::uint16_t>(i * 3 + 7);
+    slots[i] = static_cast<std::uint32_t>(i * 3 + 7);
   const std::size_t max_payload = 300;
   const auto frames = chunk_slot_map(1000, slots, max_payload);
   ASSERT_GT(frames.size(), 1u);
@@ -547,6 +567,7 @@ TEST(Control, SlotMapChunkingCoversEveryUidOnce) {
     EXPECT_LE(w->size(), max_payload);
     const auto rt = parse_slot_map(*w);
     ASSERT_TRUE(rt);
+    EXPECT_FALSE(rt->wide);
     for (std::size_t i = 0; i < rt->slots.size(); ++i) {
       const std::size_t idx = rt->base_uid - 1000 + i;
       ASSERT_LT(idx, slots.size());
@@ -611,11 +632,12 @@ TEST(Control, UsrFragmentationRoundtrip) {
   }
   // Same sweep through the wide fragmenter (2 bytes more header).
   for (const std::size_t max_payload : {64u, 200u, 1471u}) {
-    const auto frags = fragment_usr_v2(5, 0x1084D, usr, max_payload);
+    const auto frags = fragment_usr(5, 0x1084D, usr, max_payload, true);
     ASSERT_GE(frags.size(), 1u);
     UsrReassembly reasm;
     std::optional<Bytes> full;
-    for (const UsrFragV2Frame& f : frags) {
+    for (const UsrFragFrame& f : frags) {
+      EXPECT_TRUE(f.wide);
       EXPECT_EQ(f.uid, 0x1084Du);
       EXPECT_LE(serialize(f)->size(), max_payload);
       EXPECT_FALSE(full.has_value());
@@ -634,11 +656,11 @@ TEST(Control, FragmenterOverflowReturnsEmptyNotAbort) {
   const std::size_t v1_chunk = max_payload - 13;  // v1 UsrFrag header
   Bytes big(v1_chunk * 300, 0x3C);
   EXPECT_TRUE(fragment_usr(1, 7, big, max_payload).empty());
-  const auto frags = fragment_usr_v2(1, 7, big, max_payload);
+  const auto frags = fragment_usr(1, 7, big, max_payload, true);
   ASSERT_GE(frags.size(), 300u);
   UsrReassembly reasm;
   std::optional<Bytes> full;
-  for (const UsrFragV2Frame& f : frags) full = reasm.add(f);
+  for (const UsrFragFrame& f : frags) full = reasm.add(f);
   ASSERT_TRUE(full.has_value());
   EXPECT_EQ(*full, big);
 }
@@ -651,15 +673,16 @@ TEST(Control, SlotMapV2ChunkingCoversEveryUidOnce) {
     slots[i] = static_cast<std::uint32_t>(0x15555 + i * 4);
   const std::size_t max_payload = 300;
   const std::uint32_t first_uid = 0x20000;
-  const auto frames = chunk_slot_map_v2(first_uid, slots, max_payload);
+  const auto frames = chunk_slot_map(first_uid, slots, max_payload, true);
   ASSERT_GT(frames.size(), 1u);
   std::vector<bool> seen(slots.size(), false);
-  for (const SlotMapV2Frame& f : frames) {
+  for (const SlotMapFrame& f : frames) {
     const auto w = serialize(f);
     ASSERT_TRUE(w);
     EXPECT_LE(w->size(), max_payload);
-    const auto rt = parse_slot_map_v2(*w);
+    const auto rt = parse_slot_map(*w);
     ASSERT_TRUE(rt);
+    EXPECT_TRUE(rt->wide);
     for (std::size_t i = 0; i < rt->slots.size(); ++i) {
       const std::size_t idx = rt->base_uid - first_uid + i;
       ASSERT_LT(idx, slots.size());
@@ -684,8 +707,7 @@ TEST(Control, ReportV2ChunkingCoversEveryUserAndV1Overflows) {
   // budget + 5-byte user + 4-byte entry), forcing 70000 parts.
   const std::size_t max_payload = 34;
   EXPECT_TRUE(chunk_report(1, 1, 0, 70000, users, max_payload).empty());
-  const auto parts =
-      chunk_report_v2(1, 1, 0, 70000, users, max_payload);
+  const auto parts = chunk_report(1, 1, 0, 70000, users, max_payload, true);
   ASSERT_GT(parts.size(), 0xFFFFu);
   std::vector<bool> seen(users.size(), false);
   std::size_t covered = 0;

@@ -14,6 +14,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/ensure.h"
 #include "wire/daemon.h"
 #include "wire/fleet.h"
 #include "wire/loopback.h"
@@ -227,7 +228,7 @@ TEST(WireLoopback, ReportsListExactlyTheUnrecoveredInUidOrder) {
 
     // (batch, round, phase) -> parts by index; retransmits repeat a part.
     std::map<std::tuple<std::uint32_t, std::uint16_t, std::uint8_t>,
-             std::map<std::uint16_t, ReportFrame>>
+             std::map<std::uint32_t, ReportFrame>>
         reports;
     for (const Bytes& payload : r.fleet_control[0]) {
       if (peek_op(payload) != ControlOp::Report) continue;
@@ -482,6 +483,74 @@ TEST(WireLoopback, SilentSubscriberIsDroppedAtSlotMapDeadline) {
   EXPECT_TRUE(fs.finished);
   EXPECT_EQ(fs.recovered, 32u * 2u);
   EXPECT_EQ(fs.unrecovered, 0u);
+}
+
+// Passes everything through and counts the receive calls that cannot
+// block (timeout 0).
+class PollCountingWire : public WireTransport {
+ public:
+  explicit PollCountingWire(WireTransport& inner) : inner_(inner) {}
+  bool send(Endpoint to, std::uint8_t channel,
+            std::span<const std::uint8_t> payload) override {
+    return inner_.send(to, channel, payload);
+  }
+  std::size_t send_frames(Endpoint to, std::uint8_t channel,
+                          std::span<const Bytes* const> frames) override {
+    return inner_.send_frames(to, channel, frames);
+  }
+  std::size_t receive(std::vector<Datagram>& out, int timeout_ms) override {
+    ++receives;
+    if (timeout_ms == 0) ++zero_timeout_receives;
+    return inner_.receive(out, timeout_ms);
+  }
+  std::size_t max_payload() const override { return inner_.max_payload(); }
+
+  std::uint64_t receives = 0;
+  std::uint64_t zero_timeout_receives = 0;
+
+ private:
+  WireTransport& inner_;
+};
+
+TEST(WireLoopback, LockstepWaitNeverPollsWithZeroTimeout) {
+  // A fleet that goes silent at its first batch makes the daemon wait out
+  // a whole report deadline, re-marking every retry_ms. Each wait inside
+  // a retry interval must block in receive(); a wait rounded down to 0 ms
+  // would spin through the last millisecond of every interval.
+  LoopbackHub hub;
+  auto inner = hub.attach();
+  PollCountingWire daemon_wire(*inner);
+  DaemonConfig dc = base_daemon(32);
+  dc.retry_ms = 10;
+  dc.round_wait_ms = 200;
+  dc.endpoint_dead_after = 1;
+  KeyServerDaemon daemon(daemon_wire, dc);
+  DaemonStats ds;
+  std::thread daemon_thread([&] { ds = daemon.run(); });
+  auto fc = fleet_slice(0, 32);
+  fc.die_at_batch = 0;
+  auto fleet_wire = hub.attach();
+  ClientFleet fleet(*fleet_wire, inner->endpoint(), fc);
+  fleet.run();
+  daemon_thread.join();
+
+  EXPECT_GT(daemon_wire.receives, 0u);
+  EXPECT_EQ(daemon_wire.zero_timeout_receives, 0u);
+  EXPECT_EQ(ds.endpoints_dropped, 1u);
+  EXPECT_EQ(ds.gave_up_dead, fc.count);
+}
+
+TEST(WireLoopback, MaxRoundsAboveTheRoundCapIsRefusedAtStartup) {
+  // The multicast loop ensures round <= max_rounds_cap, so a larger
+  // max_multicast_rounds would abort a running session the first time a
+  // member cannot recover. The constructor refuses it instead.
+  LoopbackHub hub;
+  auto wire = hub.attach();
+  DaemonConfig dc = base_daemon(16);
+  dc.max_multicast_rounds = dc.protocol.max_rounds_cap;
+  EXPECT_NO_THROW(KeyServerDaemon(*wire, dc));
+  dc.max_multicast_rounds = dc.protocol.max_rounds_cap + 1;
+  EXPECT_THROW(KeyServerDaemon(*wire, dc), EnsureError);
 }
 
 TEST(WireLoopback, ManyEndpointsPartitionTheFleet) {

@@ -47,7 +47,8 @@ using namespace rekey;
                "  --packet-size S       ENC packet size (default 1027)\n"
                "  --rho R               initial proactivity factor\n"
                "  --no-adaptive-rho     freeze rho at its initial value\n"
-               "  --max-rounds R        multicast rounds before unicast\n"
+               "  --max-rounds R        multicast rounds before unicast "
+               "(default 8, at most the round cap, %d)\n"
                "  --round-wait-ms MS    report-collection deadline\n"
                "  --retry-ms MS         control retransmit cadence\n"
                "  --mtu BYTES           datagram size cap (default 1500)\n"
@@ -70,7 +71,7 @@ using namespace rekey;
                "(repeatable; B ends the window)\n"
                "  --round-quantum-ms MS protocol-clock advance per lockstep "
                "step (default 100)\n",
-               argv0);
+               argv0, transport::ProtocolConfig{}.max_rounds_cap);
   std::exit(2);
 }
 
