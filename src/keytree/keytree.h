@@ -29,6 +29,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <optional>
 #include <vector>
@@ -124,15 +125,26 @@ class KeyTree {
   // tests). The Node reference is a per-call scratch — copy what you keep.
   template <typename F>
   void for_each_node(F&& fn) const {
+    for_each_node_in(0, std::numeric_limits<NodeId>::max(), fn);
+  }
+
+  // for_each_node restricted to the ids in [lo, hi), still ascending (the
+  // sharded snapshot writes each shard's per-level id ranges this way).
+  // Allocation-free whenever no node of the range lives in the overflow
+  // map.
+  template <typename F>
+  void for_each_node_in(NodeId lo, NodeId hi, F&& fn) const {
     Node scratch;
-    for (std::size_t id = 0; id < state_.size(); ++id) {
+    const NodeId dense_hi = std::min<NodeId>(hi, state_.size());
+    for (NodeId id = lo; id < dense_hi; ++id) {
       if (state_[id] == kAbsent) continue;
-      fill_node(static_cast<NodeId>(id), scratch);
-      fn(static_cast<NodeId>(id), scratch);
+      fill_node(id, scratch);
+      fn(id, scratch);
     }
-    if (!overflow_.empty()) {
+    if (!overflow_.empty() && hi > state_.size()) {
       std::vector<NodeId> ids = sorted_overflow_ids();
       for (const NodeId id : ids) {
+        if (id < lo || id >= hi) continue;
         fill_node(id, scratch);
         fn(id, scratch);
       }

@@ -1,7 +1,9 @@
 #include "keytree/snapshot.h"
 
-#include <cstring>
+#include <algorithm>
+#include <limits>
 
+#include "common/byte_cursor.h"
 #include "common/ensure.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -16,56 +18,77 @@ constexpr std::uint8_t kVersion = 1;
 // v2: sharded layout — per-shard node sections + the keygen counter.
 constexpr std::uint8_t kShardedVersion = 2;
 
-}  // namespace
+constexpr std::size_t kDigestSize = crypto::Sha256::kDigestSize;
+// magic, version, degree, node count.
+constexpr std::size_t kTreeHeaderSize = 4 + 1 + 1 + 4;
+// magic, version, degree, shards, cut level, keygen counter.
+constexpr std::size_t kShardedHeaderSize = 4 + 1 + 1 + 4 + 4 + 8;
+// section index, node count.
+constexpr std::size_t kSectionHeaderSize = 4 + 4;
+// id, kind, member (0 for a k-node), key.
+constexpr std::size_t kNodeRecordSize = 8 + 1 + 4 + crypto::SymmetricKey::kSize;
+// magic, version, degree, member, slot, key count; then (id, key) pairs.
+constexpr std::size_t kViewHeaderSize = 4 + 1 + 1 + 4 + 8 + 4;
+constexpr std::size_t kViewKeySize = 8 + crypto::SymmetricKey::kSize;
 
-void snapshot_seal(Bytes& blob) {
-  const auto digest = crypto::Sha256::hash(blob);
-  blob.insert(blob.end(), digest.begin(), digest.end());
-}
-
-std::optional<std::span<const std::uint8_t>> snapshot_open(const Bytes& blob) {
-  if (blob.size() < crypto::Sha256::kDigestSize) return std::nullopt;
-  const std::size_t body_len = blob.size() - crypto::Sha256::kDigestSize;
-  const std::span<const std::uint8_t> body(blob.data(), body_len);
-  const auto digest = crypto::Sha256::hash(body);
-  if (!crypto::tags_equal(digest,
-                          std::span(blob.data() + body_len,
-                                    crypto::Sha256::kDigestSize)))
-    return std::nullopt;
-  return body;
-}
-
-namespace {
-
-// Local aliases: the formats below predate the public seal/open names.
-void append_digest(Bytes& blob) { snapshot_seal(blob); }
-
-std::optional<std::span<const std::uint8_t>> checked_body(const Bytes& blob) {
-  return snapshot_open(blob);
-}
-
-}  // namespace
-
-Bytes snapshot_tree(const KeyTree& tree) {
-  ByteWriter w;
-  w.put_u32(kTreeMagic);
-  w.put_u8(kVersion);
-  w.put_u8(static_cast<std::uint8_t>(tree.degree()));
-  w.put_u32(static_cast<std::uint32_t>(tree.num_nodes()));
-  tree.for_each_node([&](NodeId id, const Node& n) {
+// Writes the record of every node in [lo, hi), ascending; returns how
+// many it wrote.
+std::uint32_t put_nodes(ByteCursor& w, const KeyTree& tree, NodeId lo,
+                        NodeId hi) {
+  std::uint32_t count = 0;
+  tree.for_each_node_in(lo, hi, [&](NodeId id, const Node& n) {
     w.put_u64(id);
     w.put_u8(static_cast<std::uint8_t>(n.kind));
     w.put_u32(n.kind == NodeKind::UNode ? n.member : 0);
     w.put_bytes(n.key.bytes);
+    ++count;
   });
-  Bytes blob = std::move(w).take();
-  append_digest(blob);
+  return count;
+}
+
+// Every body ends exactly where its sizing said the trailer begins.
+void seal_at(std::span<std::uint8_t> blob, const ByteCursor& w) {
+  REKEY_ENSURE_MSG(w.pos() == blob.data() + blob.size() - kDigestSize,
+                   "snapshot body does not match its computed size");
+  snapshot_seal(blob);
+}
+
+}  // namespace
+
+void snapshot_seal(std::span<std::uint8_t> blob) {
+  REKEY_ENSURE(blob.size() >= kDigestSize);
+  const std::size_t body_len = blob.size() - kDigestSize;
+  const auto digest = crypto::Sha256::hash(blob.first(body_len));
+  std::copy(digest.begin(), digest.end(), blob.begin() + body_len);
+}
+
+std::optional<std::span<const std::uint8_t>> snapshot_open(const Bytes& blob) {
+  if (blob.size() < kDigestSize) return std::nullopt;
+  const std::size_t body_len = blob.size() - kDigestSize;
+  const std::span<const std::uint8_t> body(blob.data(), body_len);
+  const auto digest = crypto::Sha256::hash(body);
+  if (!crypto::tags_equal(digest,
+                          std::span(blob.data() + body_len, kDigestSize)))
+    return std::nullopt;
+  return body;
+}
+
+Bytes snapshot_tree(const KeyTree& tree) {
+  Bytes blob(kTreeHeaderSize + tree.num_nodes() * kNodeRecordSize +
+             kDigestSize);
+  ByteCursor w(blob.data());
+  w.put_u32(kTreeMagic);
+  w.put_u8(kVersion);
+  w.put_u8(static_cast<std::uint8_t>(tree.degree()));
+  w.put_u32(static_cast<std::uint32_t>(tree.num_nodes()));
+  put_nodes(w, tree, 0, std::numeric_limits<NodeId>::max());
+  seal_at(blob, w);
   return blob;
 }
 
 std::optional<KeyTree> restore_tree(const Bytes& blob,
                                     std::uint64_t key_seed) {
-  const auto body = checked_body(blob);
+  const auto body = snapshot_open(blob);
   if (!body) return std::nullopt;
   try {
     ByteReader r(*body);
@@ -93,45 +116,72 @@ std::optional<KeyTree> restore_tree(const Bytes& blob,
   }
 }
 
-Bytes snapshot_sharded_tree(const KeyTree& tree, const ShardPlan& plan) {
+std::size_t sharded_tree_size(const KeyTree& tree, const ShardPlan& plan) {
+  return kShardedHeaderSize + (plan.shards + 1) * kSectionHeaderSize +
+         tree.num_nodes() * kNodeRecordSize + kDigestSize;
+}
+
+void write_sharded_tree(const KeyTree& tree, const ShardPlan& plan,
+                        std::span<std::uint8_t> out) {
   REKEY_ENSURE_MSG(tree.degree() == plan.degree,
                    "shard plan degree does not match the tree");
-  // Group nodes by owner: sections [0, shards) hold each shard's subtree
-  // nodes, section `shards` holds the aggregator's top-of-tree nodes.
-  // Within a section ids stay ascending (for_each_node order).
+  REKEY_ENSURE_MSG(out.size() == sharded_tree_size(tree, plan),
+                   "v2 snapshot buffer has the wrong size");
   const unsigned S = plan.shards;
-  std::vector<std::vector<std::pair<NodeId, Node>>> sections(S + 1);
-  tree.for_each_node([&](NodeId id, const Node& n) {
-    const unsigned s = plan.shard_of(id);
-    sections[s == ShardPlan::kAggregator ? S : s].emplace_back(id, n);
-  });
-
-  ByteWriter w;
+  ByteCursor w(out.data());
   w.put_u32(kTreeMagic);
   w.put_u8(kShardedVersion);
   w.put_u8(static_cast<std::uint8_t>(tree.degree()));
   w.put_u32(S);
   w.put_u32(plan.cut_level);
   w.put_u64(tree.key_generator().counter());
+  // Sections [0, S) hold each shard's subtree nodes, section S the
+  // aggregator's top-of-tree nodes, each in ascending id order. Shard s
+  // owns the cut roots r with r * S / cut_roots == s, i.e. the run
+  // [ceil(s * C / S), ceil((s + 1) * C / S)) with C = cut_roots; at a
+  // level `depth` below the cut their descendants are one contiguous id
+  // range, d^depth ids per root. So a shard's section is one range per
+  // level, written straight from the arena.
+  const unsigned height = tree.height();
+  const std::uint64_t C = plan.cut_roots;
+  std::uint32_t written = 0;
   for (unsigned s = 0; s <= S; ++s) {
     w.put_u32(s);
-    w.put_u32(static_cast<std::uint32_t>(sections[s].size()));
-    for (const auto& [id, n] : sections[s]) {
-      w.put_u64(id);
-      w.put_u8(static_cast<std::uint8_t>(n.kind));
-      w.put_u32(n.kind == NodeKind::UNode ? n.member : 0);
-      w.put_bytes(n.key.bytes);
+    std::uint8_t* const count_at = w.pos();
+    w.put_u32(0);  // patched once the section is written
+    std::uint32_t count = 0;
+    if (s == S) {
+      count = put_nodes(w, tree, 0, plan.first_cut_id);
+    } else {
+      const std::uint64_t r_lo = (s * C + S - 1) / S;
+      const std::uint64_t r_hi = ((s + 1) * C + S - 1) / S;
+      NodeId first = plan.first_cut_id;  // first id of the level
+      std::uint64_t width = 1;           // ids per cut root at the level
+      for (unsigned level = plan.cut_level; level <= height; ++level) {
+        count += put_nodes(w, tree, first + r_lo * width,
+                           first + r_hi * width);
+        first = first * plan.degree + 1;
+        width *= plan.degree;
+      }
     }
+    ByteCursor(count_at).put_u32(count);
+    written += count;
   }
-  Bytes blob = std::move(w).take();
-  append_digest(blob);
+  REKEY_ENSURE_MSG(written == tree.num_nodes(),
+                   "v2 snapshot sections do not cover the tree");
+  seal_at(out, w);
+}
+
+Bytes snapshot_sharded_tree(const KeyTree& tree, const ShardPlan& plan) {
+  Bytes blob(sharded_tree_size(tree, plan));
+  write_sharded_tree(tree, plan, blob);
   return blob;
 }
 
 std::optional<KeyTree> restore_sharded_tree(const Bytes& blob,
                                             std::uint64_t key_seed,
                                             ShardPlan* plan_out) {
-  const auto body = checked_body(blob);
+  const auto body = snapshot_open(blob);
   if (!body) return std::nullopt;
   try {
     ByteReader r(*body);
@@ -186,7 +236,9 @@ std::optional<KeyTree> restore_sharded_tree(const Bytes& blob,
 }
 
 Bytes snapshot_view(const UserKeyView& view, unsigned degree) {
-  ByteWriter w;
+  Bytes blob(kViewHeaderSize + view.keys().size() * kViewKeySize +
+             kDigestSize);
+  ByteCursor w(blob.data());
   w.put_u32(kViewMagic);
   w.put_u8(kVersion);
   w.put_u8(static_cast<std::uint8_t>(degree));
@@ -197,13 +249,12 @@ Bytes snapshot_view(const UserKeyView& view, unsigned degree) {
     w.put_u64(id);
     w.put_bytes(key.bytes);
   }
-  Bytes blob = std::move(w).take();
-  append_digest(blob);
+  seal_at(blob, w);
   return blob;
 }
 
 std::optional<UserKeyView> restore_view(const Bytes& blob) {
-  const auto body = checked_body(blob);
+  const auto body = snapshot_open(blob);
   if (!body) return std::nullopt;
   try {
     ByteReader r(*body);

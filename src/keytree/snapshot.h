@@ -19,13 +19,15 @@
 
 namespace rekey::tree {
 
-// Integrity trailer shared by every snapshot format. snapshot_seal
-// appends the SHA-256 of the blob so far; snapshot_open verifies and
+// Integrity trailer shared by every snapshot format: the SHA-256 of the
+// body, in the blob's last 32 bytes. Every encoder sizes its blob
+// exactly, writes the body in place and then calls snapshot_seal, which
+// fills the trailer from the bytes before it. snapshot_open verifies and
 // strips it, returning the body span (nullopt on truncation or any
 // corruption). Exposed so higher-level snapshot formats (the wire
 // layer's full-server snapshot embeds a tree snapshot) seal and check
 // the same way instead of inventing a second trailer.
-void snapshot_seal(Bytes& blob);
+void snapshot_seal(std::span<std::uint8_t> blob);
 std::optional<std::span<const std::uint8_t>> snapshot_open(const Bytes& blob);
 
 // Serialize the full key tree (degree, nodes, member bindings).
@@ -43,7 +45,19 @@ std::optional<KeyTree> restore_tree(const Bytes& blob,
 // uninterrupted run's, even mid-epoch. Restore validates that every node
 // in a shard section is owned by that shard under the recorded plan; a
 // corrupted shard boundary yields nullopt.
+//
+// The encoder is one pass: it sizes the blob from the node count, writes
+// each shard's section straight from the tree arena (at every level at
+// or below the cut a shard owns one contiguous id range, so no node is
+// copied or looked up twice), and seals in place.
 Bytes snapshot_sharded_tree(const KeyTree& tree, const ShardPlan& plan);
+
+// The same encoder for formats that embed a v2 blob (the full-server
+// snapshot): the exact sealed size, and a writer that fills exactly that
+// many bytes of `out` with what snapshot_sharded_tree returns.
+std::size_t sharded_tree_size(const KeyTree& tree, const ShardPlan& plan);
+void write_sharded_tree(const KeyTree& tree, const ShardPlan& plan,
+                        std::span<std::uint8_t> out);
 
 std::optional<KeyTree> restore_sharded_tree(const Bytes& blob,
                                             std::uint64_t key_seed,

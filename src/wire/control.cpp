@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/byte_cursor.h"
 #include "common/ensure.h"
 
 namespace rekey::wire {
@@ -221,13 +222,16 @@ Bytes serialize(const ResubFrame& f) {
 
 std::optional<Bytes> serialize(const SnapChunkFrame& f) {
   if (f.bytes.size() > 0xFFFF) return std::nullopt;
-  ByteWriter w = begin_frame(ControlOp::SnapChunk);
+  // Sized up front: a snapshot ship sends tens of thousands of these.
+  Bytes out(kSnapChunkHeaderSize + f.bytes.size());
+  ByteCursor w(out.data());
+  w.put_u8(static_cast<std::uint8_t>(ControlOp::SnapChunk));
   w.put_u32(f.snap_seq);
   w.put_u32(f.part);
   w.put_u32(f.nparts);
   w.put_u16(static_cast<std::uint16_t>(f.bytes.size()));
   w.put_bytes(f.bytes);
-  return std::move(w).take();
+  return out;
 }
 
 Bytes serialize(const FinFrame&) {
@@ -442,7 +446,7 @@ std::optional<SnapChunkFrame> parse_snap_chunk(packet::WireView payload) {
   const std::uint16_t len = r.get_u16();
   if (f.nparts == 0 || f.part >= f.nparts) return std::nullopt;
   if (r.remaining() != len) return std::nullopt;  // truncated or padded
-  f.bytes = r.get_bytes(len);
+  f.bytes = payload.subspan(kSnapChunkHeaderSize);
   return f;
 }
 
@@ -610,10 +614,9 @@ std::vector<SnapChunkFrame> chunk_snapshot(std::uint32_t snap_seq,
     f.part = static_cast<std::uint32_t>(i);
     f.nparts = static_cast<std::uint32_t>(nparts);
     const std::size_t begin = i * chunk;
-    const std::size_t end = std::min(blob.size(), begin + chunk);
-    f.bytes.assign(blob.begin() + static_cast<std::ptrdiff_t>(begin),
-                   blob.begin() + static_cast<std::ptrdiff_t>(end));
-    out.push_back(std::move(f));
+    f.bytes = std::span(blob).subspan(begin,
+                                      std::min(chunk, blob.size() - begin));
+    out.push_back(f);
   }
   return out;
 }
@@ -639,7 +642,7 @@ std::optional<Bytes> SnapshotReassembly::add(const SnapChunkFrame& frag) {
   if (frag.nparts != nparts_) return std::nullopt;
   if (seen_[frag.part]) return std::nullopt;
   seen_[frag.part] = true;
-  parts_[frag.part] = frag.bytes;
+  parts_[frag.part].assign(frag.bytes.begin(), frag.bytes.end());
   ++have_;
   if (have_ < nparts_) return std::nullopt;
   Bytes full;

@@ -51,6 +51,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/bytes.h"
@@ -72,8 +73,8 @@ enum class ControlOp : std::uint8_t {
   UsrFrag = 8,      // server -> client: unicast USR payload fragment
   BatchDone = 9,    // server -> client: message delivered / abandoned
   DoneAck = 10,     // client -> server: per-endpoint batch stats
-  Fin = 11,         // server -> client: session over
-  FinAck = 12,      // client -> server
+  Fin = 11,         // server -> client, primary -> standby: session over
+  FinAck = 12,      // client -> server, standby -> primary
   SlotMapV2 = 13,   // server -> client: SlotMap with 32-bit slot ids
   ReportV2 = 14,    // client -> server: Report with 32-bit part counters
   UsrFragV2 = 15,   // server -> client: UsrFrag with 16-bit frag counters
@@ -202,12 +203,15 @@ struct DoneAckFrame {
 // shipped primary -> standby at a batch boundary. `snap_seq` is the batch
 // the snapshot precedes (monotone per session); `bytes` is the raw slice
 // [part * chunk, ...) of the snapshot blob, reassembled by concatenation
-// exactly like UsrFrag.
+// exactly like UsrFrag. Unlike the other frames it owns no bytes: a
+// snapshot runs to tens of megabytes, so `bytes` views the blob that
+// chunk_snapshot cut it from, or the payload parse_snap_chunk read it
+// from, and is valid only while that buffer is.
 struct SnapChunkFrame {
   std::uint32_t snap_seq = 0;
   std::uint32_t part = 0;
   std::uint32_t nparts = 1;
-  Bytes bytes;
+  std::span<const std::uint8_t> bytes;
 };
 
 // Standby's confirmation that snapshot `snap_seq` arrived whole and
@@ -320,10 +324,13 @@ std::vector<UsrFragFrame> fragment_usr(std::uint32_t batch_seq,
 
 // Splits a snapshot blob into SnapChunk frames fitting `max_payload`
 // each (at least one, even for an empty blob). Returns empty (an error)
-// only when max_payload cannot fit the chunk header plus one byte.
+// only when max_payload cannot fit the chunk header plus one byte. The
+// frames view `blob` and copy nothing, so a temporary blob is refused.
 std::vector<SnapChunkFrame> chunk_snapshot(std::uint32_t snap_seq,
                                            const Bytes& blob,
                                            std::size_t max_payload);
+std::vector<SnapChunkFrame> chunk_snapshot(std::uint32_t, Bytes&&,
+                                           std::size_t) = delete;
 
 // Reassembles SnapChunk frames into snapshot blobs. Only the newest
 // snap_seq is tracked: a chunk of a higher sequence discards any partial

@@ -222,6 +222,7 @@ std::size_t KeyServerDaemon::pump(int timeout_ms) {
       case ControlOp::FinAck: {
         const auto it = endpoints_.find(d.from);
         if (it != endpoints_.end()) it->second.fin_acked = true;
+        if (from_peer) peer_fin_acked_ = true;
         break;
       }
       case ControlOp::SnapChunk: {
@@ -289,7 +290,10 @@ std::size_t KeyServerDaemon::pump(int timeout_ms) {
         break;
       }
       case ControlOp::Fin: {
-        if (from_peer) peer_fin_ = true;
+        if (!from_peer) break;
+        // Ack every copy: the primary resends its Fin until one lands.
+        peer_fin_ = true;
+        send_control(d.from, serialize(FinAckFrame{}));
         break;
       }
       default:
@@ -674,16 +678,21 @@ DaemonStats KeyServerDaemon::run() {
 void KeyServerDaemon::fin_handshake() {
   for (auto& [ep, es] : endpoints_) es.fin_acked = false;
   const Bytes fin = serialize(FinFrame{});
+  // A healthy standby is retired like an endpoint: Fin until it acks. An
+  // unacked Fin lost behind the snapshot chunks still queued at the
+  // standby would leave it to promote itself once the primary goes quiet.
   const bool retire_peer =
       config_.peer.has_value() && !config_.standby && !peer_dead_;
-  await_step([this] { return all_live(&EndpointState::fin_acked); },
-             [&](bool) {
-               send_to_laggards(&EndpointState::fin_acked, fin, false);
-               if (retire_peer) send_control(*config_.peer, fin);
-             });
-  // Retire a healthy standby even when every client acked on the first
-  // try (the wait above may never have reached a Fin broadcast).
-  if (retire_peer) send_control(*config_.peer, fin);
+  peer_fin_acked_ = false;
+  await_step(
+      [&] {
+        return all_live(&EndpointState::fin_acked) &&
+               (!retire_peer || peer_fin_acked_);
+      },
+      [&](bool) {
+        send_to_laggards(&EndpointState::fin_acked, fin, false);
+        if (retire_peer && !peer_fin_acked_) send_control(*config_.peer, fin);
+      });
 }
 
 void KeyServerDaemon::ship_snapshot(std::uint32_t next_batch) {
@@ -702,25 +711,21 @@ void KeyServerDaemon::ship_snapshot(std::uint32_t next_batch) {
                                            es.max_version, es.dead});
   s.rho = rho_.state();
   // Always the sharded (v2) tree format: it carries the keygen counter,
-  // and a serial session is just the one-shard plan.
-  s.tree_blob =
-      plan_.has_value()
-          ? tree::snapshot_sharded_tree(tree_, *plan_)
-          : tree::snapshot_sharded_tree(
-                tree_, tree::ShardPlan::make(config_.degree, 1));
-  const Bytes blob = snapshot_server(s);
-
-  std::vector<Bytes> frames;
-  for (const SnapChunkFrame& c :
-       chunk_snapshot(next_batch, blob, wire_.max_payload()))
-    if (auto b = serialize(c)) frames.push_back(std::move(*b));
+  // and a serial session is just the one-shard plan. The tree blob is
+  // written in place inside the server blob, and each SnapChunk frame is
+  // cut from the blob as it is sent.
+  const Bytes blob = snapshot_server(
+      s, tree_, plan_.value_or(tree::ShardPlan::make(config_.degree, 1)));
+  const std::vector<SnapChunkFrame> chunks =
+      chunk_snapshot(next_batch, blob, wire_.max_payload());
 
   const auto acked = [&] {
     return snap_acked_ >= static_cast<std::int64_t>(next_batch);
   };
   const auto send = [&](bool) {
-    for (const Bytes& f : frames) send_control(*config_.peer, f);
-    stats_.snapshot_chunks += frames.size();
+    for (const SnapChunkFrame& c : chunks)
+      if (const auto frame = serialize(c)) send_control(*config_.peer, *frame);
+    stats_.snapshot_chunks += chunks.size();
   };
   if (await_step(acked, send)) {
     ++stats_.snapshots_sent;
@@ -741,6 +746,11 @@ DaemonStats KeyServerDaemon::run_standby() {
     if (stopped()) return stats_;
     pump(config_.retry_ms);
     if (peer_fin_) {
+      // Linger to re-ack duplicate Fins (our FinAck may be lost), as a
+      // ClientFleet does.
+      const auto until =
+          Clock::now() + std::chrono::milliseconds(3 * config_.retry_ms);
+      for (int ms; !stopped() && (ms = ms_until(until)) > 0;) pump(ms);
       stats_.completed = true;  // clean completion: never needed
       return stats_;
     }

@@ -39,10 +39,11 @@
 // are the protocol's own answer; only control frames are retransmitted.
 //
 // Replication: two daemons form a primary/standby pair. The primary
-// ships a sealed full-server snapshot to the standby before every batch
-// and heartbeats between lockstep steps; the standby promotes itself
-// after elect_timeout_ms of silence and replays the interrupted batch
-// under a higher fencing epoch. Because snapshots sit at batch
+// ships a sealed full-server snapshot to the standby before every batch,
+// heartbeats between lockstep steps, and at the end retires the standby
+// with a Fin it resends until acked; the standby promotes itself after
+// elect_timeout_ms of silence and replays the interrupted batch under a
+// higher fencing epoch. Because snapshots sit at batch
 // boundaries and every daemon death point is a protocol-clock step, the
 // standby's replay is bit-identical to the batch the primary would have
 // run — the determinism contract the replica tests enforce.
@@ -261,7 +262,8 @@ class KeyServerDaemon {
   // the deadline, like endpoints that stop reporting).
   void resub_barrier();
 
-  // Session teardown: Fin until every live endpoint acks (short grace).
+  // Session teardown: Fin until every live endpoint, and a healthy
+  // standby, acks (round_wait_ms at most).
   void fin_handshake();
 
   // Runs one churn batch end to end; returns false on stop request.
@@ -306,6 +308,7 @@ class KeyServerDaemon {
   bool dead_ = false;             // blackout hit: permanently dark
   bool peer_dead_ = false;        // snapshot delivery gave up on the peer
   bool peer_fin_ = false;         // peer announced clean session completion
+  bool peer_fin_acked_ = false;   // primary: the standby acked our Fin
   std::int64_t snap_acked_ = -1;  // primary: highest snap_seq the peer acked
   SnapshotReassembly snap_reasm_;            // standby: chunk reassembly
   std::optional<ServerSnapshot> pending_snap_;  // standby: latest restored

@@ -1,6 +1,10 @@
 #include "wire/server_snapshot.h"
 
+#include <algorithm>
+
+#include "common/byte_cursor.h"
 #include "common/ensure.h"
+#include "crypto/sha256.h"
 #include "keytree/snapshot.h"
 
 namespace rekey::wire {
@@ -13,10 +17,25 @@ constexpr std::uint32_t kServerMagic = 0x524B5353;  // "RKSS"
 // (magic, version) pair is unambiguous across the family).
 constexpr std::uint8_t kServerVersion = 3;
 
-}  // namespace
+// magic, version, epoch, next_batch, session_version, degree, clients,
+// churn_pool, batches, next_member.
+constexpr std::size_t kFixedSize = 4 + 1 + 4 + 4 + 1 + 1 + 4 + 4 + 4 + 4;
+// ep_id, first_uid, count, max_version, dead.
+constexpr std::size_t kEndpointSize = 8 + 4 + 4 + 1 + 1;
+// proactive_parities, num_nack, then the RNG state: one u64 per word.
+constexpr std::size_t kRhoSize =
+    4 + 4 + sizeof(transport::RhoController::State::rng);
 
-Bytes snapshot_server(const ServerSnapshot& snap) {
-  ByteWriter w;
+// The one encoder behind both snapshot_server overloads: sizes the blob,
+// writes every field, lets `put_tree` fill the embedded tree blob's
+// `tree_len` bytes in place, and seals.
+template <typename PutTree>
+Bytes encode_server(const ServerSnapshot& snap, std::size_t tree_len,
+                    PutTree&& put_tree) {
+  Bytes blob(kFixedSize + 4 + 4 * snap.churn_members.size() + 4 +
+             kEndpointSize * snap.endpoints.size() + kRhoSize + 8 + tree_len +
+             crypto::Sha256::kDigestSize);
+  ByteCursor w(blob.data());
   w.put_u32(kServerMagic);
   w.put_u8(kServerVersion);
   w.put_u32(snap.epoch);
@@ -40,11 +59,33 @@ Bytes snapshot_server(const ServerSnapshot& snap) {
   w.put_u32(static_cast<std::uint32_t>(snap.rho.proactive_parities));
   w.put_u32(static_cast<std::uint32_t>(snap.rho.num_nack));
   for (const std::uint64_t s : snap.rho.rng) w.put_u64(s);
-  w.put_u64(snap.tree_blob.size());
-  w.put_bytes(snap.tree_blob);
-  Bytes blob = std::move(w).take();
+  w.put_u64(tree_len);
+  REKEY_ENSURE_MSG(w.pos() + tree_len + crypto::Sha256::kDigestSize ==
+                       blob.data() + blob.size(),
+                   "v3 snapshot fields do not match their computed size");
+  put_tree(std::span<std::uint8_t>(w.pos(), tree_len));
   tree::snapshot_seal(blob);
   return blob;
+}
+
+}  // namespace
+
+Bytes snapshot_server(const ServerSnapshot& snap) {
+  return encode_server(snap, snap.tree_blob.size(),
+                       [&](std::span<std::uint8_t> out) {
+                         std::copy(snap.tree_blob.begin(),
+                                   snap.tree_blob.end(), out.begin());
+                       });
+}
+
+Bytes snapshot_server(const ServerSnapshot& snap, const tree::KeyTree& tree,
+                      const tree::ShardPlan& plan) {
+  REKEY_ENSURE_MSG(snap.tree_blob.empty(),
+                   "the tree blob is written from the tree, not copied in");
+  return encode_server(snap, tree::sharded_tree_size(tree, plan),
+                       [&](std::span<std::uint8_t> out) {
+                         tree::write_sharded_tree(tree, plan, out);
+                       });
 }
 
 std::optional<ServerSnapshot> restore_server(const Bytes& blob) {

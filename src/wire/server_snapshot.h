@@ -27,6 +27,7 @@
 
 #include "common/bytes.h"
 #include "keytree/keytree.h"
+#include "keytree/shard.h"
 #include "transport/server.h"
 #include "wire/control.h"
 
@@ -72,6 +73,15 @@ struct ServerSnapshot {
 
 // Serialize + seal. The inverse of restore_server.
 Bytes snapshot_server(const ServerSnapshot& snap);
+
+// The same bytes as setting snap.tree_blob to
+// tree::snapshot_sharded_tree(tree, plan) and calling the overload above,
+// but the v2 blob is written in place inside the v3 blob instead of
+// being built apart and copied in: one allocation for the whole
+// snapshot. `snap.tree_blob` must be empty. This is the primary's
+// per-batch path (KeyServerDaemon::ship_snapshot).
+Bytes snapshot_server(const ServerSnapshot& snap, const tree::KeyTree& tree,
+                      const tree::ShardPlan& plan);
 
 // Verify the trailer, parse, and structurally validate (endpoint ranges
 // inside [0, clients), member ids below next_member, bounded counts).

@@ -201,12 +201,47 @@ struct PairParams {
   double end_ms = 0.0;
   unsigned shards = 1;
   unsigned workers = 1;
+  // Fins from the primary to the standby that are lost on the wire.
+  int lost_standby_fins = 0;
+};
+
+// The primary's side of the hub, losing the first `losses` Fins it sends
+// to `standby`.
+class FinLossWire : public WireTransport {
+ public:
+  FinLossWire(WireTransport& inner, Endpoint standby, int losses)
+      : inner_(inner), standby_(standby), losses_(losses) {}
+
+  bool send(Endpoint to, std::uint8_t channel,
+            std::span<const std::uint8_t> payload) override {
+    if (losses_ > 0 && to == standby_ && channel == kChanControl &&
+        peek_op(payload) == ControlOp::Fin) {
+      --losses_;
+      return true;  // sent, and lost
+    }
+    return inner_.send(to, channel, payload);
+  }
+  std::size_t send_frames(Endpoint to, std::uint8_t channel,
+                          std::span<const Bytes* const> frames) override {
+    return inner_.send_frames(to, channel, frames);
+  }
+  std::size_t receive(std::vector<Datagram>& out, int timeout_ms) override {
+    return inner_.receive(out, timeout_ms);
+  }
+  std::size_t max_payload() const override { return inner_.max_payload(); }
+
+ private:
+  WireTransport& inner_;
+  Endpoint standby_;
+  int losses_;
 };
 
 PairResult run_pair(const PairParams& p) {
   LoopbackHub hub;
   auto primary_wire = hub.attach();
   auto standby_wire = hub.attach();
+  FinLossWire primary_out(*primary_wire, standby_wire->endpoint(),
+                          p.lost_standby_fins);
 
   DaemonConfig dc;
   dc.clients = p.clients;
@@ -230,7 +265,7 @@ PairResult run_pair(const PairParams& p) {
   stc.peer = primary_wire->endpoint();
   stc.standby = true;
 
-  KeyServerDaemon primary(*primary_wire, pc);
+  KeyServerDaemon primary(primary_out, pc);
   KeyServerDaemon standby(*standby_wire, stc);
 
   PairResult r;
@@ -311,6 +346,20 @@ TEST(Replica, HealthyPrimaryRetiresStandby) {
     EXPECT_EQ(fs.epoch, 0u);
     EXPECT_EQ(fs.failovers, 0u);
   }
+}
+
+TEST(Replica, StandbyThatLosesFinsIsStillRetired) {
+  // The primary resends its Fin to the standby until the standby acks
+  // it. With the first three lost, the standby still retires cleanly
+  // instead of promoting itself once the primary falls silent.
+  PairParams p;
+  p.lost_standby_fins = 3;
+  const PairResult r = run_pair(p);
+  EXPECT_TRUE(r.primary.completed);
+  EXPECT_TRUE(r.standby.completed);
+  EXPECT_FALSE(r.standby.promoted);
+  EXPECT_EQ(r.standby.batches_run, 0u);
+  EXPECT_EQ(r.standby.snapshots_restored, p.batches);
 }
 
 TEST(Replica, StandbyAloneGivesUp) {

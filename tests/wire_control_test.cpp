@@ -859,11 +859,12 @@ TEST(Control, ReplicationFrameRoundtrips) {
     EXPECT_EQ(r->first_id, 0x123456789ABCull);
   }
   {
+    const Bytes body(100, 0xA5);
     SnapChunkFrame f;
     f.snap_seq = 3;
     f.part = 1;
     f.nparts = 4;
-    f.bytes = Bytes(100, 0xA5);
+    f.bytes = body;
     const auto wire = serialize(f);
     ASSERT_TRUE(wire.has_value());
     const auto r = parse_snap_chunk(*wire);
@@ -871,22 +872,24 @@ TEST(Control, ReplicationFrameRoundtrips) {
     EXPECT_EQ(r->snap_seq, 3u);
     EXPECT_EQ(r->part, 1u);
     EXPECT_EQ(r->nparts, 4u);
-    EXPECT_EQ(r->bytes, f.bytes);
+    EXPECT_EQ(Bytes(r->bytes.begin(), r->bytes.end()), body);
   }
   // Oversize chunk payload is a serializer error, not an abort.
   {
+    const Bytes body(0x10000, 0);  // one past the u16 length field
     SnapChunkFrame f;
-    f.bytes = Bytes(0x10000, 0);  // one past the u16 length field
+    f.bytes = body;
     EXPECT_FALSE(serialize(f).has_value());
   }
 }
 
 TEST(Control, ReplicationFrameTruncationSweepNeverAccepts) {
+  const Bytes body(25, 0x3C);
   SnapChunkFrame chunk;
   chunk.snap_seq = 3;
   chunk.part = 0;
   chunk.nparts = 2;
-  chunk.bytes = Bytes(25, 0x3C);
+  chunk.bytes = body;
   const std::vector<Bytes> fulls = {
       *serialize(chunk), serialize(SnapAckFrame{1}),
       serialize(HeartbeatFrame{1, 2}), serialize(ResubFrame{1, 2, 3, 4, 5})};
@@ -941,7 +944,8 @@ TEST(Control, ChunkSnapshotSplitsAndReassembles) {
 
   // An empty blob still travels (one empty chunk) — a snapshot is never
   // simply absent.
-  const auto empty_frames = chunk_snapshot(12, Bytes{}, 1471);
+  const Bytes empty_blob;
+  const auto empty_frames = chunk_snapshot(12, empty_blob, 1471);
   ASSERT_EQ(empty_frames.size(), 1u);
   SnapshotReassembly reasm2;
   const auto empty_full = reasm2.add(empty_frames[0]);
