@@ -117,6 +117,14 @@ Bytes ByteReader::get_bytes(std::size_t n) {
   return out;
 }
 
+std::span<const std::uint8_t> ByteReader::get_span(std::size_t n) {
+  ensure_boundary();
+  require(n);
+  const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
+  pos_ += n;
+  return out;
+}
+
 std::string to_hex(std::span<const std::uint8_t> data) {
   static const char* digits = "0123456789abcdef";
   std::string s;

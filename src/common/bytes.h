@@ -53,6 +53,8 @@ class ByteReader {
   std::uint32_t get_u32();
   std::uint64_t get_u64();
   Bytes get_bytes(std::size_t n);
+  // The next n bytes as a view into the data (no copy).
+  std::span<const std::uint8_t> get_span(std::size_t n);
 
   std::size_t remaining() const { return data_.size() - pos_; }
   bool at_byte_boundary() const { return bit_pos_ == 0; }

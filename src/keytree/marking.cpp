@@ -134,15 +134,7 @@ bool Marker::structural_pass(std::span<const MemberId> joins,
   if (tree_.empty()) {
     REKEY_ENSURE(leaves.empty());
     if (joins.empty()) return true;
-    unsigned height = 1;
-    std::size_t capacity = tree_.degree_;
-    while (capacity < joins.size()) {
-      capacity *= tree_.degree_;
-      ++height;
-    }
-    const NodeId first_leaf = first_id_at_level(height, tree_.degree_);
-    tree_.grow_dense(
-        std::max<std::size_t>(256, first_leaf + joins.size()));
+    const NodeId first_leaf = tree_.size_initial_tree(joins.size());
     for (std::size_t i = 0; i < joins.size(); ++i) {
       const NodeId slot = first_leaf + i;
       place_user(joins[i], slot);

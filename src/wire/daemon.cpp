@@ -712,12 +712,14 @@ void KeyServerDaemon::ship_snapshot(std::uint32_t next_batch) {
   s.rho = rho_.state();
   // Always the sharded (v2) tree format: it carries the keygen counter,
   // and a serial session is just the one-shard plan. The tree blob is
-  // written in place inside the server blob, and each SnapChunk frame is
-  // cut from the blob as it is sent.
-  const Bytes blob = snapshot_server(
-      s, tree_, plan_.value_or(tree::ShardPlan::make(config_.degree, 1)));
+  // written in place inside the server blob, which reuses the previous
+  // batch's buffer, and each SnapChunk frame is cut from the blob as it
+  // is sent.
+  snapshot_server_into(
+      s, tree_, plan_.value_or(tree::ShardPlan::make(config_.degree, 1)),
+      snap_blob_);
   const std::vector<SnapChunkFrame> chunks =
-      chunk_snapshot(next_batch, blob, wire_.max_payload());
+      chunk_snapshot(next_batch, snap_blob_, wire_.max_payload());
 
   const auto acked = [&] {
     return snap_acked_ >= static_cast<std::int64_t>(next_batch);

@@ -310,6 +310,7 @@ class KeyServerDaemon {
   bool peer_fin_ = false;         // peer announced clean session completion
   bool peer_fin_acked_ = false;   // primary: the standby acked our Fin
   std::int64_t snap_acked_ = -1;  // primary: highest snap_seq the peer acked
+  Bytes snap_blob_;               // primary: the last snapshot shipped
   SnapshotReassembly snap_reasm_;            // standby: chunk reassembly
   std::optional<ServerSnapshot> pending_snap_;  // standby: latest restored
   std::chrono::steady_clock::time_point last_peer_heard_{};

@@ -26,15 +26,20 @@ constexpr std::size_t kEndpointSize = 8 + 4 + 4 + 1 + 1;
 constexpr std::size_t kRhoSize =
     4 + 4 + sizeof(transport::RhoController::State::rng);
 
-// The one encoder behind both snapshot_server overloads: sizes the blob,
-// writes every field, lets `put_tree` fill the embedded tree blob's
-// `tree_len` bytes in place, and seals.
+// The one encoder behind every snapshot_server entry point: sizes
+// `blob`, writes every field, lets `put_tree` fill the embedded tree
+// blob's `tree_len` bytes in place, and seals. A buffer whose capacity
+// already fits is reused as it is; a smaller one is dropped before the
+// new allocation, so its stale bytes are never copied.
 template <typename PutTree>
-Bytes encode_server(const ServerSnapshot& snap, std::size_t tree_len,
-                    PutTree&& put_tree) {
-  Bytes blob(kFixedSize + 4 + 4 * snap.churn_members.size() + 4 +
-             kEndpointSize * snap.endpoints.size() + kRhoSize + 8 + tree_len +
-             crypto::Sha256::kDigestSize);
+void encode_server(const ServerSnapshot& snap, std::size_t tree_len,
+                   PutTree&& put_tree, Bytes& blob) {
+  const std::size_t size = kFixedSize + 4 + 4 * snap.churn_members.size() +
+                           4 + kEndpointSize * snap.endpoints.size() +
+                           kRhoSize + 8 + tree_len +
+                           crypto::Sha256::kDigestSize;
+  if (blob.capacity() < size) Bytes().swap(blob);
+  blob.resize(size);
   ByteCursor w(blob.data());
   w.put_u32(kServerMagic);
   w.put_u8(kServerVersion);
@@ -65,27 +70,39 @@ Bytes encode_server(const ServerSnapshot& snap, std::size_t tree_len,
                    "v3 snapshot fields do not match their computed size");
   put_tree(std::span<std::uint8_t>(w.pos(), tree_len));
   tree::snapshot_seal(blob);
-  return blob;
 }
 
 }  // namespace
 
 Bytes snapshot_server(const ServerSnapshot& snap) {
-  return encode_server(snap, snap.tree_blob.size(),
-                       [&](std::span<std::uint8_t> out) {
-                         std::copy(snap.tree_blob.begin(),
-                                   snap.tree_blob.end(), out.begin());
-                       });
+  Bytes blob;
+  encode_server(
+      snap, snap.tree_blob.size(),
+      [&](std::span<std::uint8_t> out) {
+        std::copy(snap.tree_blob.begin(), snap.tree_blob.end(), out.begin());
+      },
+      blob);
+  return blob;
 }
 
 Bytes snapshot_server(const ServerSnapshot& snap, const tree::KeyTree& tree,
                       const tree::ShardPlan& plan) {
+  Bytes blob;
+  snapshot_server_into(snap, tree, plan, blob);
+  return blob;
+}
+
+void snapshot_server_into(const ServerSnapshot& snap,
+                          const tree::KeyTree& tree,
+                          const tree::ShardPlan& plan, Bytes& blob) {
   REKEY_ENSURE_MSG(snap.tree_blob.empty(),
                    "the tree blob is written from the tree, not copied in");
-  return encode_server(snap, tree::sharded_tree_size(tree, plan),
-                       [&](std::span<std::uint8_t> out) {
-                         tree::write_sharded_tree(tree, plan, out);
-                       });
+  encode_server(
+      snap, tree::sharded_tree_size(tree, plan),
+      [&](std::span<std::uint8_t> out) {
+        tree::write_sharded_tree(tree, plan, out);
+      },
+      blob);
 }
 
 std::optional<ServerSnapshot> restore_server(const Bytes& blob) {

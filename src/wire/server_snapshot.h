@@ -78,10 +78,15 @@ Bytes snapshot_server(const ServerSnapshot& snap);
 // tree::snapshot_sharded_tree(tree, plan) and calling the overload above,
 // but the v2 blob is written in place inside the v3 blob instead of
 // being built apart and copied in: one allocation for the whole
-// snapshot. `snap.tree_blob` must be empty. This is the primary's
-// per-batch path (KeyServerDaemon::ship_snapshot).
+// snapshot. `snap.tree_blob` must be empty.
 Bytes snapshot_server(const ServerSnapshot& snap, const tree::KeyTree& tree,
                       const tree::ShardPlan& plan);
+// The same bytes written into `blob`, resized to fit. Its capacity is
+// kept, so a caller that reuses one buffer across batches writes into
+// pages it already holds instead of faulting in a fresh blob each time.
+void snapshot_server_into(const ServerSnapshot& snap,
+                          const tree::KeyTree& tree,
+                          const tree::ShardPlan& plan, Bytes& blob);
 
 // Verify the trailer, parse, and structurally validate (endpoint ranges
 // inside [0, clients), member ids below next_member, bounded counts).

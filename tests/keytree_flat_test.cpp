@@ -1,9 +1,13 @@
 // Flat-arena KeyTree specifics: the dense/overflow split, snapshot and
-// from_nodes round-trips that cross it, growth at batch boundaries, and
-// the allocation-free hot-path accessors. Complements keytree_test.cpp
+// from_nodes round-trips that cross it, growth at batch boundaries, the
+// resident memory of the lazily committed arena, copies, and the
+// allocation-free hot-path accessors. Complements keytree_test.cpp
 // (behavioral API) and keytree_differential_test.cpp (old-vs-new).
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdlib>
+#include <fstream>
 #include <map>
 #include <new>
 #include <set>
@@ -202,6 +206,121 @@ TEST(KeyTreeFlat, HotPathAccessorsDoNotAllocateAfterWarmup) {
   EXPECT_EQ(count, 4096u);
   EXPECT_EQ(g_allocs.load(), before)
       << "hot-path accessors allocated on a warmed-up dense tree";
+}
+
+// Resident bytes of this process.
+double resident_mib() {
+  std::ifstream statm("/proc/self/statm");
+  double pages = 0, resident = 0;
+  statm >> pages >> resident;
+  return resident * static_cast<double>(sysconf(_SC_PAGESIZE)) /
+         (1024.0 * 1024.0);
+}
+
+TEST(KeyTreeFlat, ArenaCommitsOnlyTheIdsItWrites) {
+  // A 2^18 + 512-member tree at d = 4 reserves 2.8 M dense ids (56 MiB at
+  // 21 B each), but populate writes only its 350 k nodes, whose ids end at
+  // 612 k. Those pages plus the 6.5 MiB member map come to about 14 MiB
+  // resident; a value-initialized arena commits 63 MiB.
+  KeyTree t(4, 1);
+  const double before = resident_mib();
+  t.populate((1u << 18) + 512);
+  const double grown = resident_mib() - before;
+  EXPECT_EQ(t.dense_capacity(), 2801704u);
+  EXPECT_LT(grown, 24.0) << "populate committed " << grown << " MiB";
+}
+
+TEST(KeyTreeFlat, DenseCapacityFollowsTheSizingPolicy) {
+  // dense_capacity() after populate(n) and after each of three churn
+  // batches (1 + n/3 joins, a quarter as many leaves): it decides which
+  // ids are dense and which overflow, so the arena's storage must leave
+  // it exactly where the sizing policy put it. These are the values of
+  // the value-initialized arena the zero-page one replaced.
+  struct Case {
+    unsigned d;
+    std::size_t n;
+    std::size_t caps[4];
+  };
+  const Case cases[] = {
+      {2, 1, {256, 256, 256, 256}},
+      {2, 100, {808, 1004, 1212, 1420}},
+      {2, 5000, {40020, 50024, 60012, 70020}},
+      {2, 30000, {240016, 300004, 360012, 420020}},
+      {3, 1, {256, 256, 256, 256}},
+      {3, 100, {918, 1146, 1368, 1602}},
+      {3, 5000, {45018, 56256, 67518, 78774}},
+      {3, 30000, {270030, 337542, 405018, 472524}},
+      {4, 1, {256, 256, 256, 256}},
+      {4, 100, {1080, 1352, 1624, 1896}},
+      {4, 5000, {53360, 66704, 80032, 93368}},
+      {4, 30000, {320024, 400032, 480024, 560032}},
+      {8, 1, {256, 256, 256, 256}},
+      {8, 100, {1856, 2320, 2784, 3264}},
+      {8, 5000, {91472, 114336, 137200, 160064}},
+      {8, 30000, {548592, 685744, 822896, 960064}},
+  };
+  for (const Case& c : cases) {
+    KeyTree t(c.d, 3);
+    t.populate(c.n);
+    EXPECT_EQ(t.dense_capacity(), c.caps[0]) << c.d << " " << c.n;
+    std::vector<MemberId> live;
+    for (MemberId m = 0; m < c.n; ++m) live.push_back(m);
+    MemberId next = static_cast<MemberId>(c.n);
+    for (unsigned b = 0; b < 3; ++b) {
+      std::vector<MemberId> joins, leaves;
+      const std::size_t k = 1 + c.n / 3;
+      for (std::size_t i = 0; i < k; ++i) joins.push_back(next++);
+      for (std::size_t i = 0; i < k / 4 && live.size() > 1; ++i) {
+        const std::size_t at = (i * 7919 + b * 31) % live.size();
+        leaves.push_back(live[at]);
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(at));
+      }
+      Marker(t).run(joins, leaves);
+      live.insert(live.end(), joins.begin(), joins.end());
+      EXPECT_EQ(t.dense_capacity(), c.caps[b + 1])
+          << c.d << " " << c.n << " batch " << b;
+    }
+    // The Marker's bootstrap builds populate's tree, sized the same way.
+    if (c.n <= 5000) {
+      KeyTree boot(c.d, 3);
+      std::vector<MemberId> joins;
+      for (MemberId m = 0; m < c.n; ++m) joins.push_back(m);
+      Marker(boot).run(joins, {});
+      EXPECT_EQ(boot.dense_capacity(), c.caps[0]) << c.d << " " << c.n;
+    }
+  }
+}
+
+TEST(KeyTreeFlat, CopiesAreEqualAndIndependent) {
+  KeyTree t = KeyTree::from_nodes(2, 11, chain_tree_nodes(18));
+  Marker(t).run(std::vector<MemberId>{7, 8, 9}, std::vector<MemberId>{100});
+  KeyTree grown(3, 4);
+  grown.populate(900);
+  // Leaves free slots whose stale key bytes a copy does not carry.
+  Marker(grown).run(std::vector<MemberId>{2000, 2001},
+                    std::vector<MemberId>{1, 2, 3, 500, 899});
+  for (KeyTree* original : {&t, &grown}) {
+    const KeyTree copy(*original);
+    KeyTree assigned(4, 1);
+    assigned.populate(40);
+    assigned = *original;
+    for (const KeyTree* c : {&copy, static_cast<const KeyTree*>(&assigned)}) {
+      c->check_invariants();
+      expect_same_nodes(c->nodes(), original->nodes());
+      EXPECT_EQ(c->dense_capacity(), original->dense_capacity());
+      EXPECT_EQ(c->group_key(), original->group_key());
+      for (const NodeId slot : original->user_slots()) {
+        const MemberId m = original->node(slot).member;
+        EXPECT_EQ(c->slot_of(m), slot);
+      }
+    }
+    // A batch on the original leaves the copies as they were.
+    const std::map<NodeId, Node> before = copy.nodes();
+    Marker(*original).run(std::vector<MemberId>{5000, 5001, 5002},
+                          std::vector<MemberId>{});
+    expect_same_nodes(copy.nodes(), before);
+    expect_same_nodes(assigned.nodes(), before);
+  }
 }
 
 TEST(KeyTreeFlat, KeyOfMatchesNodeCopy) {

@@ -328,6 +328,27 @@ TEST(SnapshotEncode, ServerBlobsMatchTheOracleCopiedOrWrittenInPlace) {
   EXPECT_EQ(in_place, oracle_server(bare));
 }
 
+TEST(SnapshotEncode, ReusedServerBufferHoldsTheSameBytes) {
+  // The primary writes every batch's snapshot into the buffer it kept
+  // from the last one: a write that fits allocates nothing, and no stale
+  // byte of a longer earlier snapshot survives.
+  const KeyTree large = churned(4, 9000, 1, 6);
+  const KeyTree small = churned(4, 3000, 2, 5);
+  const ShardPlan plan = ShardPlan::make(4, 1);
+  const wire::ServerSnapshot s = sample_server(900);
+  Bytes buf;
+  wire::snapshot_server_into(s, large, plan, buf);
+  EXPECT_EQ(buf, wire::snapshot_server(s, large, plan));
+  std::size_t before = g_allocs.load();
+  wire::snapshot_server_into(s, small, plan, buf);
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(buf, wire::snapshot_server(s, small, plan));
+  before = g_allocs.load();
+  wire::snapshot_server_into(s, large, plan, buf);
+  EXPECT_EQ(g_allocs.load() - before, 0u);
+  EXPECT_EQ(buf, wire::snapshot_server(s, large, plan));
+}
+
 TEST(SnapshotEncode, ChunkFramesMatchTheOracle) {
   const KeyTree t = churned(4, 300, 1, 21);
   const Bytes blob = tree::snapshot_sharded_tree(t, ShardPlan::make(4, 2));
