@@ -28,6 +28,7 @@ unsigned ShardPlan::shard_of(NodeId id) const {
   // Ids at level >= cut_level are exactly the ids >= first_cut_id (BFS
   // numbering packs levels contiguously).
   if (id < first_cut_id) return kAggregator;
+  if (shards == 1) return 0;  // one shard owns every cut subtree
   NodeId a = id;
   unsigned level = level_of(a, degree);
   while (level > cut_level) {
