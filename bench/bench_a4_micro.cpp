@@ -163,8 +163,9 @@ void BM_PayloadGeneration(benchmark::State& state) {
 BENCHMARK(BM_PayloadGeneration)->Arg(1024)->Arg(4096)->Arg(32768);
 
 void BM_PayloadGenerationParallel(benchmark::State& state) {
-  // Same, fanned out over the worker pool (REKEY_THREADS). The pool lives
-  // outside the loop, as a long-running key server's would.
+  // Same, fanned out over the worker pool (REKEY_THREADS), one shard per
+  // worker. The pool lives outside the loop, as a long-running key
+  // server's would.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(7);
   tree::KeyTree kt(4, rng.next_u64());
@@ -175,9 +176,13 @@ void BM_PayloadGenerationParallel(benchmark::State& state) {
   tree::Marker m(kt);
   const auto upd = m.run({}, leaves);
   ThreadPool pool(0);
+  unsigned shards = 1;
+  while (shards < pool.size() && shards < 256) shards *= 2;
+  const tree::ShardPlan plan = tree::ShardPlan::make(4, shards);
+  TaskRunner runner(&pool);
   tree::RekeyPayload payload;
   for (auto _ : state) {
-    tree::generate_rekey_payload_into(kt, upd, 1, payload, &pool);
+    tree::generate_rekey_payload_into(kt, upd, 1, payload, plan, runner);
     benchmark::DoNotOptimize(payload.encryptions.data());
   }
 }

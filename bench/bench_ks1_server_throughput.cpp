@@ -9,15 +9,15 @@
 // golden diff gives the timing columns an unbounded tolerance
 // (tools/bench_diff.py --col-rtol) while holding counts exact.
 //
-// The second section re-runs encryption generation with the worker pool
-// (REKEY_THREADS / hardware concurrency): the fan-out writes to fixed
-// output slots, so its payload is bit-identical to the serial one — the
-// bench asserts that — and only the wall time changes.
+// The second section re-runs encryption generation on the worker pool
+// (REKEY_THREADS / hardware concurrency), one shard per worker: the tasks
+// write to fixed output slots, so the payload is bit-identical to the
+// inline one — the bench asserts that — and only the wall time changes.
 // The third section sweeps the shard count (keytree/shard.h): the whole
-// batch pipeline — sharded marking, per-shard encryption generation, and
-// the run-packed UKA — runs at 1..8 shards on a fixed worker pool, with a
-// serial-pipeline baseline row (shards=0). The sharded output is asserted
-// bit-identical to the serial baseline at every shard count; only the
+// batch pipeline — marking, encryption generation, and the run-packed
+// UKA — runs at 1..8 shards on a fixed worker pool, with a baseline row
+// (shards=0) of the plain calls: one shard, inline. The output is
+// asserted bit-identical to the baseline at every shard count; only the
 // wall time may move.
 // The last section times small batches (J = L fixed) on growing groups:
 // user needs are stored per frontier node and UKA packs runs, so payload
@@ -32,7 +32,6 @@
 #include "keytree/marking.h"
 #include "keytree/rekey_subtree.h"
 #include "keytree/shard.h"
-#include "keytree/shard_pipeline.h"
 #include "packet/assign.h"
 #include "sweep.h"
 
@@ -63,7 +62,7 @@ struct PointResult {
 
 // Builds a fresh N-user tree, applies one (J, L) batch, and times each
 // pipeline stage. `pool` (may be null) is used only for the extra
-// parallel payload-generation measurement.
+// payload-generation measurement on the pool, one shard per worker.
 PointResult run_point(std::size_t N, std::size_t J, std::size_t L,
                       unsigned d, std::uint64_t seed, int trials,
                       ThreadPool* pool) {
@@ -99,8 +98,13 @@ PointResult run_point(std::size_t N, std::size_t J, std::size_t L,
     r.enc_packets = assignment.packets.size();
 
     if (pool != nullptr) {
+      unsigned shards = 1;
+      while (shards < pool->size() && shards < 256) shards *= 2;
+      const tree::ShardPlan plan = tree::ShardPlan::make(d, shards);
+      TaskRunner runner(pool);
+      tree::RekeyPayload par;
       t0 = Clock::now();
-      const auto par = tree::generate_rekey_payload(kt, upd, 1, pool);
+      tree::generate_rekey_payload_into(kt, upd, 1, par, plan, runner);
       r.payload_parallel_us = std::min(r.payload_parallel_us, us_since(t0));
       r.parallel_identical =
           r.parallel_identical &&
@@ -115,8 +119,9 @@ PointResult run_point(std::size_t N, std::size_t J, std::size_t L,
   return r;
 }
 
-// One shard-axis configuration: shards == 0 is the serial pipeline
-// baseline, shards >= 1 the sharded pipeline at that shard count.
+// One shard-axis configuration: shards == 0 is the baseline of the plain
+// calls (one shard, inline), shards >= 1 the pipeline at that shard count
+// on the pool.
 struct ShardPoint {
   std::size_t encryptions = 0;
   std::size_t enc_packets = 0;
@@ -126,7 +131,7 @@ struct ShardPoint {
   bool identical = true;  // artifacts match the serial baseline
 };
 
-// Serial-baseline artifacts the sharded runs are compared against
+// Baseline artifacts the shard-count runs are compared against
 // (trial 0 only: trials differ only in seed, and one exact comparison
 // per configuration is the determinism gate, not a statistics game).
 struct ShardBaseline {
@@ -172,11 +177,10 @@ ShardPoint run_shard_point(std::size_t N, std::size_t J, std::size_t L,
       const tree::ShardPlan plan = tree::ShardPlan::make(d, shards);
       TaskRunner runner(pool);
       auto t0 = Clock::now();
-      const auto upd = marker.run_sharded(joins, leaves, plan, runner);
+      const auto upd = marker.run(joins, leaves, plan, runner);
       r.mark_us = std::min(r.mark_us, us_since(t0));
       t0 = Clock::now();
-      tree::generate_rekey_payload_sharded(kt, upd, 1, payload, plan,
-                                           runner);
+      tree::generate_rekey_payload_into(kt, upd, 1, payload, plan, runner);
       r.payload_us = std::min(r.payload_us, us_since(t0));
       t0 = Clock::now();
       assignment = packet::assign_keys(payload, 1027);
@@ -292,7 +296,7 @@ int main(int argc, char** argv) {
     }
     json.table(std::cout, t);
   }
-  // Shard-count axis: the full sharded pipeline at a fixed worker pool.
+  // Shard-count axis: the full pipeline at a fixed worker pool.
   // Shard count doubles as the pipeline's concurrency knob (chunk counts
   // derive from it), so this is the marking+assignment scaling figure.
   const std::vector<std::size_t> shard_sizes =
@@ -332,10 +336,10 @@ int main(int argc, char** argv) {
     }
     json.table(std::cout, t);
   }
-  // Worker-pinning axis: the same sharded pipeline, once with free-running
+  // Worker-pinning axis: the same pipeline, once with free-running
   // workers and once with each worker pinned to its own CPU
   // (common/parallel.h, REKEY_PIN) — the "NUMA pinning" headroom noted in
-  // the roadmap. The artifacts must stay bit-identical to the serial
+  // the roadmap. The artifacts must stay bit-identical to the inline
   // baseline either way; only the timing columns may move, and on a
   // single-CPU host they barely do.
   json.header(std::cout, "KS1 (pinning)",

@@ -5,7 +5,7 @@
 
 #include "common/ensure.h"
 #include "common/obs.h"
-#include "keytree/shard_pipeline.h"
+#include "keytree/rekey_subtree.h"
 #include "keytree/snapshot.h"
 #include "packet/assign.h"
 
@@ -14,13 +14,10 @@ namespace rekey::core {
 GroupKeyService::GroupKeyService(const ServiceConfig& config)
     : config_(config),
       tree_(config.degree, config.key_seed),
+      plan_(tree::ShardPlan::make(config.degree, std::max(1u, config.shards))),
       rho_(config.protocol, config.key_seed ^ 0x5EED) {
-  if (config.shards > 1 || config.worker_threads != 1) {
-    plan_ = tree::ShardPlan::make(config.degree,
-                                  std::max(1u, config.shards));
-    const unsigned threads = config.worker_threads;
-    if (threads != 1) pool_ = std::make_unique<rekey::ThreadPool>(threads);
-  }
+  if (config.worker_threads != 1)
+    pool_ = std::make_unique<rekey::ThreadPool>(config.worker_threads);
 }
 
 tree::MemberId GroupKeyService::register_member() { return next_member_++; }
@@ -88,10 +85,7 @@ IntervalReport GroupKeyService::run_batch(simnet::Topology* topology) {
   tree::Marker marker(tree_);
   rekey::TaskRunner runner(pool_.get());
   const tree::BatchUpdate update =
-      plan_.has_value()
-          ? marker.run_sharded(pending_joins_, pending_leaves_, *plan_,
-                               runner)
-          : marker.run(pending_joins_, pending_leaves_);
+      marker.run(pending_joins_, pending_leaves_, plan_, runner);
   pending_joins_.clear();
   pending_leaves_.clear();
 
@@ -106,11 +100,8 @@ IntervalReport GroupKeyService::run_batch(simnet::Topology* topology) {
   }
 
   tree::RekeyPayload payload;
-  if (plan_.has_value())
-    tree::generate_rekey_payload_sharded(tree_, update, next_msg_id_,
-                                         payload, *plan_, runner);
-  else
-    tree::generate_rekey_payload_into(tree_, update, next_msg_id_, payload);
+  tree::generate_rekey_payload_into(tree_, update, next_msg_id_, payload,
+                                    plan_, runner);
   report.encryptions = payload.encryptions.size();
 
   packet::Assignment assignment =
@@ -181,7 +172,7 @@ Bytes GroupKeyService::snapshot() const {
   ByteWriter w;
   w.put_u32(next_member_);
   w.put_u32(next_msg_id_);
-  const Bytes tree_blob = tree::snapshot_tree(tree_);
+  const Bytes tree_blob = tree::snapshot_sharded_tree(tree_, plan_);
   w.put_u32(static_cast<std::uint32_t>(tree_blob.size()));
   w.put_bytes(tree_blob);
   return std::move(w).take();
@@ -196,8 +187,7 @@ std::optional<GroupKeyService> GroupKeyService::restore(
     const std::uint32_t tree_len = r.get_u32();
     if (r.remaining() != tree_len) return std::nullopt;
     const Bytes tree_blob = r.get_bytes(tree_len);
-    auto restored_tree =
-        tree::restore_tree(tree_blob, config.key_seed ^ next_msg);
+    auto restored_tree = tree::restore_sharded_tree(tree_blob, config.key_seed);
     if (!restored_tree.has_value()) return std::nullopt;
     if (restored_tree->degree() != config.degree) return std::nullopt;
 

@@ -36,11 +36,10 @@ struct ServiceConfig {
   unsigned degree = 4;
   std::uint64_t key_seed = 0xC0FFEE;
   transport::ProtocolConfig protocol;  // used only with simulated delivery
-  // Sharded batch pipeline (keytree/shard.h). shards > 1 partitions
-  // marking and encryption generation into per-shard tasks;
-  // worker_threads > 1 gives those tasks a pool. Output is
-  // bit-identical to the serial pipeline for every setting — the defaults
-  // (1, 1) run the exact serial path.
+  // Batch pipeline (keytree/shard.h). shards > 1 partitions marking and
+  // encryption generation into per-shard tasks; worker_threads > 1 gives
+  // those tasks a pool. Output is bit-identical for every setting; the
+  // defaults (1, 1) run the one shard's tasks inline.
   unsigned shards = 1;          // power of two in [1, 256]
   unsigned worker_threads = 1;  // 0 picks default_thread_count()
 };
@@ -90,12 +89,16 @@ class GroupKeyService {
   std::uint32_t intervals_completed() const { return next_msg_id_; }
 
   // Crash recovery: serialize the server's key-management state (the key
-  // tree plus counters; pending join/leave requests are intentionally
+  // tree in the sharded v2 format, which carries the key generator's
+  // counter, plus counters; pending join/leave requests are intentionally
   // dropped — clients re-request, as after any registration timeout).
   Bytes snapshot() const;
-  // Rebuild a service from a snapshot. Member views are reconstructed
-  // from the tree (the key server knows every key); returns nullopt for
-  // corrupt or truncated blobs.
+  // Rebuild a service from a snapshot. The key generator resumes at the
+  // snapshot's counter under config.key_seed, so a restored service draws
+  // exactly the keys the uninterrupted one would, and never one that
+  // existed at snapshot time. Member views are reconstructed from the
+  // tree (the key server knows every key); returns nullopt for corrupt,
+  // truncated or v1-tree blobs.
   static std::optional<GroupKeyService> restore(const Bytes& blob,
                                                 const ServiceConfig& config);
 
@@ -104,9 +107,8 @@ class GroupKeyService {
 
   ServiceConfig config_;
   tree::KeyTree tree_;
-  // Present when the config asks for the sharded pipeline.
-  std::optional<tree::ShardPlan> plan_;
-  std::unique_ptr<rekey::ThreadPool> pool_;
+  tree::ShardPlan plan_;
+  std::unique_ptr<rekey::ThreadPool> pool_;  // null with one worker
   tree::MemberId next_member_ = 0;
   std::uint32_t next_msg_id_ = 0;
   std::vector<tree::MemberId> pending_joins_;

@@ -20,7 +20,7 @@ void Marker::defer_knode_draw(NodeId id, bool live) {
   tree_.keygen_.skip(1);
 }
 
-void Marker::materialize(rekey::TaskRunner* runner, std::size_t chunks) {
+void Marker::materialize(rekey::TaskRunner& runner, std::size_t chunks) {
   const std::size_t n = draws_.size();
   if (n == 0) return;
   auto fill_range = [&](std::size_t begin, std::size_t end) {
@@ -33,14 +33,10 @@ void Marker::materialize(rekey::TaskRunner* runner, std::size_t chunks) {
       tree_.key_ref(id) = key;
     }
   };
-  if (runner != nullptr && chunks > 1) {
-    const std::size_t parts = std::min(chunks, n);
-    runner->run(parts, [&](std::size_t c) {
-      fill_range(n * c / parts, n * (c + 1) / parts);
-    });
-  } else {
-    fill_range(0, n);
-  }
+  const std::size_t parts = std::min(chunks, n);
+  runner.run(parts, [&](std::size_t c) {
+    fill_range(n * c / parts, n * (c + 1) / parts);
+  });
   draws_.clear();
 }
 
@@ -79,7 +75,9 @@ void Marker::create_ancestors(NodeId slot, bool live_draws) {
     }
     tree_.set_knode(id, crypto::SymmetricKey{});
     defer_knode_draw(id, live_draws);
-    changed_scratch_.push_back(id);
+    // Live draws mean bootstrap, whose changed set is exactly the
+    // created k-nodes; any other batch finds them by its path walks.
+    if (live_draws) changed_scratch_.push_back(id);
   }
 }
 
@@ -105,7 +103,6 @@ void Marker::split_first_user(BatchUpdate& upd,
   tree_.set_knode(s, crypto::SymmetricKey{});
   // s is in the changed set, so its creation draw is dead (refreshed).
   defer_knode_draw(s, false);
-  changed_scratch_.push_back(s);
   upd.moved[s] = dest;
   // If the relocated user joined in this very batch, report its final slot.
   const auto jit = upd.joined.find(member);
@@ -218,47 +215,14 @@ bool Marker::structural_pass(std::span<const MemberId> joins,
 
 BatchUpdate Marker::run(std::span<const MemberId> joins,
                         std::span<const MemberId> leaves) {
-  BatchUpdate upd;
-  std::vector<NodeId> changed_slots;
-  if (structural_pass(joins, leaves, upd, changed_slots)) {
-    materialize(nullptr, 1);
-    if (!tree_.empty()) tree_.rebalance();
-    return upd;
-  }
-
-  // Every existing k-node on a path from a changed slot to the root gets a
-  // fresh key. (Ancestors pruned away no longer exist and need none.)
-  // Collected with duplicates and batch-sorted: the ascending refresh
-  // order below is identical to the old std::set iteration.
-  for (const NodeId slot : changed_slots) {
-    NodeId id = slot;
-    while (id != kRootId) {
-      id = parent_of(id, tree_.degree_);
-      if (tree_.state_at(id) == KeyTree::kKNode)
-        changed_scratch_.push_back(id);
-    }
-  }
-  upd.changed_knodes.assign(std::move(changed_scratch_));
-  changed_scratch_ = {};
-  for (const NodeId x : upd.changed_knodes) {
-    // A k-node can have been marked changed (created during placement) and
-    // pruned afterwards only in the J<L path, which never creates nodes;
-    // so every changed k-node still exists.
-    REKEY_ENSURE(tree_.state_at(x) == KeyTree::kKNode);
-    defer_knode_draw(x, /*live=*/true);
-  }
-  materialize(nullptr, 1);
-
-  upd.max_kid = tree_.max_knode_id().value_or(0);
-  tree_.rebalance();
-  return upd;
+  rekey::TaskRunner runner;
+  return run(joins, leaves, ShardPlan::make(tree_.degree_, 1), runner);
 }
 
-BatchUpdate Marker::run_sharded(std::span<const MemberId> joins,
-                                std::span<const MemberId> leaves,
-                                const ShardPlan& plan,
-                                rekey::TaskRunner& runner,
-                                ShardBatchStats* stats) {
+BatchUpdate Marker::run(std::span<const MemberId> joins,
+                        std::span<const MemberId> leaves,
+                        const ShardPlan& plan, rekey::TaskRunner& runner,
+                        ShardBatchStats* stats) {
   REKEY_ENSURE_MSG(plan.degree == tree_.degree_,
                    "shard plan degree does not match the tree");
   BatchUpdate upd;
@@ -266,7 +230,7 @@ BatchUpdate Marker::run_sharded(std::span<const MemberId> joins,
   if (structural_pass(joins, leaves, upd, changed_slots)) {
     // Bootstrap builds the whole changed set serially; only the key
     // materialization (the HMAC-heavy part) fans out.
-    materialize(&runner, plan.shards);
+    materialize(runner, plan.shards);
     if (!tree_.empty()) tree_.rebalance();
     if (stats != nullptr) {
       stats->shard_changed.assign(plan.shards, 0);
@@ -296,17 +260,26 @@ BatchUpdate Marker::run_sharded(std::span<const MemberId> joins,
   // task writes only its own below-cut vector; above-cut ancestors go to
   // the task's private aggregator contribution. Created k-nodes need no
   // separate seeding: every one is an ancestor of some changed slot, so
-  // the walks rediscover them, exactly as the serial scratch collection
-  // does after sort+unique.
+  // the walks rediscover them.
   std::vector<std::vector<NodeId>> shard_sets(S);
   std::vector<std::vector<NodeId>> agg_contrib(S + 1);
   runner.run(S + 1, [&](std::size_t t) {
     std::vector<NodeId>& above = agg_contrib[t];
     std::vector<NodeId>* below = t < S ? &shard_sets[t] : nullptr;
+    // walked[l] is the last id at level l this task walked through (~0
+    // before any). Its ancestors were all walked with it, so a walk that
+    // reaches it stops: slots come mostly in ascending order, and without
+    // the stop every slot would push its whole path for the sort below
+    // to drop again.
+    std::vector<NodeId> walked;
     for (const NodeId slot : slot_bins[t]) {
+      unsigned level = level_of(slot, tree_.degree_);
+      if (walked.size() < level) walked.resize(level, ~NodeId{0});
       NodeId id = slot;
       while (id != kRootId) {
         id = parent_of(id, tree_.degree_);
+        if (walked[--level] == id) break;
+        walked[level] = id;
         if (tree_.state_at(id) != KeyTree::kKNode) continue;
         if (below != nullptr && id >= plan.first_cut_id)
           below->push_back(id);
@@ -338,9 +311,8 @@ BatchUpdate Marker::run_sharded(std::span<const MemberId> joins,
   }
 
   // Deterministic merge: aggregator ids all precede the first cut id, and
-  // the per-shard sets are pairwise disjoint, so the merged vector equals
-  // the serial sort+unique of the full scratch regardless of the order
-  // the shard tasks completed in.
+  // the per-shard sets are pairwise disjoint, so the merged vector is the
+  // same sorted set whatever order the shard tasks completed in.
   std::vector<std::vector<NodeId>> parts;
   parts.reserve(S + 1);
   parts.push_back(std::move(aggregator));
@@ -351,7 +323,7 @@ BatchUpdate Marker::run_sharded(std::span<const MemberId> joins,
     REKEY_ENSURE(tree_.state_at(x) == KeyTree::kKNode);
     defer_knode_draw(x, /*live=*/true);
   }
-  materialize(&runner, plan.shards);
+  materialize(runner, plan.shards);
 
   upd.max_kid = tree_.max_knode_id().value_or(0);
   tree_.rebalance();

@@ -17,14 +17,21 @@
 // key; the rekey subtree (keytree/rekey_subtree.h) is derived from this
 // changed set.
 //
+// One body runs every batch, on a ShardPlan and a TaskRunner
+// (keytree/shard.h). The structural pass is serial (it is O(batch));
+// changed-set collection runs as one path-walk task per shard plus an
+// aggregator task, and the per-shard sorted sets merge into one. The
+// default plan has one shard and the default runner runs its tasks
+// inline, in order, on the calling thread; more shards or a pool change
+// who computes what, never a byte of the result.
+//
 // Key draws are deferred: the structural pass assigns every draw its
-// serial counter index (KeyGenerator::skip) and records where the key
-// belongs; materialization then computes key_at(index) for each live
-// draw and writes it to its final location. Because the stream is a pure
-// function of (seed, counter), materialization order is irrelevant — the
-// serial run materializes inline, the sharded run fans the draws out
-// across a TaskRunner, and both produce the byte-identical tree a fully
-// inline next() sequence would. Two draw classes exist:
+// counter index (KeyGenerator::skip) and records where the key belongs;
+// materialization then computes key_at(index) for each live draw and
+// writes it to its final location. Because the stream is a pure function
+// of (seed, counter), materialization order is irrelevant — the draws fan
+// out across the runner in chunks, and the tree is byte-identical to the
+// one a fully inline next() sequence would build. Two draw classes exist:
 //   * user draws, keyed by MemberId so a split relocating the slot still
 //     lands the key in the member's final slot;
 //   * k-node draws, keyed by NodeId. A k-node creation draw is dead in a
@@ -66,7 +73,7 @@ class NodeIdSet {
   }
 
   // Takes ownership of ids that are already sorted and duplicate-free
-  // (the sharded merge produces exactly that); verified, not re-sorted.
+  // (the per-shard merge produces exactly that); verified, not re-sorted.
   void assign_sorted(std::vector<NodeId> ids) {
     REKEY_ENSURE_MSG(std::is_sorted(ids.begin(), ids.end()) &&
                          std::adjacent_find(ids.begin(), ids.end()) ==
@@ -130,21 +137,19 @@ class Marker {
 
   // Applies one batch. `joins` are fresh member ids (must not be in the
   // tree); `leaves` are current member ids. Returns the update summary.
-  BatchUpdate run(std::span<const MemberId> joins,
-                  std::span<const MemberId> leaves);
-
-  // Sharded variant: the structural pass runs serially (it is O(batch)),
-  // then changed-set collection runs as one independent task per shard
-  // plus an aggregator task on `runner`, the per-shard sorted sets merge
-  // deterministically (shard-order-independent), and the deferred key
-  // draws materialize in parallel. The resulting tree, update, and key
-  // material are bit-identical to run() for every shard/thread count.
+  // The path walks run as plan.task_count() tasks on `runner` and the
+  // key draws materialize in plan.shards chunks; the tree, update and
+  // key material are bit-identical for every shard and thread count.
   // When `stats` is non-null it is filled with per-shard changed counts
   // and the partition is validated with check_shard_partition.
-  BatchUpdate run_sharded(std::span<const MemberId> joins,
-                          std::span<const MemberId> leaves,
-                          const ShardPlan& plan, rekey::TaskRunner& runner,
-                          ShardBatchStats* stats = nullptr);
+  BatchUpdate run(std::span<const MemberId> joins,
+                  std::span<const MemberId> leaves, const ShardPlan& plan,
+                  rekey::TaskRunner& runner,
+                  ShardBatchStats* stats = nullptr);
+
+  // The same batch on one shard with an inline runner.
+  BatchUpdate run(std::span<const MemberId> joins,
+                  std::span<const MemberId> leaves);
 
  private:
   // One deferred key draw: stream index plus the final destination.
@@ -163,22 +168,22 @@ class Marker {
 
   void defer_user_draw(MemberId m);
   void defer_knode_draw(NodeId id, bool live);
-  // Computes every recorded live draw via key_at and writes it home. With
-  // a runner and chunks > 1 the draws fan out in fixed chunks (disjoint
-  // destinations, so any execution order is safe).
-  void materialize(rekey::TaskRunner* runner, std::size_t chunks);
+  // Computes every recorded live draw via key_at and writes it home, in
+  // `chunks` fixed chunks on `runner` (disjoint destinations, so any
+  // execution order is safe).
+  void materialize(rekey::TaskRunner& runner, std::size_t chunks);
 
   // The marking algorithm proper (draws deferred). Returns true when the
   // bootstrap path ran, in which case upd is complete except for
   // materialization; otherwise fills upd's membership maps and
-  // changed_slots, leaving changed-set collection to the caller.
+  // changed_slots, leaving changed-set collection to the path walks.
   bool structural_pass(std::span<const MemberId> joins,
                        std::span<const MemberId> leaves, BatchUpdate& upd,
                        std::vector<NodeId>& changed_slots);
 
   KeyTree& tree_;
-  // Ids of k-nodes created or path-touched this batch, with duplicates;
-  // sorted+uniqued once into BatchUpdate::changed_knodes.
+  // Ids of the k-nodes a bootstrap creates; sorted once into
+  // BatchUpdate::changed_knodes.
   std::vector<NodeId> changed_scratch_;
   std::vector<Draw> draws_;
 };

@@ -4,42 +4,34 @@
 
 #include "common/ensure.h"
 #include "common/parallel.h"
+#include "keytree/shard.h"
 
 namespace rekey::tree {
 
-namespace {
-
-// Work below this size is not worth fanning out.
-constexpr std::size_t kParallelEncThreshold = 256;
-
-// Splits [0, n) into roughly even chunks and runs fn(begin, end) for each
-// across the pool.
-void parallel_chunks(rekey::ThreadPool& pool, std::size_t n,
-                     const std::function<void(std::size_t, std::size_t)>& fn) {
-  const std::size_t chunks =
-      std::min<std::size_t>(n, static_cast<std::size_t>(pool.size()) * 8);
-  pool.for_each_index(chunks, [&](std::size_t c) {
-    const std::size_t begin = n * c / chunks;
-    const std::size_t end = n * (c + 1) / chunks;
-    if (begin < end) fn(begin, end);
-  });
-}
-
-}  // namespace
-
 RekeyPayload generate_rekey_payload(const KeyTree& tree,
                                     const BatchUpdate& update,
-                                    std::uint32_t msg_id,
-                                    rekey::ThreadPool* pool) {
+                                    std::uint32_t msg_id) {
   RekeyPayload out;
-  generate_rekey_payload_into(tree, update, msg_id, out, pool);
+  generate_rekey_payload_into(tree, update, msg_id, out);
   return out;
 }
 
 void generate_rekey_payload_into(const KeyTree& tree,
                                  const BatchUpdate& update,
+                                 std::uint32_t msg_id, RekeyPayload& out) {
+  rekey::TaskRunner runner;
+  generate_rekey_payload_into(tree, update, msg_id, out,
+                              ShardPlan::make(tree.degree(), 1), runner);
+}
+
+void generate_rekey_payload_into(const KeyTree& tree,
+                                 const BatchUpdate& update,
                                  std::uint32_t msg_id, RekeyPayload& out,
-                                 rekey::ThreadPool* pool) {
+                                 const ShardPlan& plan,
+                                 rekey::TaskRunner& runner,
+                                 ShardBatchStats* stats) {
+  REKEY_ENSURE_MSG(plan.degree == tree.degree(),
+                   "shard plan degree does not match the tree");
   out.msg_id = msg_id;
   out.degree = tree.degree();
   out.max_kid = update.max_kid;
@@ -50,7 +42,6 @@ void generate_rekey_payload_into(const KeyTree& tree,
   const unsigned d = tree.degree();
   const NodeIdSet& changed = update.changed_knodes;
   const std::size_t n_changed = changed.size();
-  const bool parallel = pool != nullptr && pool->size() > 1;
 
   // Labels: a changed k-node above any departed or split-relocated slot is
   // Replace; one whose changes are joins only is Join. The label array is
@@ -58,7 +49,9 @@ void generate_rekey_payload_into(const KeyTree& tree,
   // search per ancestor. Replace labels are upward-closed at every step,
   // so a walk may stop at an already-Replace node — everything above it is
   // already tainted. (It must NOT stop at an unlabeled ancestor: pruning
-  // can leave gaps of absent nodes below changed ones.)
+  // can leave gaps of absent nodes below changed ones.) The pass stays
+  // serial: a departed slot in one shard taints aggregator ancestors, and
+  // it is about a tenth of the payload cost.
   auto& labels = out.labels.entries_;
   labels.reserve(n_changed);
   for (std::size_t i = 0; i < n_changed; ++i)
@@ -81,57 +74,57 @@ void generate_rekey_payload_into(const KeyTree& tree,
     if (i != n_changed) labels[i].second = Label::Replace;
   }
 
-  // Encryptions, deepest changed k-nodes first (bottom-up traversal).
-  // Descending position k corresponds to ascending index n_changed-1-k;
-  // enc_offset[k] is the first encryption of that k-node's children.
+  // Encryptions, deepest changed k-nodes first (bottom-up traversal):
+  // descending position k is the changed k-node changed[n_changed-1-k],
+  // and enc_offset[k] is the first encryption of its children. Count,
+  // prefix-sum, fill: each of 2 x shards tasks owns a contiguous range of
+  // positions and writes only their enc_offset entries and encryption
+  // blocks, so every byte of the output is the same for every shard
+  // count, thread count and task order.
   std::vector<std::uint32_t> enc_offset(n_changed + 1, 0);
-  if (parallel && n_changed >= kParallelEncThreshold) {
-    // Fixed output slots make the fan-out bit-identical to the serial
-    // pass: count children first, prefix-sum, then encrypt in place.
-    parallel_chunks(*pool, n_changed, [&](std::size_t b, std::size_t e) {
-      for (std::size_t k = b; k < e; ++k) {
-        const NodeId x = changed[n_changed - 1 - k];
-        std::uint32_t cnt = 0;
-        for (unsigned j = 0; j < d; ++j)
-          if (tree.contains(child_of(x, j, d))) ++cnt;
-        enc_offset[k + 1] = cnt;
-      }
-    });
-    for (std::size_t k = 0; k < n_changed; ++k)
-      enc_offset[k + 1] += enc_offset[k];
-    out.encryptions.resize(enc_offset[n_changed]);
-    parallel_chunks(*pool, n_changed, [&](std::size_t b, std::size_t e) {
-      for (std::size_t k = b; k < e; ++k) {
-        const NodeId x = changed[n_changed - 1 - k];
-        const crypto::SymmetricKey& new_key = tree.key_of(x);
-        std::uint32_t at = enc_offset[k];
-        for (unsigned j = 0; j < d; ++j) {
-          const NodeId c = child_of(x, j, d);
-          if (!tree.contains(c)) continue;  // n-node
-          Encryption& enc = out.encryptions[at++];
-          enc.enc_id = c;
-          enc.target_id = x;
-          enc.payload =
-              crypto::encrypt_key(tree.key_of(c), new_key, msg_id, c);
-        }
-      }
-    });
-  } else {
+  const std::size_t chunks = std::min<std::size_t>(n_changed, 2 * plan.shards);
+  const auto first = [&](std::size_t part) {
+    return n_changed * part / chunks;
+  };
+  runner.run(chunks, [&](std::size_t part) {
+    const std::size_t end = first(part + 1);
+    for (std::size_t k = first(part); k < end; ++k) {
+      const NodeId x = changed[n_changed - 1 - k];
+      std::uint32_t cnt = 0;
+      for (unsigned j = 0; j < d; ++j)
+        if (tree.contains(child_of(x, j, d))) ++cnt;
+      enc_offset[k + 1] = cnt;
+    }
+  });
+  if (stats != nullptr) {
+    stats->shard_encryptions.assign(plan.shards + 1, 0);
     for (std::size_t k = 0; k < n_changed; ++k) {
+      const unsigned s = plan.shard_of(changed[n_changed - 1 - k]);
+      const unsigned t = s == ShardPlan::kAggregator ? plan.shards : s;
+      stats->shard_encryptions[t] += enc_offset[k + 1];
+    }
+  }
+  for (std::size_t k = 0; k < n_changed; ++k)
+    enc_offset[k + 1] += enc_offset[k];
+  out.encryptions.resize(enc_offset[n_changed]);
+  runner.run(chunks, [&](std::size_t part) {
+    const std::size_t end = first(part + 1);
+    for (std::size_t k = first(part); k < end; ++k) {
       const NodeId x = changed[n_changed - 1 - k];
       const crypto::SymmetricKey& new_key = tree.key_of(x);
+      std::uint32_t at = enc_offset[k];
       for (unsigned j = 0; j < d; ++j) {
         const NodeId c = child_of(x, j, d);
         if (!tree.contains(c)) continue;  // n-node
-        Encryption& enc = out.encryptions.emplace_back();
+        Encryption& enc = out.encryptions[at++];
         enc.enc_id = c;
         enc.target_id = x;
         enc.payload = crypto::encrypt_key(tree.key_of(c), new_key, msg_id, c);
       }
-      enc_offset[k + 1] = static_cast<std::uint32_t>(out.encryptions.size());
     }
-  }
+  });
 
+  // User needs: one frontier pass, O(encryptions x depth), so serial.
   out.user_needs.build(tree, update, enc_offset);
 }
 

@@ -19,10 +19,14 @@
 // The payload containers are flat. User needs are stored per *frontier
 // node*, not per user (see UserNeeds), so building them costs
 // O(encryptions x depth) whatever the group size; labels are a sorted
-// array parallel to the changed-k-node set. Pass a ThreadPool to fan the
-// encryption pass out over worker threads — output positions are fixed
-// up front, so the result is bit-identical to the serial path regardless
-// of thread count.
+// array parallel to the changed-k-node set.
+//
+// One generator fills a payload, on a ShardPlan and a TaskRunner
+// (keytree/shard.h): the changed k-nodes' encryption blocks are counted
+// and then filled by 2 x shards tasks, each over a contiguous range of
+// blocks. Output positions are laid out between the two fan-outs, so the
+// payload is byte-identical for every shard count, thread count and task
+// order. The plain forms run one shard on an inline runner.
 #pragma once
 
 #include <algorithm>
@@ -37,25 +41,21 @@
 #include "keytree/marking.h"
 
 namespace rekey {
-class ThreadPool;
 class TaskRunner;
 }
 
 namespace rekey::tree {
 
-struct ShardPlan;        // keytree/shard.h
-struct ShardBatchStats;  // keytree/shard.h
 struct RekeyPayload;
-struct BatchUpdate;
 
-// Sharded generator (keytree/shard_pipeline.h); declared here so the flat
-// payload containers can befriend it.
-void generate_rekey_payload_sharded(const KeyTree& tree,
-                                    const BatchUpdate& update,
-                                    std::uint32_t msg_id, RekeyPayload& out,
-                                    const ShardPlan& plan,
-                                    rekey::TaskRunner& runner,
-                                    ShardBatchStats* stats);
+// The generator (defined below); declared here so the flat payload
+// containers can befriend it.
+void generate_rekey_payload_into(const KeyTree& tree,
+                                 const BatchUpdate& update,
+                                 std::uint32_t msg_id, RekeyPayload& out,
+                                 const ShardPlan& plan,
+                                 rekey::TaskRunner& runner,
+                                 ShardBatchStats* stats);
 
 enum class Label : std::uint8_t { Join, Replace };
 
@@ -122,17 +122,13 @@ class UserNeeds {
  private:
   friend void generate_rekey_payload_into(const KeyTree&, const BatchUpdate&,
                                           std::uint32_t, RekeyPayload&,
-                                          rekey::ThreadPool*);
-  friend void generate_rekey_payload_sharded(const KeyTree&,
-                                             const BatchUpdate&,
-                                             std::uint32_t, RekeyPayload&,
-                                             const ShardPlan&,
-                                             rekey::TaskRunner&,
-                                             ShardBatchStats*);
+                                          const ShardPlan&,
+                                          rekey::TaskRunner&,
+                                          ShardBatchStats*);
 
-  // The frontier pass both generators share: one depth-first walk of the
-  // changed subtree. enc_offset[k] is the first encryption of the k-th
-  // changed k-node in descending id order (the generators' block order).
+  // The frontier pass: one depth-first walk of the changed subtree.
+  // enc_offset[k] is the first encryption of the k-th changed k-node in
+  // descending id order (the generator's block order).
   void build(const KeyTree& tree, const BatchUpdate& update,
              std::span<const std::uint32_t> enc_offset);
 
@@ -166,13 +162,9 @@ class LabelMap {
  private:
   friend void generate_rekey_payload_into(const KeyTree&, const BatchUpdate&,
                                           std::uint32_t, RekeyPayload&,
-                                          rekey::ThreadPool*);
-  friend void generate_rekey_payload_sharded(const KeyTree&,
-                                             const BatchUpdate&,
-                                             std::uint32_t, RekeyPayload&,
-                                             const ShardPlan&,
-                                             rekey::TaskRunner&,
-                                             ShardBatchStats*);
+                                          const ShardPlan&,
+                                          rekey::TaskRunner&,
+                                          ShardBatchStats*);
 
   std::size_t index_of(NodeId id) const {
     const auto it = std::lower_bound(
@@ -200,20 +192,25 @@ struct RekeyPayload {
 };
 
 // Generates the rekey message payload for a batch that was just applied to
-// `tree` (whose keys are already the *new* keys). A non-null `pool` with
-// more than one worker fans the encryption pass out across threads; the
-// result is bit-identical to the serial path.
-RekeyPayload generate_rekey_payload(const KeyTree& tree,
-                                    const BatchUpdate& update,
-                                    std::uint32_t msg_id,
-                                    rekey::ThreadPool* pool = nullptr);
-
-// Reuse-friendly variant: clears and refills `out`, keeping its buffer
-// capacity across batches (the steady-state server loop allocates
-// nothing here once warm).
+// `tree` (whose keys are already the *new* keys). Clears and refills
+// `out`, keeping its buffer capacity across batches. The encryption
+// blocks are counted and filled as 2 x plan.shards tasks on `runner`.
+// When `stats` is non-null its shard_encryptions vector is filled with
+// the encryptions under each shard's changed k-nodes (entries [0, shards)
+// per shard, entry [shards] for the aggregator).
 void generate_rekey_payload_into(const KeyTree& tree,
                                  const BatchUpdate& update,
                                  std::uint32_t msg_id, RekeyPayload& out,
-                                 rekey::ThreadPool* pool = nullptr);
+                                 const ShardPlan& plan,
+                                 rekey::TaskRunner& runner,
+                                 ShardBatchStats* stats = nullptr);
+
+// The same payload on one shard with an inline runner.
+void generate_rekey_payload_into(const KeyTree& tree,
+                                 const BatchUpdate& update,
+                                 std::uint32_t msg_id, RekeyPayload& out);
+RekeyPayload generate_rekey_payload(const KeyTree& tree,
+                                    const BatchUpdate& update,
+                                    std::uint32_t msg_id);
 
 }  // namespace rekey::tree

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/ensure.h"
+#include "keytree/rekey_subtree.h"
 
 namespace rekey::tree {
 
@@ -64,6 +65,22 @@ void check_shard_partition(const ShardPlan& plan,
                      "below-cut node id leaked into the aggregator set");
 }
 
+void check_enc_id_disjointness(const RekeyPayload& payload,
+                               const ShardPlan& plan) {
+  std::vector<NodeId> ids;
+  ids.reserve(payload.encryptions.size());
+  for (const Encryption& e : payload.encryptions) {
+    // Every id must have a well-defined owner (shard or aggregator); the
+    // encrypting child of a changed k-node always does.
+    const unsigned s = plan.shard_of(e.enc_id);
+    REKEY_ENSURE(s == ShardPlan::kAggregator || s < plan.shards);
+    ids.push_back(e.enc_id);
+  }
+  std::sort(ids.begin(), ids.end());
+  REKEY_ENSURE_MSG(std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
+                   "duplicate encryption id across shards");
+}
+
 void check_sharded_tree(const KeyTree& tree, const ShardPlan& plan) {
   tree.check_invariants();
   REKEY_ENSURE_MSG(tree.degree() == plan.degree,
@@ -91,6 +108,9 @@ void check_sharded_tree(const KeyTree& tree, const ShardPlan& plan) {
 
 std::vector<NodeId> merge_disjoint_sorted(
     std::vector<std::vector<NodeId>> parts) {
+  // Empty parts merge to nothing; dropping them makes a lone part (one
+  // shard, an idle aggregator) a move instead of a copy.
+  std::erase_if(parts, [](const std::vector<NodeId>& p) { return p.empty(); });
   if (parts.empty()) return {};
   // Pairwise merge rounds: log(parts) passes over the data.
   while (parts.size() > 1) {

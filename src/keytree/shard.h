@@ -11,12 +11,17 @@
 // of its cut-level ancestor. Because a path from a slot to the root stays
 // inside one cut subtree until it crosses the cut, per-shard path walks
 // touch only that shard's ids plus aggregator ids — the property that
-// makes per-shard marking tasks race-free and their merged output
-// identical to the serial walk (see marking.h).
+// makes per-shard marking tasks race-free and their merged output one
+// sorted set (see marking.h).
+//
+// Every batch runs on a plan: Marker::run and generate_rekey_payload_into
+// take one, and their plain forms use ShardPlan::make(degree, 1), under
+// which one shard owns every id (cut level 0) and the aggregator task has
+// nothing to do.
 //
 // Determinism contract: sharding changes who computes what, never what is
-// computed. The sharded pipeline must produce bit-identical payloads and
-// packets to the serial one for every shard count and thread count.
+// computed. The tree, payload and packets are bit-identical for every
+// shard count and thread count.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +31,8 @@
 #include "keytree/keytree.h"
 
 namespace rekey::tree {
+
+struct RekeyPayload;  // keytree/rekey_subtree.h
 
 struct ShardPlan {
   // Sentinel shard index for nodes above the cut (aggregator-owned).
@@ -49,14 +56,15 @@ struct ShardPlan {
   unsigned task_count() const { return shards + 1; }
 };
 
-// Per-batch observability of the sharded pipeline (and the handle tests
-// use to inspect the partition the merge consumed).
+// Per-batch observability of the shard tasks (and the handle tests use to
+// inspect the partition the merge consumed).
 struct ShardBatchStats {
   // Changed k-nodes collected below the cut, per shard.
   std::vector<std::size_t> shard_changed;
   // Changed k-nodes at or above the cut (aggregator-owned).
   std::size_t aggregator_changed = 0;
-  // Encryptions generated per shard (aggregator entry last).
+  // Encryptions under each shard's changed k-nodes (aggregator entry
+  // last).
   std::vector<std::size_t> shard_encryptions;
 };
 
@@ -70,14 +78,23 @@ void check_shard_partition(const ShardPlan& plan,
                            std::span<const std::vector<NodeId>> shard_sets,
                            const std::vector<NodeId>& aggregator_set);
 
+// Verifies that the payload's encryption ids are globally unique and that
+// each id has a well-defined owning shard under `plan`. An encryption id
+// is the encrypting child's node id; each child has one parent and node
+// ownership is a partition, so encryptions from different shards never
+// collide and need no shard tag or id-space offset, on the wire or in the
+// (msg_id, enc_id) nonce. Throws EnsureError on violation.
+void check_enc_id_disjointness(const RekeyPayload& payload,
+                               const ShardPlan& plan);
+
 // Tree-level variant: verifies the base invariants plus plan/tree degree
 // agreement and that ownership of every present node is well defined.
 void check_sharded_tree(const KeyTree& tree, const ShardPlan& plan);
 
 // Merge of pairwise-disjoint sorted id vectors into one sorted vector —
-// the deterministic merge step of the sharded pipeline. The result is
-// identical to concatenating and sort+unique-ing the inputs, but costs
-// O(total * log(parts)).
+// the deterministic merge step of marking's per-shard path walks. The
+// result is identical to concatenating and sort+unique-ing the inputs,
+// but costs O(total * log(parts)); a single non-empty part is moved.
 std::vector<NodeId> merge_disjoint_sorted(
     std::vector<std::vector<NodeId>> parts);
 

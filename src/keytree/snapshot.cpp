@@ -1,7 +1,6 @@
 #include "keytree/snapshot.h"
 
 #include <algorithm>
-#include <limits>
 #include <utility>
 
 #include "common/byte_cursor.h"
@@ -15,13 +14,13 @@ namespace {
 
 constexpr std::uint32_t kTreeMagic = 0x524B5453;  // "RKTS"
 constexpr std::uint32_t kViewMagic = 0x524B5653;  // "RKVS"
-constexpr std::uint8_t kVersion = 1;
-// v2: sharded layout — per-shard node sections + the keygen counter.
-constexpr std::uint8_t kShardedVersion = 2;
+constexpr std::uint8_t kViewVersion = 1;
+// Tree format v2: per-shard node sections + the keygen counter. v1 (one
+// node list, no counter) is no longer read: a tree restored from it
+// re-drew keys from counter 0.
+constexpr std::uint8_t kTreeVersion = 2;
 
 constexpr std::size_t kDigestSize = crypto::Sha256::kDigestSize;
-// magic, version, degree, node count.
-constexpr std::size_t kTreeHeaderSize = 4 + 1 + 1 + 4;
 // magic, version, degree, shards, cut level, keygen counter.
 constexpr std::size_t kShardedHeaderSize = 4 + 1 + 1 + 4 + 4 + 8;
 // section index, node count.
@@ -92,43 +91,6 @@ std::optional<std::span<const std::uint8_t>> snapshot_open(const Bytes& blob) {
   return body;
 }
 
-Bytes snapshot_tree(const KeyTree& tree) {
-  Bytes blob(kTreeHeaderSize + tree.num_nodes() * kNodeRecordSize +
-             kDigestSize);
-  ByteCursor w(blob.data());
-  w.put_u32(kTreeMagic);
-  w.put_u8(kVersion);
-  w.put_u8(static_cast<std::uint8_t>(tree.degree()));
-  w.put_u32(static_cast<std::uint32_t>(tree.num_nodes()));
-  put_nodes(w, tree, 0, std::numeric_limits<NodeId>::max());
-  seal_at(blob, w);
-  return blob;
-}
-
-std::optional<KeyTree> restore_tree(const Bytes& blob,
-                                    std::uint64_t key_seed) {
-  const auto body = snapshot_open(blob);
-  if (!body) return std::nullopt;
-  try {
-    ByteReader r(*body);
-    if (r.get_u32() != kTreeMagic) return std::nullopt;
-    if (r.get_u8() != kVersion) return std::nullopt;
-    const unsigned degree = r.get_u8();
-    const std::uint32_t count = r.get_u32();
-    if (r.remaining() != std::uint64_t{count} * kNodeRecordSize)
-      return std::nullopt;
-    return KeyTree::from_records(degree, key_seed, count, [&](auto&& put) {
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const auto [id, n] = get_node(r);
-        put(id, n);
-      }
-    });
-  } catch (const EnsureError&) {
-    // Truncated fields or invariant violations: a corrupt snapshot.
-    return std::nullopt;
-  }
-}
-
 std::size_t sharded_tree_size(const KeyTree& tree, const ShardPlan& plan) {
   return kShardedHeaderSize + (plan.shards + 1) * kSectionHeaderSize +
          tree.num_nodes() * kNodeRecordSize + kDigestSize;
@@ -143,7 +105,7 @@ void write_sharded_tree(const KeyTree& tree, const ShardPlan& plan,
   const unsigned S = plan.shards;
   ByteCursor w(out.data());
   w.put_u32(kTreeMagic);
-  w.put_u8(kShardedVersion);
+  w.put_u8(kTreeVersion);
   w.put_u8(static_cast<std::uint8_t>(tree.degree()));
   w.put_u32(S);
   w.put_u32(plan.cut_level);
@@ -199,7 +161,7 @@ std::optional<KeyTree> restore_sharded_tree(const Bytes& blob,
   try {
     ByteReader r(*body);
     if (r.get_u32() != kTreeMagic) return std::nullopt;
-    if (r.get_u8() != kShardedVersion) return std::nullopt;
+    if (r.get_u8() != kTreeVersion) return std::nullopt;
     const unsigned degree = r.get_u8();
     const std::uint32_t shards = r.get_u32();
     const std::uint32_t cut_level = r.get_u32();
@@ -250,7 +212,7 @@ Bytes snapshot_view(const UserKeyView& view, unsigned degree) {
              kDigestSize);
   ByteCursor w(blob.data());
   w.put_u32(kViewMagic);
-  w.put_u8(kVersion);
+  w.put_u8(kViewVersion);
   w.put_u8(static_cast<std::uint8_t>(degree));
   w.put_u32(view.member());
   w.put_u64(view.id());
@@ -269,7 +231,7 @@ std::optional<UserKeyView> restore_view(const Bytes& blob) {
   try {
     ByteReader r(*body);
     if (r.get_u32() != kViewMagic) return std::nullopt;
-    if (r.get_u8() != kVersion) return std::nullopt;
+    if (r.get_u8() != kViewVersion) return std::nullopt;
     const unsigned degree = r.get_u8();
     const MemberId member = r.get_u32();
     const NodeId slot = r.get_u64();

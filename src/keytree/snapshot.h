@@ -30,21 +30,15 @@ namespace rekey::tree {
 void snapshot_seal(std::span<std::uint8_t> blob);
 std::optional<std::span<const std::uint8_t>> snapshot_open(const Bytes& blob);
 
-// Serialize the full key tree (degree, nodes, member bindings).
-Bytes snapshot_tree(const KeyTree& tree);
-
-// Restore; nullopt when the blob is truncated, corrupt, or of an
-// unknown version. `key_seed` seeds the generator for *future* keys.
-std::optional<KeyTree> restore_tree(const Bytes& blob,
-                                    std::uint64_t key_seed);
-
-// Sharded snapshot (format v2): nodes are grouped into one section per
-// shard plus an aggregator section, and the key generator's stream
-// counter is persisted, so a restored server resumes the exact draw
-// sequence — the next sharded (or serial) batch is bit-identical to an
-// uninterrupted run's, even mid-epoch. Restore validates that every node
-// in a shard section is owned by that shard under the recorded plan; a
-// corrupted shard boundary yields nullopt.
+// The tree snapshot (format v2): the degree, every node with its key and
+// member binding, grouped into one section per shard plus an aggregator
+// section, and the key generator's stream counter, so a restored server
+// resumes the exact draw sequence — its next batch is bit-identical to an
+// uninterrupted run's, even mid-epoch, whatever shard count either side
+// runs. Restore validates that every node in a shard section is owned by
+// that shard under the recorded plan; a corrupted shard boundary yields
+// nullopt. A one-shard plan is the plain layout: one section in id order
+// and an empty aggregator section.
 //
 // The encoder is one pass: it sizes the blob from the node count, writes
 // each shard's section straight from the tree arena (at every level at
@@ -59,11 +53,14 @@ std::size_t sharded_tree_size(const KeyTree& tree, const ShardPlan& plan);
 void write_sharded_tree(const KeyTree& tree, const ShardPlan& plan,
                         std::span<std::uint8_t> out);
 
-// The decoder writes each record straight into a tree arena sized once
-// from the blob length (KeyTree::from_records), checks each record's
-// shard against its section (ShardPlan::shard_of), and checks I1-I4
-// once. Memory and time follow the node count; no node is copied
-// into an intermediate container.
+// Restore; nullopt when the blob is truncated, corrupt, or of another
+// version (v1 included). `key_seed` must be the snapshotted tree's seed
+// for the resumed stream to match. The decoder writes each record
+// straight into a tree arena sized once from the blob length
+// (KeyTree::from_records), checks each record's shard against its
+// section (ShardPlan::shard_of), and checks I1-I4 once. Memory and time
+// follow the node count; no node is copied into an intermediate
+// container.
 std::optional<KeyTree> restore_sharded_tree(const Bytes& blob,
                                             std::uint64_t key_seed,
                                             ShardPlan* plan_out = nullptr);

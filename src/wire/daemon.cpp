@@ -9,7 +9,6 @@
 #include "common/obs.h"
 #include "keytree/marking.h"
 #include "keytree/rekey_subtree.h"
-#include "keytree/shard_pipeline.h"
 #include "keytree/snapshot.h"
 #include "packet/assign.h"
 
@@ -35,6 +34,7 @@ KeyServerDaemon::KeyServerDaemon(WireTransport& wire,
     : wire_(wire),
       config_(config),
       tree_(config.degree, config.key_seed),
+      plan_(tree::ShardPlan::make(config.degree, std::max(1u, config.shards))),
       rho_(config.protocol, config.key_seed ^ 0x5EED) {
   REKEY_ENSURE_MSG(config.clients > 0, "daemon needs at least one client");
   REKEY_ENSURE_MSG(config.churn_pool >= config.churn_leaves,
@@ -58,11 +58,8 @@ KeyServerDaemon::KeyServerDaemon(WireTransport& wire,
   REKEY_ENSURE_MSG(config.round_quantum_ms > 0.0,
                    "the protocol clock needs a positive quantum");
   config.fault.validate();
-  if (config.shards > 1 || config.worker_threads != 1) {
-    plan_ = tree::ShardPlan::make(config.degree, std::max(1u, config.shards));
-    if (config.worker_threads != 1)
-      pool_ = std::make_unique<ThreadPool>(config.worker_threads);
-  }
+  if (config.worker_threads != 1)
+    pool_ = std::make_unique<ThreadPool>(config.worker_threads);
 }
 
 void KeyServerDaemon::send_control(Endpoint to, const Bytes& frame) {
@@ -450,16 +447,10 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
 
   tree::Marker marker(tree_);
   TaskRunner runner(pool_.get());
-  const tree::BatchUpdate update =
-      plan_.has_value()
-          ? marker.run_sharded(joins, leaves, *plan_, runner)
-          : marker.run(joins, leaves);
+  const tree::BatchUpdate update = marker.run(joins, leaves, plan_, runner);
   tree::RekeyPayload payload;
-  if (plan_.has_value())
-    tree::generate_rekey_payload_sharded(tree_, update, msg_id, payload,
-                                         *plan_, runner);
-  else
-    tree::generate_rekey_payload_into(tree_, update, msg_id, payload);
+  tree::generate_rekey_payload_into(tree_, update, msg_id, payload, plan_,
+                                    runner);
   packet::Assignment assignment =
       packet::assign_keys(payload, config_.protocol.packet_size, wide());
 
@@ -710,14 +701,11 @@ void KeyServerDaemon::ship_snapshot(std::uint32_t next_batch) {
     s.endpoints.push_back(SnapshotEndpoint{ep.id, es.first_uid, es.count,
                                            es.max_version, es.dead});
   s.rho = rho_.state();
-  // Always the sharded (v2) tree format: it carries the keygen counter,
-  // and a serial session is just the one-shard plan. The tree blob is
-  // written in place inside the server blob, which reuses the previous
-  // batch's buffer, and each SnapChunk frame is cut from the blob as it
-  // is sent.
-  snapshot_server_into(
-      s, tree_, plan_.value_or(tree::ShardPlan::make(config_.degree, 1)),
-      snap_blob_);
+  // The sharded (v2) tree format carries the keygen counter. The tree
+  // blob is written in place inside the server blob, which reuses the
+  // previous batch's buffer, and each SnapChunk frame is cut from the
+  // blob as it is sent.
+  snapshot_server_into(s, tree_, plan_, snap_blob_);
   const std::vector<SnapChunkFrame> chunks =
       chunk_snapshot(next_batch, snap_blob_, wire_.max_payload());
 

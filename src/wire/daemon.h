@@ -96,10 +96,10 @@ struct DaemonConfig {
   // dead and dropped from the lockstep.
   int endpoint_dead_after = 3;
 
-  // Sharded batch pipeline (keytree/shard.h): shards > 1 runs marking
-  // and encryption generation as per-shard tasks; worker_threads > 1
-  // backs them with a pool. Bit-identical output to the serial pipeline
-  // (the wire traffic does not change); defaults keep the serial path.
+  // Batch pipeline (keytree/shard.h): shards > 1 runs marking and
+  // encryption generation as per-shard tasks; worker_threads > 1 backs
+  // them with a pool. The output, and so the wire traffic, is
+  // bit-identical for every setting; the defaults run one shard inline.
   unsigned shards = 1;          // power of two in [1, 256]
   unsigned worker_threads = 1;  // 0 picks default_thread_count()
 
@@ -287,8 +287,8 @@ class KeyServerDaemon {
   std::atomic<bool> stop_{false};
 
   tree::KeyTree tree_;
-  std::optional<tree::ShardPlan> plan_;  // set when config asks for shards
-  std::unique_ptr<rekey::ThreadPool> pool_;
+  tree::ShardPlan plan_;
+  std::unique_ptr<rekey::ThreadPool> pool_;  // null with one worker
   transport::RhoController rho_;
   tree::MemberId next_member_ = 0;
   std::vector<tree::MemberId> churn_members_;  // silent, in join order

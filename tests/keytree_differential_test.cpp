@@ -22,7 +22,6 @@
 #include "keytree/marking.h"
 #include "keytree/rekey_subtree.h"
 #include "keytree/shard.h"
-#include "keytree/shard_pipeline.h"
 #include "packet/assign.h"
 #include "transport/server.h"
 
@@ -54,6 +53,7 @@ class LegacyTree {
   bool contains(NodeId id) const { return nodes_.count(id) != 0; }
   const Node& node(NodeId id) const { return nodes_.at(id); }
   bool has_member(MemberId m) const { return slot_of_member_.count(m) != 0; }
+  std::uint64_t counter() const { return keygen_.counter(); }
   NodeId slot_of(MemberId m) const { return slot_of_member_.at(m); }
   const std::map<NodeId, Node>& nodes() const { return nodes_; }
 
@@ -377,6 +377,8 @@ packet::Assignment assign_keys(const LegacyPayload& payload,
 
 void expect_trees_equal(const KeyTree& flat, const legacy::LegacyTree& ref,
                         int batch) {
+  EXPECT_EQ(flat.key_generator().counter(), ref.counter())
+      << "draw-stream counter diverged at batch " << batch;
   const std::map<NodeId, Node> a = flat.nodes();
   const std::map<NodeId, Node>& b = ref.nodes();
   ASSERT_EQ(a.size(), b.size()) << "node count diverged at batch " << batch;
@@ -475,13 +477,12 @@ void expect_assignments_equal(const packet::Assignment& a,
   EXPECT_EQ(a.unique_encryptions, b.unique_encryptions) << "batch " << batch;
 }
 
-// Packet oracle: the run-packed assign_keys, on the payload of either
-// generator, emits exactly the legacy per-user packer's ENC packets, and
-// usr_for carries exactly each user's legacy needs. Capacities: the
-// tightest a tree of this height allows (a packet closes at nearly every
-// run), and 1027-byte packets with narrow and wide headers.
-void expect_packets_match_oracle(const RekeyPayload& flat,
-                                 const RekeyPayload& sharded,
+// Packet oracle: the run-packed assign_keys emits exactly the legacy
+// per-user packer's ENC packets, and usr_for carries exactly each user's
+// legacy needs. Capacities: the tightest a tree of this height allows (a
+// packet closes at nearly every run), and 1027-byte packets with narrow
+// and wide headers.
+void expect_packets_match_oracle(const RekeyPayload& payload,
                                  const legacy::LegacyPayload& ref,
                                  std::uint32_t msg_id, unsigned height,
                                  int batch) {
@@ -492,17 +493,16 @@ void expect_packets_match_oracle(const RekeyPayload& flat,
   for (const auto& [size, wide] : shapes) {
     const packet::Assignment want =
         legacy::assign_keys(ref, msg_id, size, wide);
-    expect_assignments_equal(packet::assign_keys(flat, size, wide), want,
-                             batch);
-    expect_assignments_equal(packet::assign_keys(sharded, size, wide), want,
+    expect_assignments_equal(packet::assign_keys(payload, size, wide), want,
                              batch);
     if (::testing::Test::HasFatalFailure()) return;
   }
-  if (flat.encryptions.empty()) return;
+  if (payload.encryptions.empty()) return;
   transport::ProtocolConfig cfg;
   cfg.wide_slots = true;  // ids may outgrow the narrow header
   const transport::ServerTransport server(
-      cfg, flat, packet::assign_keys(flat, cfg.packet_size, cfg.wide_slots),
+      cfg, payload,
+      packet::assign_keys(payload, cfg.packet_size, cfg.wide_slots),
       0, static_cast<std::uint8_t>(msg_id % 64));
   for (const auto& [slot, needs] : ref.user_needs) {
     const packet::UsrPacket usr =
@@ -518,7 +518,10 @@ void expect_packets_match_oracle(const RekeyPayload& flat,
 
 // One scripted churn sequence: bootstrap join, then `batches` random
 // J/L mixes (including J=0, L=0, J=L, and heavy-join batches that force
-// splits). Applied in lockstep to both implementations.
+// splits). Applied in lockstep to both implementations. Each batch's
+// payload is generated twice, by the plain call (one shard, inline) and
+// on four shards whose tasks run on `pool` (inline when null); both must
+// match the legacy payload and packets.
 void run_differential(unsigned degree, std::uint64_t seed, int batches,
                       std::size_t initial, rekey::ThreadPool* pool) {
   Rng rng(seed);
@@ -565,16 +568,18 @@ void run_differential(unsigned degree, std::uint64_t seed, int batches,
     flat.check_invariants();
 
     const auto msg_id = static_cast<std::uint32_t>(batch + 1);
-    generate_rekey_payload_into(flat, upd, msg_id, flat_payload, pool);
     const legacy::LegacyPayload ref_payload =
         legacy::generate_payload(ref, ref_upd, msg_id);
-    expect_payloads_equal(flat_payload, ref_payload, ref.user_slots(), batch);
-    if (::testing::Test::HasFatalFailure()) return;
-    generate_rekey_payload_sharded(flat, upd, msg_id, sharded_payload, plan,
-                                   runner);
-    expect_packets_match_oracle(flat_payload, sharded_payload, ref_payload,
-                                msg_id, flat.height(), batch);
-    if (::testing::Test::HasFatalFailure()) return;
+    generate_rekey_payload_into(flat, upd, msg_id, flat_payload);
+    generate_rekey_payload_into(flat, upd, msg_id, sharded_payload, plan,
+                                runner);
+    for (const RekeyPayload* payload : {&flat_payload, &sharded_payload}) {
+      expect_payloads_equal(*payload, ref_payload, ref.user_slots(), batch);
+      if (::testing::Test::HasFatalFailure()) return;
+      expect_packets_match_oracle(*payload, ref_payload, msg_id,
+                                  flat.height(), batch);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
 
     // Update the scripted population for the next round.
     std::set<MemberId> gone(leaves.begin(), leaves.end());
@@ -588,7 +593,7 @@ void run_differential(unsigned degree, std::uint64_t seed, int batches,
 }
 
 // ---------------------------------------------------------------------------
-// Tests: 200 seeded batches total across degrees, serial payload.
+// Tests: 200 seeded batches total across degrees, shard tasks inline.
 // ---------------------------------------------------------------------------
 
 TEST(KeyTreeDifferential, Degree4SerialChurn) {
@@ -611,10 +616,10 @@ TEST(KeyTreeDifferential, SmallGroupsAndFullDepartures) {
   run_differential(2, 0xD1FF11, 40, 1, nullptr);
 }
 
-// The parallel payload path must be bit-identical to serial; run the same
-// scripted sequences through a thread pool. REKEY_THREADS (when set, e.g.
-// 8 in CI) sizes the pool; at 1 the pool runs inline and this repeats the
-// serial test.
+// The generator's shard tasks on a thread pool must be bit-identical to
+// the inline run; run the same scripted sequences with a pool.
+// REKEY_THREADS (when set, e.g. 8 in CI) sizes the first test's pool; at
+// 1 the pool runs inline and this repeats the inline test.
 TEST(KeyTreeDifferential, ParallelPayloadMatchesLegacy) {
   rekey::ThreadPool pool(0);
   run_differential(4, 0xD1FF01, 100, 64, &pool);
@@ -627,91 +632,19 @@ TEST(KeyTreeDifferential, ParallelPayloadEightWorkers) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded-vs-serial differential: the same scripted churn drives two
-// identical trees, one through the serial pipeline (Marker::run ->
-// generate_rekey_payload_into -> assign_keys) and one through the sharded
-// pipeline (run_sharded -> generate_rekey_payload_sharded -> assign_keys).
-// The determinism contract says sharding changes who computes what, never
-// what is computed: every artifact — tree nodes and key material, the
-// draw-stream counter, the batch update, payload bytes, and the assigned
-// packets — must match exactly for every shard count and thread count.
+// Shard-count differential: the same scripted churn drives the pipeline
+// (Marker::run -> generate_rekey_payload_into -> assign_keys) at a given
+// shard and thread count, and the legacy tree beside it. The determinism
+// contract says sharding changes who computes what, never what is
+// computed: every artifact — tree nodes and key material, the draw-stream
+// counter, the batch update, payload bytes, and the assigned packets —
+// must match the legacy reference exactly for every shard count and
+// thread count.
 // ---------------------------------------------------------------------------
-
-void expect_flat_trees_equal(const KeyTree& a, const KeyTree& b, int batch) {
-  EXPECT_EQ(a.key_generator().counter(), b.key_generator().counter())
-      << "draw-stream counter diverged at batch " << batch;
-  const std::map<NodeId, Node> na = a.nodes();
-  const std::map<NodeId, Node> nb = b.nodes();
-  ASSERT_EQ(na.size(), nb.size()) << "node count diverged at batch " << batch;
-  auto ib = nb.begin();
-  for (const auto& [id, n] : na) {
-    ASSERT_EQ(id, ib->first) << "node id diverged at batch " << batch;
-    ASSERT_EQ(n.kind, ib->second.kind)
-        << "kind of node " << id << " diverged at batch " << batch;
-    ASSERT_EQ(n.key, ib->second.key)
-        << "key of node " << id << " diverged at batch " << batch;
-    if (n.kind == NodeKind::UNode) {
-      ASSERT_EQ(n.member, ib->second.member)
-          << "member at node " << id << " diverged at batch " << batch;
-    }
-    ++ib;
-  }
-}
-
-void expect_batch_updates_equal(const BatchUpdate& a, const BatchUpdate& b,
-                                int batch) {
-  EXPECT_TRUE(a.changed_knodes == b.changed_knodes)
-      << "changed_knodes diverged at batch " << batch;
-  EXPECT_EQ(a.joined, b.joined) << "joined diverged at batch " << batch;
-  EXPECT_EQ(a.departed, b.departed) << "departed diverged at batch " << batch;
-  EXPECT_EQ(a.moved, b.moved) << "moved diverged at batch " << batch;
-  EXPECT_EQ(a.max_kid, b.max_kid) << "max_kid diverged at batch " << batch;
-}
-
-void expect_flat_payloads_equal(const RekeyPayload& a, const RekeyPayload& b,
-                                int batch) {
-  ASSERT_EQ(a.encryptions.size(), b.encryptions.size())
-      << "encryption count diverged at batch " << batch;
-  for (std::size_t i = 0; i < a.encryptions.size(); ++i) {
-    ASSERT_EQ(a.encryptions[i].enc_id, b.encryptions[i].enc_id)
-        << "enc_id at position " << i << ", batch " << batch;
-    ASSERT_EQ(a.encryptions[i].target_id, b.encryptions[i].target_id)
-        << "target_id at position " << i << ", batch " << batch;
-    ASSERT_EQ(a.encryptions[i].payload, b.encryptions[i].payload)
-        << "ciphertext at position " << i << ", batch " << batch;
-  }
-  EXPECT_EQ(a.max_kid, b.max_kid) << "max_kid diverged at batch " << batch;
-
-  const auto runs_a = a.user_needs.runs();
-  const auto runs_b = b.user_needs.runs();
-  ASSERT_EQ(a.user_needs.frontiers(), b.user_needs.frontiers())
-      << "frontier count diverged at batch " << batch;
-  ASSERT_EQ(runs_a.size(), runs_b.size())
-      << "run count diverged at batch " << batch;
-  for (std::size_t i = 0; i < runs_a.size(); ++i) {
-    ASSERT_EQ(runs_a[i].first, runs_b[i].first)
-        << "run " << i << ", batch " << batch;
-    ASSERT_EQ(runs_a[i].last, runs_b[i].last)
-        << "run " << i << ", batch " << batch;
-    const auto na = a.user_needs.needs(runs_a[i]);
-    const auto nb = b.user_needs.needs(runs_b[i]);
-    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
-        << "needs of run " << i << ", batch " << batch;
-  }
-
-  ASSERT_EQ(a.labels.size(), b.labels.size())
-      << "label count diverged at batch " << batch;
-  auto lb = b.labels.begin();
-  for (const auto& [id, label] : a.labels) {
-    ASSERT_EQ(id, lb->first) << "label id order, batch " << batch;
-    ASSERT_EQ(label, lb->second) << "label of " << id << ", batch " << batch;
-    ++lb;
-  }
-}
 
 // What each non-bootstrap batch of the script should look like.
 enum class ShardScript {
-  Mixed,             // the serial differential's three churn regimes
+  Mixed,             // run_differential's three churn regimes
   SingleShardDirty,  // J == L leaves confined to one randomly chosen shard
 };
 
@@ -720,9 +653,8 @@ void run_sharded_differential(unsigned degree, std::uint64_t seed,
                               unsigned shards, unsigned pool_threads,
                               ShardScript script = ShardScript::Mixed) {
   Rng rng(seed);
-  KeyTree serial_tree(degree, seed);
+  legacy::LegacyTree ref(degree, seed);
   KeyTree sharded_tree(degree, seed);
-  Marker serial_marker(serial_tree);
   Marker sharded_marker(sharded_tree);
   const ShardPlan plan = ShardPlan::make(degree, shards);
   std::unique_ptr<rekey::ThreadPool> pool;
@@ -732,7 +664,7 @@ void run_sharded_differential(unsigned degree, std::uint64_t seed,
 
   MemberId next_member = 0;
   std::vector<MemberId> population;
-  RekeyPayload serial_payload, sharded_payload;
+  RekeyPayload sharded_payload;
 
   for (int batch = 0; batch < batches; ++batch) {
     std::vector<MemberId> joins, leaves;
@@ -747,7 +679,7 @@ void run_sharded_differential(unsigned degree, std::uint64_t seed,
       dirty_shard = static_cast<unsigned>(rng.next_in(0, plan.shards - 1));
       std::vector<MemberId> in_target;
       for (const MemberId m : population)
-        if (plan.shard_of(serial_tree.slot_of(m)) == dirty_shard)
+        if (plan.shard_of(sharded_tree.slot_of(m)) == dirty_shard)
           in_target.push_back(m);
       const std::size_t L = in_target.empty()
                                 ? 0
@@ -776,12 +708,12 @@ void run_sharded_differential(unsigned degree, std::uint64_t seed,
       for (std::size_t i = 0; i < J; ++i) joins.push_back(next_member++);
     }
 
-    const BatchUpdate upd_a = serial_marker.run(joins, leaves);
+    const legacy::LegacyUpdate ref_upd = ref.run(joins, leaves);
     ShardBatchStats mark_stats;
     const BatchUpdate upd_b =
-        sharded_marker.run_sharded(joins, leaves, plan, runner, &mark_stats);
-    expect_batch_updates_equal(upd_a, upd_b, batch);
-    expect_flat_trees_equal(serial_tree, sharded_tree, batch);
+        sharded_marker.run(joins, leaves, plan, runner, &mark_stats);
+    expect_updates_equal(upd_b, ref_upd, batch);
+    expect_trees_equal(sharded_tree, ref, batch);
     if (::testing::Test::HasFatalFailure()) return;
     check_sharded_tree(sharded_tree, plan);
 
@@ -799,11 +731,13 @@ void run_sharded_differential(unsigned degree, std::uint64_t seed,
     }
 
     const auto msg_id = static_cast<std::uint32_t>(batch + 1);
-    generate_rekey_payload_into(serial_tree, upd_a, msg_id, serial_payload);
+    const legacy::LegacyPayload ref_payload =
+        legacy::generate_payload(ref, ref_upd, msg_id);
     ShardBatchStats pay_stats;
-    generate_rekey_payload_sharded(sharded_tree, upd_b, msg_id,
-                                   sharded_payload, plan, runner, &pay_stats);
-    expect_flat_payloads_equal(serial_payload, sharded_payload, batch);
+    generate_rekey_payload_into(sharded_tree, upd_b, msg_id, sharded_payload,
+                                plan, runner, &pay_stats);
+    expect_payloads_equal(sharded_payload, ref_payload, ref.user_slots(),
+                          batch);
     if (::testing::Test::HasFatalFailure()) return;
     check_enc_id_disjointness(sharded_payload, plan);
     std::size_t enc_total = 0;
@@ -811,11 +745,9 @@ void run_sharded_differential(unsigned degree, std::uint64_t seed,
     ASSERT_EQ(enc_total, sharded_payload.encryptions.size())
         << "shard stats do not partition the encryptions at batch " << batch;
 
-    const packet::Assignment serial_asn =
-        packet::assign_keys(serial_payload, 1027);
-    const packet::Assignment sharded_asn =
-        packet::assign_keys(sharded_payload, 1027);
-    expect_assignments_equal(serial_asn, sharded_asn, batch);
+    expect_assignments_equal(
+        packet::assign_keys(sharded_payload, 1027),
+        legacy::assign_keys(ref_payload, msg_id, 1027, false), batch);
     if (::testing::Test::HasFatalFailure()) return;
 
     std::set<MemberId> gone(leaves.begin(), leaves.end());
@@ -852,7 +784,7 @@ TEST(ShardedDifferential, SingleShardDirtyBatches) {
 // Tiny trees under a deep cut: most (or all) slots live at or above the
 // cut level, so the aggregator owns nearly everything and batches
 // straddle the cut constantly. Also covers total-leave + re-bootstrap
-// through the sharded path.
+// on many shards.
 TEST(ShardedDifferential, AggregatorCutStraddlingSmallTrees) {
   run_sharded_differential(4, 0x5AD200, 30, 4, 8, 1);
   run_sharded_differential(2, 0x5AD201, 30, 3, 8, 8);

@@ -104,8 +104,8 @@ TEST(KeyTreeFlat, FromNodesPlacesDeepIdsInOverflow) {
 
 TEST(KeyTreeFlat, SnapshotRoundTripWithOverflowNodes) {
   const KeyTree t = KeyTree::from_nodes(2, 11, chain_tree_nodes(18));
-  const Bytes blob = snapshot_tree(t);
-  const auto restored = restore_tree(blob, 99);
+  const Bytes blob = snapshot_sharded_tree(t, ShardPlan::make(2, 1));
+  const auto restored = restore_sharded_tree(blob, 99);
   ASSERT_TRUE(restored.has_value());
   restored->check_invariants();
   expect_same_nodes(restored->nodes(), t.nodes());
@@ -117,7 +117,8 @@ TEST(KeyTreeFlat, SnapshotRoundTripAcrossDegrees) {
   for (const unsigned d : {2u, 4u, 8u}) {
     KeyTree t(d, 5 + d);
     t.populate(137);
-    const auto restored = restore_tree(snapshot_tree(t), 1);
+    const auto restored = restore_sharded_tree(
+        snapshot_sharded_tree(t, ShardPlan::make(d, 1)), 1);
     ASSERT_TRUE(restored.has_value()) << "degree " << d;
     restored->check_invariants();
     expect_same_nodes(restored->nodes(), t.nodes());

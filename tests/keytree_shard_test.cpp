@@ -3,8 +3,8 @@
 // independence (via TaskRunner's adversarial permutation hook), sharded
 // snapshot round-trips (mid-epoch, counter-exact, across the dense/
 // overflow arena boundary), and the corrupted-shard-boundary regression.
-// The sharded-vs-serial pipeline equivalence itself lives in
-// keytree_differential_test.cpp.
+// The pipeline's equivalence to the legacy reference at every shard count
+// lives in keytree_differential_test.cpp.
 #include <algorithm>
 #include <cstdint>
 #include <map>
@@ -24,7 +24,6 @@
 #include "keytree/marking.h"
 #include "keytree/rekey_subtree.h"
 #include "keytree/shard.h"
-#include "keytree/shard_pipeline.h"
 #include "keytree/snapshot.h"
 #include "packet/assign.h"
 
@@ -134,11 +133,21 @@ TEST(MergeDisjointSorted, MatchesGlobalSortAcrossPartitions) {
     for (const NodeId id : all)
       parts[static_cast<std::size_t>(rng.next_in(0, parts_n - 1))]
           .push_back(id);
+    // Empty parts anywhere (an idle shard, the one-shard aggregator) are
+    // one more input.
+    const std::size_t empties = static_cast<std::size_t>(rng.next_in(0, 3));
+    for (std::size_t e = 0; e < empties; ++e)
+      parts.insert(parts.begin() + static_cast<std::ptrdiff_t>(
+                                       rng.next_in(0, parts.size())),
+                   std::vector<NodeId>{});
     EXPECT_EQ(merge_disjoint_sorted(std::move(parts)), all) << trial;
   }
   EXPECT_TRUE(merge_disjoint_sorted({}).empty());
   EXPECT_TRUE(merge_disjoint_sorted({{}, {}, {}}).empty());
   EXPECT_EQ(merge_disjoint_sorted({{7, 9}}), (std::vector<NodeId>{7, 9}));
+  EXPECT_EQ(merge_disjoint_sorted({{}, {7, 9}}), (std::vector<NodeId>{7, 9}));
+  EXPECT_EQ(merge_disjoint_sorted({{}, {2, 8}, {}, {5}, {}}),
+            (std::vector<NodeId>{2, 5, 8}));
 }
 
 TEST(CheckShardPartition, AcceptsAValidPartition) {
@@ -217,7 +226,7 @@ struct BatchArtifacts {
   std::vector<Encryption> encryptions;
 };
 
-// Replays a fixed churn script through the sharded pipeline under
+// Replays a fixed churn script through the pipeline on `plan` under
 // `runner`, recording every batch's tree bytes, draw counter, encryption
 // sequence, and serialized packet flush.
 std::vector<BatchArtifacts> replay_sharded(const ShardPlan& plan,
@@ -246,9 +255,8 @@ std::vector<BatchArtifacts> replay_sharded(const ShardPlan& plan,
     }
 
     ShardBatchStats stats;  // non-null => check_shard_partition runs too
-    const BatchUpdate upd =
-        marker.run_sharded(joins, leaves, plan, runner, &stats);
-    generate_rekey_payload_sharded(t, upd, batch + 1, payload, plan, runner);
+    const BatchUpdate upd = marker.run(joins, leaves, plan, runner, &stats);
+    generate_rekey_payload_into(t, upd, batch + 1, payload, plan, runner);
     const packet::Assignment asn = packet::assign_keys(payload, 1027);
 
     BatchArtifacts a;
@@ -328,8 +336,8 @@ TEST(ShardedPermutation, OrderIndependenceAcrossShardCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// UKA over the sharded generator's payload against the serial one, beyond
-// the differential's shapes.
+// UKA over the payload of eight shards on a pool against the plain call's,
+// beyond the differential's shapes.
 // ---------------------------------------------------------------------------
 
 TEST(ShardedAssign, MatchesSerialAcrossPacketSizes) {
@@ -347,25 +355,25 @@ TEST(ShardedAssign, MatchesSerialAcrossPacketSizes) {
   const ShardPlan plan = ShardPlan::make(4, 8);
   rekey::ThreadPool pool(8);
   rekey::TaskRunner runner(&pool);
-  RekeyPayload serial_payload, sharded_payload;
-  generate_rekey_payload_into(t, upd, 3, serial_payload);
-  generate_rekey_payload_sharded(t, upd, 3, sharded_payload, plan, runner);
+  RekeyPayload plain_payload, sharded_payload;
+  generate_rekey_payload_into(t, upd, 3, plain_payload);
+  generate_rekey_payload_into(t, upd, 3, sharded_payload, plan, runner);
   for (const std::size_t size : {200u, 500u, 1027u}) {
-    const packet::Assignment serial = packet::assign_keys(serial_payload, size);
+    const packet::Assignment plain = packet::assign_keys(plain_payload, size);
     const packet::Assignment sharded =
         packet::assign_keys(sharded_payload, size);
-    ASSERT_EQ(serial.packets.size(), sharded.packets.size()) << size;
-    for (std::size_t p = 0; p < serial.packets.size(); ++p)
-      ASSERT_EQ(serial.packets[p].serialize(size),
+    ASSERT_EQ(plain.packets.size(), sharded.packets.size()) << size;
+    for (std::size_t p = 0; p < plain.packets.size(); ++p)
+      ASSERT_EQ(plain.packets[p].serialize(size),
                 sharded.packets[p].serialize(size))
           << "packet " << p << " at size " << size;
-    EXPECT_EQ(serial.total_entries, sharded.total_entries);
-    EXPECT_EQ(serial.unique_encryptions, sharded.unique_encryptions);
+    EXPECT_EQ(plain.total_entries, sharded.total_entries);
+    EXPECT_EQ(plain.unique_encryptions, sharded.unique_encryptions);
   }
 
-  // An empty batch through the sharded generator assigns no packets.
+  // An empty batch on eight shards assigns no packets.
   const BatchUpdate none = m.run({}, {});
-  generate_rekey_payload_sharded(t, none, 4, sharded_payload, plan, runner);
+  generate_rekey_payload_into(t, none, 4, sharded_payload, plan, runner);
   EXPECT_TRUE(packet::assign_keys(sharded_payload, 1027).packets.empty());
 }
 
@@ -374,7 +382,7 @@ TEST(ShardedAssign, MatchesSerialAcrossPacketSizes) {
 // dense/overflow arena boundary, and the corrupted-boundary regression.
 // ---------------------------------------------------------------------------
 
-// Runs `batches` sharded batches on `t`, returning the last payload's
+// Runs `batches` batches on `t` under `plan`, returning the last payload's
 // encryption bytes (the probe the resume tests compare).
 std::vector<Encryption> run_batches(KeyTree& t, const ShardPlan& plan,
                                     rekey::TaskRunner& runner,
@@ -392,10 +400,8 @@ std::vector<Encryption> run_batches(KeyTree& t, const ShardPlan& plan,
         leaves.push_back(t.node(slots[i]).member);
       for (std::size_t i = 0; i < 11; ++i) joins.push_back(next_member++);
     }
-    const BatchUpdate upd =
-        marker.run_sharded(joins, leaves, plan, runner, nullptr);
-    generate_rekey_payload_sharded(t, upd, first_msg + b, payload, plan,
-                                   runner);
+    const BatchUpdate upd = marker.run(joins, leaves, plan, runner);
+    generate_rekey_payload_into(t, upd, first_msg + b, payload, plan, runner);
   }
   return payload.encryptions;
 }
@@ -446,8 +452,8 @@ TEST(ShardedSnapshot, MidEpochRoundTripResumesTheExactDrawStream) {
 }
 
 TEST(ShardedSnapshot, SerialPipelineAlsoResumesExactly) {
-  // A v2 snapshot restores into the serial pipeline too: the counter is
-  // pipeline-agnostic.
+  // A v2 snapshot taken on two shards resumes under the plain calls (one
+  // shard, inline) too: the counter does not depend on the plan.
   const std::uint64_t seed = 0x54AA;
   const ShardPlan plan = ShardPlan::make(4, 2);
   rekey::TaskRunner runner(nullptr);
@@ -600,9 +606,6 @@ TEST(ShardedSnapshot, BitCorruptionAndTruncationDetected) {
     const Bytes cut(blob.begin(), blob.begin() + len);
     EXPECT_FALSE(restore_sharded_tree(cut, 0xC1).has_value()) << "len " << len;
   }
-  // A v1 blob is not a v2 blob and vice versa.
-  EXPECT_FALSE(restore_sharded_tree(snapshot_tree(t), 0xC1).has_value());
-  EXPECT_FALSE(restore_tree(blob, 0xC1).has_value());
 }
 
 TEST(CheckShardedTree, AcceptsLiveTreesAndRejectsDegreeMismatch) {

@@ -155,10 +155,9 @@ TEST(ServerSnapshotV3, CrossFamilyBlobsRejected) {
   EXPECT_FALSE(restore_server(v2).has_value());
   const Bytes v3 = snapshot_server(sample_snapshot(16, 8));
   EXPECT_FALSE(tree::restore_sharded_tree(v3, 1).has_value());
-  EXPECT_FALSE(tree::restore_tree(v3, 1).has_value());
 }
 
-// Exhaustive malformed-input sweeps, mirroring the v1/v2 sweeps in
+// Exhaustive malformed-input sweeps, mirroring the tree sweeps in
 // snapshot_test.cpp: a v3 blob cut at ANY byte or flipped in ANY single
 // bit restores to a clean nullopt — never an abort or a half-restored
 // server. Small session shape keeps the quadratic sweep fast.

@@ -2,6 +2,10 @@
 // must carry on rekeying the same group seamlessly.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <map>
+#include <set>
+
 #include "core/service.h"
 
 namespace rekey::core {
@@ -11,6 +15,16 @@ ServiceConfig config() {
   ServiceConfig cfg;
   cfg.degree = 4;
   return cfg;
+}
+
+// Interval i's requests, a pure function of the tree and i: one member
+// leaves, one or two register and join (J > L splits on even i).
+void request_churn(GroupKeyService& svc, int i) {
+  const std::vector<tree::NodeId> slots = svc.tree().user_slots();
+  const auto pick = static_cast<std::size_t>(i) * 7 % slots.size();
+  svc.request_leave(svc.tree().node(slots[pick]).member);
+  svc.request_join(svc.register_member());
+  if (i % 2 == 0) svc.request_join(svc.register_member());
 }
 
 TEST(ServiceRecovery, RestoredServiceMatchesOriginal) {
@@ -55,9 +69,8 @@ TEST(ServiceRecovery, RestoredServiceKeepsRekeying) {
 }
 
 TEST(ServiceRecovery, NewKeysAfterRestoreDifferFromCrashTimeline) {
-  // Two futures from the same snapshot must not reuse key material blindly
-  // across different message counters; the same future replayed twice must
-  // be identical (determinism).
+  // The same future replayed twice from one snapshot is identical
+  // (determinism).
   GroupKeyService svc(config());
   auto members = svc.bootstrap_members(8);
   const Bytes blob = svc.snapshot();
@@ -70,6 +83,71 @@ TEST(ServiceRecovery, NewKeysAfterRestoreDifferFromCrashTimeline) {
   a->rekey_interval();
   b->rekey_interval();
   EXPECT_EQ(a->group_key(), b->group_key());
+}
+
+// A restored service resumes the draw stream where the snapshot left it:
+// its intervals rebuild the uninterrupted run's tree node for node, and no
+// key it refreshes existed when the snapshot was taken (a departed member
+// holds some of those).
+TEST(ServiceRecovery, RestoredServiceReplaysTheUninterruptedRun) {
+  for (const int at : {0, 1, 5}) {
+    GroupKeyService svc(config());
+    svc.bootstrap_members(64);
+    for (int i = 0; i < at; ++i) {
+      request_churn(svc, i);
+      svc.rekey_interval();
+    }
+    auto restored = GroupKeyService::restore(svc.snapshot(), config());
+    ASSERT_TRUE(restored.has_value()) << "snapshot at " << at;
+
+    std::set<std::array<std::uint8_t, crypto::SymmetricKey::kSize>>
+        keys_at_snapshot;
+    std::map<tree::NodeId, crypto::SymmetricKey> knode_keys;
+    std::set<tree::MemberId> members_at_snapshot;
+    for (const auto& [id, n] : svc.tree().nodes()) {
+      keys_at_snapshot.insert(n.key.bytes);
+      if (n.kind == tree::NodeKind::KNode)
+        knode_keys.emplace(id, n.key);
+      else
+        members_at_snapshot.insert(n.member);
+    }
+
+    for (int i = at; i < at + 3; ++i) {
+      request_churn(svc, i);
+      svc.rekey_interval();
+      request_churn(*restored, i);
+      restored->rekey_interval();
+
+      const std::map<tree::NodeId, tree::Node> want = svc.tree().nodes();
+      const std::map<tree::NodeId, tree::Node> got = restored->tree().nodes();
+      for (const auto& [id, n] : got) {
+        // A refreshed key: a k-node whose key is not the one it held at
+        // snapshot time, or the individual key of a member who joined
+        // since. A moved user keeps its own key.
+        const bool refreshed =
+            n.kind == tree::NodeKind::KNode
+                ? !knode_keys.count(id) || knode_keys.at(id) != n.key
+                : !members_at_snapshot.count(n.member);
+        if (refreshed) {
+          EXPECT_FALSE(keys_at_snapshot.count(n.key.bytes))
+              << "node " << id << " reuses a key from before the snapshot"
+              << " at " << at << ", interval " << i;
+        }
+      }
+      ASSERT_EQ(got.size(), want.size()) << "snapshot at " << at << ", " << i;
+      auto w = want.begin();
+      for (const auto& [id, n] : got) {
+        ASSERT_EQ(id, w->first) << "snapshot at " << at << ", interval " << i;
+        ASSERT_EQ(n.kind, w->second.kind) << "node " << id;
+        ASSERT_EQ(n.key, w->second.key)
+            << "key of node " << id << ", snapshot at " << at
+            << ", interval " << i;
+        ASSERT_EQ(n.member, w->second.member) << "node " << id;
+        ++w;
+      }
+      EXPECT_EQ(restored->group_key(), svc.group_key());
+    }
+  }
 }
 
 TEST(ServiceRecovery, CorruptBlobRejected) {

@@ -1,6 +1,5 @@
-// Pins the exact bytes of every snapshot encoder: the v1 and v2 tree
-// blobs, the member-view blob, the v3 full-server blob and its SnapChunk
-// framing. A standby restores what a primary of another build shipped,
+// Pins the exact bytes of every snapshot encoder: the v2 tree blobs, the
+// member-view blob, the v3 full-server blob and its SnapChunk framing. A standby restores what a primary of another build shipped,
 // so an encoder may get faster but never different: each digest below
 // was taken from the original ByteWriter encoders, and any rewrite must
 // reproduce it bit for bit.
@@ -67,14 +66,10 @@ wire::ServerSnapshot server_snapshot(const tree::KeyTree& t) {
 
 TEST(SnapshotPin, TreeBlobsAreByteStable) {
   const tree::KeyTree t = churned_tree(4, 1000, 0x5EED);
-  const Bytes v1 = tree::snapshot_tree(t);
   const Bytes s1 = tree::snapshot_sharded_tree(t, tree::ShardPlan::make(4, 1));
   const Bytes s8 = tree::snapshot_sharded_tree(t, tree::ShardPlan::make(4, 8));
-  EXPECT_EQ(v1.size(), 39627u);
   EXPECT_EQ(s1.size(), 39655u);
   EXPECT_EQ(s8.size(), 39711u);
-  EXPECT_EQ(digest_hex(v1),
-            "5353fc64d7f7138b474490cb18dc43dcd8405388169d4071e9fda4d0eb1adf5e");
   EXPECT_EQ(digest_hex(s1),
             "9db2e5416585f8a3153521f0000518a17e193bbac4f640a11559ad36cdaa5dbc");
   EXPECT_EQ(digest_hex(s8),

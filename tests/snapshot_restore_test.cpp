@@ -1,13 +1,13 @@
-// Differential and allocation tests for the snapshot decoders
-// (keytree/snapshot.h), which write each record straight into the tree
+// Differential and allocation tests for the tree snapshot decoder
+// (keytree/snapshot.h), which writes each record straight into the tree
 // arena.
 //
-// The oracle is the decoder the formats were first read with: parse
-// every record into a std::map<NodeId, Node>, test each v2 record's
-// owner with ShardPlan::shard_of, rebuild through KeyTree::from_nodes
-// and finish with check_sharded_tree. It is slow (a map node and a key
-// copy per record, a walk to the cut per record, the invariants twice)
-// but obviously right, so the production decoders must accept and reject
+// The oracle is the decoder the format was first read with: parse every
+// record into a std::map<NodeId, Node>, test each record's owner with
+// ShardPlan::shard_of, rebuild through KeyTree::from_nodes and finish
+// with check_sharded_tree. It is slow (a map node and a key copy per
+// record, a walk to the cut per record, the invariants twice) but
+// obviously right, so the production decoder must accept and reject
 // exactly the blobs it does and rebuild the same trees, on every degree,
 // shard count and arena layout, and on hostile blobs too. Both rebuild
 // through KeyTree::from_records, so each hostile edit is also held to the
@@ -56,7 +56,7 @@ namespace {
 constexpr std::uint32_t kTreeMagic = 0x524B5453;
 
 // ---------------------------------------------------------------------
-// The oracle decoders.
+// The oracle decoder.
 
 Node oracle_node(ByteReader& r, bool& ok) {
   Node n;
@@ -66,30 +66,6 @@ Node oracle_node(ByteReader& r, bool& ok) {
   const Bytes key = r.get_bytes(crypto::SymmetricKey::kSize);
   std::copy(key.begin(), key.end(), n.key.bytes.begin());
   return n;
-}
-
-std::optional<KeyTree> oracle_restore_tree(const Bytes& blob,
-                                           std::uint64_t key_seed) {
-  const auto body = snapshot_open(blob);
-  if (!body) return std::nullopt;
-  try {
-    ByteReader r(*body);
-    if (r.get_u32() != kTreeMagic) return std::nullopt;
-    if (r.get_u8() != 1) return std::nullopt;
-    const unsigned degree = r.get_u8();
-    const std::uint32_t count = r.get_u32();
-    std::map<NodeId, Node> nodes;
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const NodeId id = r.get_u64();
-      bool ok = false;
-      const Node n = oracle_node(r, ok);
-      if (!ok || !nodes.emplace(id, n).second) return std::nullopt;
-    }
-    if (r.remaining() != 0) return std::nullopt;
-    return KeyTree::from_nodes(degree, key_seed, nodes);
-  } catch (const EnsureError&) {
-    return std::nullopt;
-  }
 }
 
 std::optional<KeyTree> oracle_restore_sharded(const Bytes& blob,
@@ -495,10 +471,6 @@ TEST(SnapshotRestore, ChurnedTreesMatchTheOracleAcrossDegreesAndShards) {
         const auto restored = restore_sharded_tree(blob, 77);
         expect_same_tree(*restored, t, what + " vs the original");
       }
-      const auto v1 = restore_tree(snapshot_tree(t), 5);
-      const auto v1_oracle = oracle_restore_tree(snapshot_tree(t), 5);
-      ASSERT_TRUE(v1.has_value() && v1_oracle.has_value());
-      expect_same_tree(*v1, *v1_oracle, "v1 d=" + std::to_string(d));
     }
   }
 }
@@ -524,10 +496,6 @@ TEST(SnapshotRestore, EdgeTreesMatchTheOracle) {
                                                 std::to_string(S)));
     expect_same_tree(*restore_sharded_tree(blob, 77), deep, "overflow");
   }
-  const auto v1 = restore_tree(snapshot_tree(deep), 5);
-  ASSERT_TRUE(v1.has_value());
-  expect_same_tree(*v1, *oracle_restore_tree(snapshot_tree(deep), 5),
-                   "v1 overflow");
 }
 
 TEST(SnapshotRestore, HostileBlobsGetTheOraclesVerdict) {
@@ -543,39 +511,6 @@ TEST(SnapshotRestore, HostileBlobsGetTheOraclesVerdict) {
     run_hostile_edits(
         snapshot_sharded_tree(overflow_tree(20), ShardPlan::make(2, S)), S,
         "overflow S=" + std::to_string(S));
-}
-
-TEST(SnapshotRestore, V1HostileBlobsGetTheOraclesVerdict) {
-  const KeyTree t = churned(3, 500, 2, 41);
-  const Bytes blob = snapshot_tree(t);
-  // Records start after magic, version, degree and count.
-  constexpr std::size_t kHeader = 10, kRecord = 8 + 1 + 4 + 16;
-  const std::size_t body = blob.size() - crypto::Sha256::kDigestSize;
-  const auto agree = [&](Bytes b, const std::string& what, bool verdict) {
-    snapshot_seal(b);
-    const auto got = restore_tree(b, 3);
-    const auto want = oracle_restore_tree(b, 3);
-    EXPECT_EQ(got.has_value(), verdict) << what;
-    ASSERT_EQ(got.has_value(), want.has_value()) << what;
-    if (got) expect_same_tree(*got, *want, what);
-  };
-  Bytes reversed = blob;
-  const std::size_t n = (body - kHeader) / kRecord;
-  for (std::size_t i = 0; i < n / 2; ++i)
-    std::swap_ranges(reversed.begin() + kHeader + i * kRecord,
-                     reversed.begin() + kHeader + (i + 1) * kRecord,
-                     reversed.begin() + kHeader + (n - 1 - i) * kRecord);
-  agree(reversed, "v1 reversed", kAccept);
-  Bytes dup = blob;
-  std::copy_n(blob.begin() + kHeader, kRecord,
-              dup.begin() + kHeader + kRecord);
-  agree(dup, "v1 duplicate id", kReject);
-  Bytes kind = blob;
-  kind[kHeader + 8] = 7;
-  agree(kind, "v1 kind", kReject);
-  Bytes count = blob;
-  count[kHeader - 1] ^= 1;
-  agree(count, "v1 count", kReject);
 }
 
 TEST(SnapshotRestore, AllocationsDoNotGrowWithTheNodeCount) {

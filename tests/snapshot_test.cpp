@@ -24,15 +24,23 @@ KeyTree churned_tree(std::uint64_t seed) {
   return t;
 }
 
+// The tree format on one shard: what a GroupKeyService with the default
+// config writes. The ShardedSnapshot sweeps below use four shards.
+Bytes snapshot_one_shard(const KeyTree& t) {
+  return snapshot_sharded_tree(t, ShardPlan::make(t.degree(), 1));
+}
+
 TEST(TreeSnapshot, RoundtripPreservesEverything) {
   const KeyTree original = churned_tree(1);
-  const Bytes blob = snapshot_tree(original);
-  const auto restored = restore_tree(blob, /*key_seed=*/99);
+  const Bytes blob = snapshot_one_shard(original);
+  const auto restored = restore_sharded_tree(blob, /*key_seed=*/99);
   ASSERT_TRUE(restored.has_value());
   restored->check_invariants();
   EXPECT_EQ(restored->degree(), original.degree());
   EXPECT_EQ(restored->num_users(), original.num_users());
   EXPECT_EQ(restored->group_key(), original.group_key());
+  EXPECT_EQ(restored->key_generator().counter(),
+            original.key_generator().counter());
   ASSERT_EQ(restored->nodes().size(), original.nodes().size());
   for (const auto& [id, n] : original.nodes()) {
     ASSERT_TRUE(restored->contains(id));
@@ -46,8 +54,8 @@ TEST(TreeSnapshot, RoundtripPreservesEverything) {
 
 TEST(TreeSnapshot, RestoredTreeKeepsWorking) {
   KeyTree original = churned_tree(2);
-  const Bytes blob = snapshot_tree(original);
-  auto restored = restore_tree(blob, 7);
+  const Bytes blob = snapshot_one_shard(original);
+  auto restored = restore_sharded_tree(blob, 7);
   ASSERT_TRUE(restored.has_value());
   // A batch on the restored tree must behave like one on any live tree.
   Marker m(*restored);
@@ -63,22 +71,22 @@ TEST(TreeSnapshot, RestoredTreeKeepsWorking) {
 
 TEST(TreeSnapshot, CorruptionDetected) {
   const KeyTree original = churned_tree(3);
-  Bytes blob = snapshot_tree(original);
+  Bytes blob = snapshot_one_shard(original);
   for (const std::size_t pos :
        {std::size_t{0}, blob.size() / 2, blob.size() - 1}) {
     Bytes bad = blob;
     bad[pos] ^= 0x01;
-    EXPECT_FALSE(restore_tree(bad, 1).has_value()) << "pos " << pos;
+    EXPECT_FALSE(restore_sharded_tree(bad, 1).has_value()) << "pos " << pos;
   }
 }
 
 TEST(TreeSnapshot, TruncationDetected) {
   const KeyTree original = churned_tree(4);
-  const Bytes blob = snapshot_tree(original);
+  const Bytes blob = snapshot_one_shard(original);
   for (const std::size_t len :
        {std::size_t{0}, std::size_t{10}, blob.size() - 1}) {
     const Bytes cut(blob.begin(), blob.begin() + len);
-    EXPECT_FALSE(restore_tree(cut, 1).has_value()) << "len " << len;
+    EXPECT_FALSE(restore_sharded_tree(cut, 1).has_value()) << "len " << len;
   }
 }
 
@@ -88,7 +96,7 @@ TEST(TreeSnapshot, WrongMagicRejected) {
       UserKeyView(1, original.user_slots()[0], 4,
                   original.keys_for_slot(original.user_slots()[0])),
       4);
-  EXPECT_FALSE(restore_tree(blob, 1).has_value());
+  EXPECT_FALSE(restore_sharded_tree(blob, 1).has_value());
 }
 
 TEST(ViewSnapshot, RoundtripPreservesKeys) {
@@ -138,21 +146,21 @@ TEST(ViewSnapshot, CorruptionDetected) {
 // shorter than the trailer itself.
 TEST(TreeSnapshot, TruncationAtEveryByteRejected) {
   const KeyTree original = churned_tree(21);
-  const Bytes blob = snapshot_tree(original);
+  const Bytes blob = snapshot_one_shard(original);
   for (std::size_t len = 0; len < blob.size(); ++len) {
     const Bytes cut(blob.begin(), blob.begin() + len);
-    ASSERT_FALSE(restore_tree(cut, 1).has_value()) << "len " << len;
+    ASSERT_FALSE(restore_sharded_tree(cut, 1).has_value()) << "len " << len;
   }
 }
 
 TEST(TreeSnapshot, SingleBitFlipAtEveryPositionRejected) {
   const KeyTree original = churned_tree(22);
-  const Bytes blob = snapshot_tree(original);
+  const Bytes blob = snapshot_one_shard(original);
   for (std::size_t pos = 0; pos < blob.size(); ++pos) {
     for (int bit = 0; bit < 8; ++bit) {
       Bytes bad = blob;
       bad[pos] ^= static_cast<std::uint8_t>(1u << bit);
-      ASSERT_FALSE(restore_tree(bad, 1).has_value())
+      ASSERT_FALSE(restore_sharded_tree(bad, 1).has_value())
           << "pos " << pos << " bit " << bit;
     }
   }

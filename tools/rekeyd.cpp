@@ -24,8 +24,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
+#include "common/ensure.h"
 #include "common/json.h"
 #include "wire/daemon.h"
 #include "wire/udp.h"
@@ -185,6 +187,15 @@ int main(int argc, char** argv) {
 
   wire::UdpWire udp(wire::endpoint_addr(*bind_ep),
                     wire::endpoint_port(*bind_ep), mtu);
+  // The daemon checks its config as it is built; a config it refuses is
+  // a usage error, not a crash.
+  std::optional<wire::KeyServerDaemon> daemon;
+  try {
+    daemon.emplace(udp, cfg);
+  } catch (const EnsureError& e) {
+    std::fprintf(stderr, "rekeyd: %s\n", e.what());
+    return 2;
+  }
   if (cfg.standby)
     std::fprintf(stderr, "rekeyd: standby on %s, watching primary %s\n",
                  wire::endpoint_to_string(udp.local_endpoint()).c_str(),
@@ -194,8 +205,7 @@ int main(int argc, char** argv) {
                  wire::endpoint_to_string(udp.local_endpoint()).c_str(),
                  cfg.clients);
 
-  wire::KeyServerDaemon daemon(udp, cfg);
-  const wire::DaemonStats st = daemon.run();
+  const wire::DaemonStats st = daemon->run();
 
   Json out = Json::object();
   out.set("tool", "rekeyd");
