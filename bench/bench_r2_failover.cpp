@@ -5,7 +5,7 @@
 // sealed full-server snapshot to the standby before every batch and
 // heartbeats between lockstep steps; a FaultPlan blackout window kills
 // the primary at a chosen protocol-clock step (deterministic: the clock
-// advances round_quantum_ms per lockstep step, never wall time). The
+// advances wire::kRoundQuantumMs per lockstep step, never wall time). The
 // standby elects itself after elect_timeout_ms of silence, bumps the
 // fencing epoch, re-syncs the fleet via Resub, and replays the
 // interrupted batch.
@@ -41,7 +41,8 @@ constexpr std::uint32_t kLoopback = 0x7F000001;  // 127.0.0.1
 // (batch boundary, the single multicast round's burst, pre-BatchDone), so
 // with quantum q the death points of batch b sit at 3qb + q, 3qb + 2q,
 // 3qb + 3q. Narrow windows pin one exact step.
-constexpr double kQuantum = 100.0;
+static_assert(wire::kRoundQuantumMs == 100.0,
+              "the scenario onsets below assume a 100 ms quantum");
 
 struct Scenario {
   const char* name;
@@ -76,7 +77,6 @@ FailoverRun run_scenario(const Scenario& sc, const RunParams& p) {
   dc.round_wait_ms = 20000;
   dc.retry_ms = 20;
   dc.elect_timeout_ms = p.elect_timeout_ms;
-  dc.round_quantum_ms = kQuantum;
 
   wire::UdpWire primary_udp(kLoopback, 0);
   wire::UdpWire standby_udp(kLoopback, 0);
@@ -124,18 +124,7 @@ FailoverRun run_scenario(const Scenario& sc, const RunParams& p) {
 
   r.wall_ms =
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  r.fleet.finished = !fss.empty();
-  for (const wire::FleetStats& fs : fss) {
-    r.fleet.clients += fs.clients;
-    r.fleet.batches = std::max(r.fleet.batches, fs.batches);
-    r.fleet.recovered += fs.recovered;
-    r.fleet.via_usr += fs.via_usr;
-    r.fleet.unrecovered += fs.unrecovered;
-    r.fleet.epoch = std::max(r.fleet.epoch, fs.epoch);
-    r.fleet.failovers += fs.failovers;
-    r.fleet.resubs_sent += fs.resubs_sent;
-    r.fleet.finished = r.fleet.finished && fs.finished;
-  }
+  r.fleet = wire::fold_fleets(fss);
   return r;
 }
 
@@ -153,7 +142,7 @@ int main(int argc, char** argv) {
   p.churn = cli.smoke ? 64 : 256;
   p.elect_timeout_ms = 250;
 
-  // Batch 1's three death points under kQuantum=100: boundary at 400,
+  // Batch 1's three death points at q = 100: boundary at 400,
   // pre-burst at 500, pre-BatchDone at 600 (batch 0 consumed 100..300).
   const Scenario scenarios[] = {
       {"replicated", 0.0, 0.0},

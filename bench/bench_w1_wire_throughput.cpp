@@ -111,21 +111,7 @@ WireRun run_scenario(const Scenario& sc, std::uint64_t shape_seed) {
       std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
   r.syscalls = wire::wire_syscalls().value() - sys0;
   r.daemon = ds;
-  for (const wire::FleetStats& fs : fss) {
-    r.fleet.clients += fs.clients;
-    r.fleet.batches = std::max(r.fleet.batches, fs.batches);
-    r.fleet.recovered += fs.recovered;
-    r.fleet.via_usr += fs.via_usr;
-    r.fleet.unrecovered += fs.unrecovered;
-    r.fleet.data_frames += fs.data_frames;
-    r.fleet.shaped_off += fs.shaped_off;
-    r.fleet.nacks_suppressed += fs.nacks_suppressed;
-    r.fleet.finished = fleets.empty() ? false : true;
-    for (const wire::FleetStats& check : fss)
-      r.fleet.finished = r.fleet.finished && check.finished;
-    r.fleet.recovery_ms.insert(r.fleet.recovery_ms.end(),
-                               fs.recovery_ms.begin(), fs.recovery_ms.end());
-  }
+  r.fleet = wire::fold_fleets(fss);
   std::sort(r.fleet.recovery_ms.begin(), r.fleet.recovery_ms.end());
   return r;
 }

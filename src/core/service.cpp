@@ -36,7 +36,7 @@ std::vector<tree::MemberId> GroupKeyService::bootstrap_members(std::size_t n) {
     const tree::MemberId m = first + static_cast<tree::MemberId>(i);
     const tree::NodeId slot = tree_.slot_of(m);
     tree_.keys_for_slot_into(slot, keys_scratch_);
-    members_.emplace(m, GroupMember(m, slot, config_.degree, keys_scratch_));
+    members_.try_emplace(m, m, slot, config_.degree, keys_scratch_);
     out.push_back(m);
   }
   return out;
@@ -61,13 +61,7 @@ void GroupKeyService::request_leave(tree::MemberId m) {
   pending_leaves_.push_back(m);
 }
 
-GroupMember& GroupKeyService::member(tree::MemberId m) {
-  const auto it = members_.find(m);
-  REKEY_ENSURE_MSG(it != members_.end(), "unknown member");
-  return it->second;
-}
-
-const GroupMember& GroupKeyService::member(tree::MemberId m) const {
+const tree::UserKeyView& GroupKeyService::member(tree::MemberId m) const {
   const auto it = members_.find(m);
   REKEY_ENSURE_MSG(it != members_.end(), "unknown member");
   return it->second;
@@ -95,8 +89,7 @@ IntervalReport GroupKeyService::run_batch(simnet::Topology* topology) {
   for (const auto& [m, slot] : update.joined) {
     const std::pair<tree::NodeId, crypto::SymmetricKey> cred{
         slot, tree_.key_of(slot)};
-    members_.emplace(
-        m, GroupMember(m, slot, config_.degree, std::span(&cred, 1)));
+    members_.try_emplace(m, m, slot, config_.degree, std::span(&cred, 1));
   }
 
   tree::RekeyPayload payload;
@@ -127,9 +120,8 @@ IntervalReport GroupKeyService::run_batch(simnet::Topology* topology) {
 
   if (topology == nullptr) {
     // Ideal in-process delivery: every view filters the full list.
-    for (auto& [m, member] : members_)
-      member.apply_rekey(payload.msg_id, payload.max_kid,
-                         payload.encryptions);
+    for (auto& [m, view] : members_)
+      view.apply(payload.msg_id, payload.max_kid, payload.encryptions);
   } else {
     // Full protocol over the simulated network.
     const std::vector<tree::NodeId> slots = tree_.user_slots();
@@ -158,7 +150,7 @@ IntervalReport GroupKeyService::run_batch(simnet::Topology* topology) {
           encs.reserve(state.entries().size());
           for (const packet::EncEntry& e : state.entries())
             encs.push_back(packet::to_tree_encryption(e, config_.degree));
-          member(m).apply_rekey(payload.msg_id, payload.max_kid, encs);
+          members_.at(m).apply(payload.msg_id, payload.max_kid, encs);
         });
     transport_clock_ms_ = session.clock_ms();
     report.transport = std::move(metrics);
@@ -195,14 +187,13 @@ std::optional<GroupKeyService> GroupKeyService::restore(
     svc.tree_ = std::move(*restored_tree);
     svc.next_member_ = next_member;
     svc.next_msg_id_ = next_msg;
-    // Rebuild member objects with full path keys — the server holds every
+    // Rebuild member views with full path keys — the server holds every
     // key, so reconstruction is exact. The scratch buffer is refilled per
     // slot (one allocation for the whole loop).
     svc.tree_.for_each_user_slot([&](tree::NodeId slot) {
       const tree::MemberId m = svc.tree_.node(slot).member;
       svc.tree_.keys_for_slot_into(slot, svc.keys_scratch_);
-      svc.members_.emplace(
-          m, GroupMember(m, slot, config.degree, svc.keys_scratch_));
+      svc.members_.try_emplace(m, m, slot, config.degree, svc.keys_scratch_);
     });
     return svc;
   } catch (const EnsureError&) {

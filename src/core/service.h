@@ -23,9 +23,9 @@
 
 #include "common/bytes.h"
 #include "common/parallel.h"
-#include "core/member.h"
 #include "keytree/marking.h"
 #include "keytree/shard.h"
+#include "keytree/user_view.h"
 #include "simnet/topology.h"
 #include "transport/metrics.h"
 #include "transport/session.h"
@@ -83,8 +83,9 @@ class GroupKeyService {
   const tree::KeyTree& tree() const { return tree_; }
 
   bool has_member(tree::MemberId m) const { return members_.count(m) != 0; }
-  GroupMember& member(tree::MemberId m);
-  const GroupMember& member(tree::MemberId m) const;
+  // The keys member m holds; its group_key() is nullopt until the first
+  // rekey message for a member that joined mid-stream.
+  const tree::UserKeyView& member(tree::MemberId m) const;
 
   std::uint32_t intervals_completed() const { return next_msg_id_; }
 
@@ -113,7 +114,10 @@ class GroupKeyService {
   std::uint32_t next_msg_id_ = 0;
   std::vector<tree::MemberId> pending_joins_;
   std::vector<tree::MemberId> pending_leaves_;
-  std::map<tree::MemberId, GroupMember> members_;
+  // Each member's view of the tree. Bootstrap and restore hand a member
+  // its full path keys; a later join gets only its individual key, and
+  // the rekey message of its interval carries the rest of its path.
+  std::map<tree::MemberId, tree::UserKeyView> members_;
   // Transport sim time consumed so far: each interval's session resumes
   // here so the caller's persistent topology is queried monotonically.
   // Transient sim state — deliberately not part of snapshot().

@@ -55,8 +55,6 @@ KeyServerDaemon::KeyServerDaemon(WireTransport& wire,
                    "max_rounds_cap exceeds the u16 round counter");
   REKEY_ENSURE_MSG(!config.standby || config.peer.has_value(),
                    "a standby needs the primary's endpoint");
-  REKEY_ENSURE_MSG(config.round_quantum_ms > 0.0,
-                   "the protocol clock needs a positive quantum");
   config.fault.validate();
   if (config.worker_threads != 1)
     pool_ = std::make_unique<ThreadPool>(config.worker_threads);
@@ -112,7 +110,7 @@ void KeyServerDaemon::send_to_laggards(bool EndpointState::*flag,
 }
 
 bool KeyServerDaemon::step_clock() {
-  fault_clock_ms_ += config_.round_quantum_ms;
+  fault_clock_ms_ += kRoundQuantumMs;
   if (!dead_ && config_.fault.blackout_at(fault_clock_ms_)) {
     dead_ = true;
     stats_.died = true;
@@ -126,11 +124,9 @@ bool KeyServerDaemon::step_clock() {
 
 void KeyServerDaemon::maybe_heartbeat() {
   if (!config_.peer || config_.standby || peer_dead_ || dead_) return;
-  const int interval =
-      config_.heartbeat_ms > 0 ? config_.heartbeat_ms : config_.retry_ms;
   const auto now = Clock::now();
   if (last_heartbeat_ != Clock::time_point{} &&
-      now - last_heartbeat_ < std::chrono::milliseconds(interval))
+      now - last_heartbeat_ < std::chrono::milliseconds(config_.retry_ms))
     return;
   last_heartbeat_ = now;
   send_control(*config_.peer, serialize(HeartbeatFrame{epoch_, next_batch_}));
@@ -235,11 +231,17 @@ std::size_t KeyServerDaemon::pump(int timeout_ms) {
         const auto blob = snap_reasm_.add(*f);
         if (!blob) break;
         auto snap = restore_server(*blob);
+        // A probe restore checks the rho state against this daemon's
+        // protocol config, so promote() can restore it. The tree blob is
+        // left for promote(): restoring it here would cost a full tree
+        // pass per batch.
+        transport::RhoController rho_probe = rho_;
         if (!snap || snap->next_batch != f->snap_seq ||
             snap->degree != config_.degree ||
             snap->clients != config_.clients ||
             snap->churn_pool != config_.churn_pool ||
-            snap->batches != config_.batches) {
+            snap->batches != config_.batches ||
+            !rho_probe.restore(snap->rho)) {
           // No ack: a primary paired with a mismatched (or corrupted-at-
           // source) standby gives up on it instead of failing over to it.
           std::fprintf(stderr,
@@ -753,7 +755,7 @@ DaemonStats KeyServerDaemon::run_standby() {
         silent_ms > std::max(config_.round_wait_ms, config_.elect_timeout_ms))
       return stats_;  // primary died before ever replicating: nothing to serve
   }
-  promote();
+  if (!promote()) return stats_;  // nothing usable to serve: stand down
   resub_barrier();
   if (stopped()) return stats_;
 
@@ -781,20 +783,26 @@ DaemonStats KeyServerDaemon::run_standby() {
   return stats_;
 }
 
-void KeyServerDaemon::promote() {
+bool KeyServerDaemon::promote() {
   const ServerSnapshot& s = *pending_snap_;
+  // The seal only proves the primary sent these bytes; the embedded tree
+  // is first checked here, before any state changes.
+  auto restored = tree::restore_sharded_tree(s.tree_blob, config_.key_seed);
+  if (!restored || restored->degree() != config_.degree) {
+    std::fprintf(stderr,
+                 "rekeyd: snapshot %u holds no usable key tree - standing "
+                 "down\n",
+                 s.next_batch);
+    return false;
+  }
+  // The SnapChunk handler probed the rho state before acking it.
+  REKEY_ENSURE_MSG(rho_.restore(s.rho),
+                   "acked server snapshot failed rho restore");
+  tree_ = std::move(*restored);
   epoch_ = s.epoch + 1;
   next_batch_ = s.next_batch;
   session_version_ = s.session_version;
   config_.protocol.wide_slots = wide();
-  // The outer seal already covered the embedded tree blob byte for byte,
-  // so a restore failure here is a logic bug, not wire damage.
-  auto restored = tree::restore_sharded_tree(s.tree_blob, config_.key_seed);
-  REKEY_ENSURE_MSG(restored.has_value(),
-                   "acked server snapshot failed tree restore");
-  tree_ = std::move(*restored);
-  REKEY_ENSURE_MSG(rho_.restore(s.rho),
-                   "acked server snapshot failed rho restore");
   next_member_ = s.next_member;
   churn_members_ = s.churn_members;
   endpoints_.clear();
@@ -815,6 +823,7 @@ void KeyServerDaemon::promote() {
   std::fprintf(stderr,
                "rekeyd: standby promoted at epoch %u, replaying batch %u\n",
                epoch_, next_batch_);
+  return true;
 }
 
 void KeyServerDaemon::resub_barrier() {

@@ -71,6 +71,14 @@
 
 namespace rekey::wire {
 
+// Deterministic blackout death: the daemon keeps a protocol clock that
+// advances kRoundQuantumMs per lockstep step (batch boundary, round
+// burst, unicast wave, batch-done) and goes permanently dark at the
+// first step whose clock lands inside a fault-plan blackout window.
+// Death is a pure function of (fault, config) — never wall time — so a
+// failover scenario replays bit-identically.
+inline constexpr double kRoundQuantumMs = 100.0;
+
 struct DaemonConfig {
   transport::ProtocolConfig protocol;
   unsigned degree = 4;
@@ -113,24 +121,17 @@ struct DaemonConfig {
   // Peer replica endpoint. A primary with a peer ships a sealed
   // full-server snapshot (wire/server_snapshot.h) to it before every
   // batch (ack-blocked, so the standby's state always sits at a known
-  // batch boundary) and heartbeats between lockstep steps. A standby
-  // (standby = true) ingests those snapshots and, once the primary has
-  // been silent past elect_timeout_ms, promotes itself with fencing
-  // epoch = snapshot epoch + 1, re-syncs the fleet via Resub, and
-  // replays the interrupted batch from its opening BatchStart.
+  // batch boundary) and heartbeats every retry_ms between lockstep
+  // steps. A standby (standby = true) ingests those snapshots and, once
+  // the primary has been silent past elect_timeout_ms, promotes itself
+  // with fencing epoch = snapshot epoch + 1, re-syncs the fleet via
+  // Resub, and replays the interrupted batch from its opening BatchStart.
   std::optional<Endpoint> peer;
   bool standby = false;
   int elect_timeout_ms = 500;
-  int heartbeat_ms = 0;  // 0 uses retry_ms
 
-  // Deterministic blackout death: the daemon keeps a protocol clock that
-  // advances round_quantum_ms per lockstep step (batch boundary, round
-  // burst, unicast wave, batch-done) and goes permanently dark at the
-  // first step whose clock lands inside a fault-plan blackout window.
-  // Death is a pure function of (fault, config) — never wall time — so a
-  // failover scenario replays bit-identically.
+  // Blackout windows on the protocol clock (kRoundQuantumMs above).
   simnet::FaultPlan fault;
-  double round_quantum_ms = 100.0;
 };
 
 struct DaemonStats {
@@ -175,6 +176,44 @@ struct DaemonStats {
   // standby: the primary finished cleanly and retired it with Fin).
   bool completed = false;
 };
+
+// The field list of DaemonStats: calls f(name, field) for every field, in
+// the order rekeyd prints them.
+template <class F>
+void for_each_field(const DaemonStats& s, F&& f) {
+  f("endpoints", s.endpoints);
+  f("batches_run", s.batches_run);
+  f("enc_packets", s.enc_packets);
+  f("slots", s.slots);
+  f("data_frames", s.data_frames);
+  f("data_bytes", s.data_bytes);
+  f("proactive_parities", s.proactive_parities);
+  f("reactive_parities", s.reactive_parities);
+  f("rounds", s.rounds);
+  f("unicast_waves", s.unicast_waves);
+  f("usr_frags", s.usr_frags);
+  f("control_frames", s.control_frames);
+  f("control_retransmits", s.control_retransmits);
+  f("reports", s.reports);
+  f("nack_users", s.nack_users);
+  f("recovered", s.recovered);
+  f("via_usr", s.via_usr);
+  f("gave_up", s.gave_up);
+  f("gave_up_dead", s.gave_up_dead);
+  f("endpoints_dropped", s.endpoints_dropped);
+  f("endpoints_incompatible", s.endpoints_incompatible);
+  f("wire_version", s.wire_version);
+  f("rho_final", s.rho_final);
+  f("snapshots_sent", s.snapshots_sent);
+  f("snapshot_chunks", s.snapshot_chunks);
+  f("snapshots_restored", s.snapshots_restored);
+  f("resubs", s.resubs);
+  f("epoch", s.epoch);
+  f("promoted", s.promoted);
+  f("died", s.died);
+  f("died_at_ms", s.died_at_ms);
+  f("completed", s.completed);
+}
 
 class KeyServerDaemon {
  public:
@@ -256,7 +295,9 @@ class KeyServerDaemon {
   // (or Fins), then promote with a higher fencing epoch, re-sync the
   // fleet, and serve the remaining batches.
   DaemonStats run_standby();
-  void promote();
+  // Takes over from the last acked snapshot. False, with no state
+  // changed, when its key tree does not restore under this config.
+  bool promote();
   // Election barrier: broadcast the epoch'd BatchStart of the replay
   // batch until every live endpoint has Resub'ed (laggards are dropped at
   // the deadline, like endpoints that stop reporting).

@@ -420,4 +420,29 @@ FleetStats ClientFleet::run() {
   return stats_;
 }
 
+FleetStats fold_fleets(std::span<const FleetStats> fleets) {
+  FleetStats sum;
+  sum.finished = !fleets.empty();
+  for (const FleetStats& s : fleets) {
+    sum.clients += s.clients;
+    sum.batches = std::max(sum.batches, s.batches);
+    sum.recovered += s.recovered;
+    sum.via_usr += s.via_usr;
+    sum.unrecovered += s.unrecovered;
+    sum.data_frames += s.data_frames;
+    sum.shaped_off += s.shaped_off;
+    sum.nacks_suppressed += s.nacks_suppressed;
+    sum.reports_sent += s.reports_sent;
+    sum.control_frames += s.control_frames;
+    sum.wire_version = std::max(sum.wire_version, s.wire_version);
+    sum.finished = sum.finished && s.finished;
+    sum.epoch = std::max(sum.epoch, s.epoch);
+    sum.failovers += s.failovers;
+    sum.resubs_sent += s.resubs_sent;
+    sum.recovery_ms.insert(sum.recovery_ms.end(), s.recovery_ms.begin(),
+                           s.recovery_ms.end());
+  }
+  return sum;
+}
+
 }  // namespace rekey::wire

@@ -21,8 +21,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <concepts>
 #include <cstdint>
 #include <optional>
+#include <span>
+#include <type_traits>
 #include <vector>
 
 #include "transport/user.h"
@@ -99,6 +102,35 @@ struct FleetStats {
   // client decrypts them, so this is not yet time to the group key.
   std::vector<double> recovery_ms;
 };
+
+// The field list of FleetStats: calls f(name, field) for every counter
+// and flag, in the order rekey_load prints them. recovery_ms is a sample
+// list, not a field here. S is FleetStats or const FleetStats, so the one
+// list both reads and fills a record.
+template <class S, class F>
+  requires std::same_as<std::remove_const_t<S>, FleetStats>
+void for_each_field(S& s, F&& f) {
+  f("clients", s.clients);
+  f("batches", s.batches);
+  f("recovered", s.recovered);
+  f("via_usr", s.via_usr);
+  f("unrecovered", s.unrecovered);
+  f("data_frames", s.data_frames);
+  f("shaped_off", s.shaped_off);
+  f("nacks_suppressed", s.nacks_suppressed);
+  f("reports_sent", s.reports_sent);
+  f("control_frames", s.control_frames);
+  f("wire_version", s.wire_version);
+  f("finished", s.finished);
+  f("epoch", s.epoch);
+  f("failovers", s.failovers);
+  f("resubs_sent", s.resubs_sent);
+}
+
+// A session's fleets as one record: counts add; batches, wire_version
+// and epoch take the max; finished holds only if every fleet finished
+// (false for no fleet); recovery_ms samples are appended in fleet order.
+FleetStats fold_fleets(std::span<const FleetStats> fleets);
 
 class ClientFleet {
  public:

@@ -8,11 +8,8 @@
 #include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
-#include <unistd.h>
-
-#ifdef __linux__
 #include <sys/epoll.h>
-#endif
+#include <unistd.h>
 
 #include "common/ensure.h"
 
@@ -41,9 +38,7 @@ void grow_socket_buffers(int fd) {
   // needs CAP_NET_ADMIN — fall back to the rmem_max-clamped plain knob.
   constexpr int kBytes = 8 << 20;
   int v = kBytes;
-#ifdef SO_RCVBUFFORCE
   if (setsockopt(fd, SOL_SOCKET, SO_RCVBUFFORCE, &v, sizeof v) != 0)
-#endif
     setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &v, sizeof v);
   v = kBytes;
   setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &v, sizeof v);
@@ -109,7 +104,6 @@ UdpWire::UdpWire(std::uint32_t bind_addr_host, std::uint16_t bind_port,
 
   fd_ = open_bound_udp_socket(bind_addr_host, bind_port, local_);
 
-#ifdef __linux__
   epoll_fd_ = epoll_create1(0);
   REKEY_ENSURE_MSG(epoll_fd_ >= 0, "epoll_create1() failed");
   epoll_event ev{};
@@ -118,7 +112,6 @@ UdpWire::UdpWire(std::uint32_t bind_addr_host, std::uint16_t bind_port,
   REKEY_ENSURE(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, fd_, &ev) == 0);
 
   recv_buf_.resize(kBatch * (max_payload_ + 1));
-#endif
 }
 
 UdpWire::~UdpWire() {
@@ -153,7 +146,6 @@ std::size_t UdpWire::send_frames(Endpoint to, std::uint8_t channel,
   std::size_t sent = 0;
   std::size_t i = 0;
   while (i < frames.size()) {
-#ifdef __linux__
     std::size_t n = 0;
     std::size_t scan = i;
     while (scan < frames.size() && n < kBatch) {
@@ -188,28 +180,6 @@ std::size_t UdpWire::send_frames(Endpoint to, std::uint8_t channel,
     }
     sent += n;
     i = scan;
-#else
-    const Bytes& body = *frames[i];
-    ++i;
-    if (body.size() > max_payload_) continue;
-    iovec iov[2] = {{&chan, 1},
-                    {const_cast<std::uint8_t*>(body.data()), body.size()}};
-    msghdr m{};
-    m.msg_name = &sa;
-    m.msg_namelen = sizeof sa;
-    m.msg_iov = iov;
-    m.msg_iovlen = 2;
-    for (;;) {
-      wire_syscalls().add();
-      if (sendmsg(fd_, &m, 0) >= 0) break;
-      if (errno == EINTR) continue;
-      if ((errno == EAGAIN || errno == EWOULDBLOCK || errno == ENOBUFS) &&
-          wait_writable(1000))
-        continue;
-      return sent;
-    }
-    ++sent;
-#endif
   }
   return sent;
 }
@@ -219,7 +189,6 @@ std::size_t UdpWire::receive(std::vector<Datagram>& out, int timeout_ms) {
   std::size_t added = 0;
 
   const auto drain = [&]() {
-#ifdef __linux__
     for (;;) {
       for (std::size_t j = 0; j < kBatch; ++j) {
         iovs_[j] = {recv_buf_.data() + j * slot, slot};
@@ -248,30 +217,10 @@ std::size_t UdpWire::receive(std::vector<Datagram>& out, int timeout_ms) {
       }
       if (static_cast<std::size_t>(rc) < kBatch) return;
     }
-#else
-    std::vector<std::uint8_t> buf(slot);
-    for (;;) {
-      sockaddr_in from{};
-      socklen_t from_len = sizeof from;
-      wire_syscalls().add();
-      const ssize_t len =
-          recvfrom(fd_, buf.data(), buf.size(), MSG_DONTWAIT,
-                   reinterpret_cast<sockaddr*>(&from), &from_len);
-      if (len < 0 && errno == EINTR) continue;
-      if (len <= 0) return;
-      Datagram d;
-      d.from = from_sockaddr(from);
-      d.channel = buf[0];
-      d.payload.assign(buf.begin() + 1, buf.begin() + len);
-      out.push_back(std::move(d));
-      ++added;
-    }
-#endif
   };
 
   drain();
   if (added == 0 && timeout_ms > 0) {
-#ifdef __linux__
     for (;;) {
       epoll_event ev;
       wire_syscalls().add();
@@ -280,16 +229,6 @@ std::size_t UdpWire::receive(std::vector<Datagram>& out, int timeout_ms) {
       if (rc > 0) drain();
       break;
     }
-#else
-    pollfd p{fd_, POLLIN, 0};
-    for (;;) {
-      wire_syscalls().add();
-      const int rc = poll(&p, 1, timeout_ms);
-      if (rc < 0 && errno == EINTR) continue;
-      if (rc > 0) drain();
-      break;
-    }
-#endif
   }
   return added;
 }

@@ -6,8 +6,7 @@
 // channel prefix and the frame body), so protocol wires serialized once
 // in the keytree/transport arena reach the kernel without an intermediate
 // copy; receives drain the socket with recvmmsg into a reusable buffer
-// block. On non-Linux builds the same interface degrades to poll() +
-// sendmsg/recvmsg loops — slower, same semantics.
+// block.
 //
 // Endpoints pack an IPv4 address and port into the 48 low bits of
 // Endpoint::id: (host-order address << 16) | port.
@@ -19,13 +18,11 @@
 #include <string>
 #include <vector>
 
-#include "common/obs.h"
-#include "wire/wire.h"
-
-#ifdef __linux__
 #include <netinet/in.h>
 #include <sys/socket.h>
-#endif
+
+#include "common/obs.h"
+#include "wire/wire.h"
 
 namespace rekey::wire {
 
@@ -46,8 +43,7 @@ std::optional<Endpoint> parse_endpoint(const std::string& spec);
 std::string endpoint_to_string(Endpoint e);
 
 // Process-wide count of per-operation wire-layer syscalls (sendmmsg/
-// recvmmsg/sendmsg/recvfrom/epoll_wait/poll; socket setup is not
-// counted). The W1 bench snapshots it around each scenario to report
+// recvmmsg/epoll_wait/poll; socket setup is not counted). The W1 bench snapshots it around each scenario to report
 // syscalls per batch.
 obs::Counter& wire_syscalls();
 
@@ -76,7 +72,7 @@ class UdpWire : public WireTransport {
   Endpoint local_endpoint() const { return local_; }
 
  private:
-  // Blocks (poll/epoll on POLLOUT) until the socket accepts writes again;
+  // Blocks (poll on POLLOUT) until the socket accepts writes again;
   // a saturated loopback send queue is backpressure, not loss.
   bool wait_writable(int timeout_ms);
 
@@ -89,13 +85,11 @@ class UdpWire : public WireTransport {
   std::size_t max_payload_ = 0;
   Endpoint local_{};
 
-#ifdef __linux__
   // Reusable per-call I/O arrays.
   std::array<mmsghdr, kBatch> msgs_{};
   std::array<iovec, kBatch * 2> iovs_{};  // send: 2 per message; receive: 1
   std::array<sockaddr_in, kBatch> addrs_{};
   std::vector<std::uint8_t> recv_buf_;  // kBatch slots of max_payload_ + 1
-#endif
 };
 
 }  // namespace rekey::wire

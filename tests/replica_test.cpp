@@ -11,7 +11,10 @@
 // comparison; everything the protocol itself decides is included.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <sstream>
+#include <string_view>
 #include <thread>
 
 #include "keytree/shard.h"
@@ -251,7 +254,6 @@ PairResult run_pair(const PairParams& p) {
   dc.retry_ms = 10;
   dc.round_wait_ms = 20000;
   dc.elect_timeout_ms = 250;
-  dc.round_quantum_ms = 100.0;
   dc.shards = p.shards;
   dc.worker_threads = p.workers;
 
@@ -293,35 +295,34 @@ PairResult run_pair(const PairParams& p) {
   return r;
 }
 
-// The deterministic projection of the stats: everything the protocol
-// decides, nothing wall time decides. Byte-comparing these strings is
-// the acceptance criterion's "stats byte-compare excluding timing
-// fields" — control_frames / control_retransmits / reports /
-// snapshot_chunks / resubs_sent / recovery_ms all depend on retransmit
-// timing and are deliberately absent.
-std::string det(const DaemonStats& s) {
+// The stats that retransmit timing decides: how many control frames,
+// report parts, snapshot chunks and Resubs it took to get each lockstep
+// step across. (recovery_ms, wall time itself, is not in the lists.)
+bool timing_dependent(std::string_view field) {
+  static constexpr std::string_view kTiming[] = {
+      "control_frames", "control_retransmits", "reports",
+      "snapshot_chunks", "reports_sent",       "resubs_sent"};
+  return std::find(std::begin(kTiming), std::end(kTiming), field) !=
+         std::end(kTiming);
+}
+
+// The deterministic projection of a stats record: every listed field
+// but the timing-dependent ones, so everything the protocol decides and
+// nothing wall time decides. Byte-comparing these strings is the
+// acceptance criterion's "stats byte-compare excluding timing fields".
+template <class Stats>
+std::string det(const Stats& s) {
   std::ostringstream o;
-  o << s.endpoints << ' ' << s.batches_run << ' ' << s.enc_packets << ' '
-    << s.slots << ' ' << s.data_frames << ' ' << s.data_bytes << ' '
-    << s.proactive_parities << ' ' << s.reactive_parities << ' ' << s.rounds
-    << ' ' << s.unicast_waves << ' ' << s.usr_frags << ' ' << s.nack_users
-    << ' ' << s.recovered << ' ' << s.via_usr << ' ' << s.gave_up << ' '
-    << s.gave_up_dead << ' ' << s.endpoints_dropped << ' ' << s.wire_version
-    << ' ' << s.rho_final << ' ' << s.snapshots_sent << ' '
-    << s.snapshots_restored << ' ' << s.resubs << ' ' << s.epoch << ' '
-    << s.promoted << ' ' << s.died << ' ' << s.died_at_ms << ' '
-    << s.completed;
+  for_each_field(s, [&](const char* name, const auto& v) {
+    if (!timing_dependent(name)) o << name << '=' << v << ' ';
+  });
   return o.str();
 }
 
 std::string det(const std::vector<FleetStats>& fleets) {
-  std::ostringstream o;
-  for (const FleetStats& s : fleets)
-    o << s.clients << ' ' << s.batches << ' ' << s.recovered << ' '
-      << s.via_usr << ' ' << s.unrecovered << ' ' << s.data_frames << ' '
-      << s.wire_version << ' ' << s.finished << ' ' << s.epoch << ' '
-      << s.failovers << " | ";
-  return o.str();
+  std::string out;
+  for (const FleetStats& s : fleets) out += det(s) + "| ";
+  return out;
 }
 
 TEST(Replica, HealthyPrimaryRetiresStandby) {
@@ -381,6 +382,56 @@ TEST(Replica, StandbyAloneGivesUp) {
   EXPECT_FALSE(s.died);
   EXPECT_EQ(s.batches_run, 0u);
   EXPECT_EQ(s.snapshots_restored, 0u);
+}
+
+// A ghost primary ships `s` (sealed, and matching the standby's config
+// field for field) and then goes silent, so the standby's only way to
+// serve is to promote from it.
+DaemonStats standby_after_ghost_snapshot(const ServerSnapshot& s) {
+  LoopbackHub hub;
+  auto standby_wire = hub.attach();
+  auto ghost = hub.attach();
+  DaemonConfig stc;
+  stc.degree = s.degree;
+  stc.clients = s.clients;
+  stc.churn_pool = s.churn_pool;
+  stc.batches = s.batches;
+  stc.standby = true;
+  stc.peer = ghost->endpoint();
+  stc.retry_ms = 10;
+  stc.elect_timeout_ms = 100;
+  stc.round_wait_ms = 150;
+  KeyServerDaemon standby(*standby_wire, stc);
+  const Bytes blob = snapshot_server(s);
+  for (const SnapChunkFrame& c :
+       chunk_snapshot(s.next_batch, blob, ghost->max_payload()))
+    ghost->send(standby_wire->endpoint(), kChanControl, *serialize(c));
+  return standby.run();
+}
+
+TEST(Replica, StandbyRefusesSnapshotWithUnrestorableRho) {
+  // The tree is valid, but 250 proactive parities is above the cap of
+  // 236 at k = 10. The standby must not ack what it cannot promote from.
+  ServerSnapshot s = sample_snapshot(64, 32);
+  s.rho.proactive_parities = 250;
+  const DaemonStats st = standby_after_ghost_snapshot(s);
+  EXPECT_EQ(st.snapshots_restored, 0u);
+  EXPECT_FALSE(st.promoted);
+  EXPECT_FALSE(st.completed);
+  EXPECT_EQ(st.batches_run, 0u);
+}
+
+TEST(Replica, StandbyStandsDownOnUnrestorableTree) {
+  // Sealed garbage where the tree blob goes: the outer snapshot checks
+  // out, so the standby acks it, but promote() finds no tree to serve.
+  ServerSnapshot s = sample_snapshot(64, 32);
+  s.tree_blob.assign(64, 0xA5);
+  tree::snapshot_seal(s.tree_blob);
+  const DaemonStats st = standby_after_ghost_snapshot(s);
+  EXPECT_EQ(st.snapshots_restored, 1u);
+  EXPECT_FALSE(st.promoted);
+  EXPECT_FALSE(st.completed);
+  EXPECT_EQ(st.batches_run, 0u);
 }
 
 TEST(Replica, MidBatchBlackoutFailsOver) {

@@ -9,10 +9,14 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
+#include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/ensure.h"
 #include "wire/daemon.h"
@@ -566,6 +570,49 @@ TEST(WireLoopback, ManyEndpointsPartitionTheFleet) {
     EXPECT_TRUE(fs.finished);
     EXPECT_EQ(fs.unrecovered, 0u);
   }
+}
+
+// Three fleets, every listed field filled through the list with a value
+// no other field or fleet shares (the middle fleet holds each maximum),
+// must fold by each field's rule: counts add, batches, wire_version and
+// epoch take the max, and the one flag holds only if every fleet's does.
+// A field added to FleetStats and its list but not to the fold fails here.
+TEST(FleetStatsFold, EveryListedFieldFollowsItsRule) {
+  std::vector<FleetStats> fleets(3);
+  const std::uint64_t offset[] = {1, 3, 2};
+  for (std::size_t f = 0; f < fleets.size(); ++f) {
+    std::uint64_t i = 0;
+    for_each_field(fleets[f], [&](const char*, auto& v) {
+      using T = std::remove_reference_t<decltype(v)>;
+      ++i;
+      if constexpr (std::is_same_v<T, bool>)
+        v = true;
+      else
+        v = static_cast<T>(10 * i + offset[f]);
+    });
+    fleets[f].recovery_ms = {1.0 * f, 1.0 * f + 0.5};
+  }
+
+  const FleetStats sum = fold_fleets(fleets);
+  const std::set<std::string_view> max_fields = {"batches", "wire_version",
+                                                 "epoch"};
+  std::uint64_t i = 0;
+  for_each_field(sum, [&](const char* name, const auto& v) {
+    using T = std::remove_cvref_t<decltype(v)>;
+    ++i;
+    if constexpr (std::is_same_v<T, bool>)
+      EXPECT_TRUE(v) << name;
+    else if (max_fields.count(name) != 0)
+      EXPECT_EQ(v, 10 * i + 3) << name;
+    else
+      EXPECT_EQ(v, 30 * i + 6) << name;
+  });
+  EXPECT_EQ(sum.recovery_ms,
+            (std::vector<double>{0.0, 0.5, 1.0, 1.5, 2.0, 2.5}));
+
+  fleets[1].finished = false;
+  EXPECT_FALSE(fold_fleets(fleets).finished);
+  EXPECT_FALSE(fold_fleets({}).finished);
 }
 
 }  // namespace

@@ -148,46 +148,13 @@ int main(int argc, char** argv) {
   }
   for (auto& w : workers) w.join();
 
-  wire::FleetStats sum;
-  sum.finished = true;
-  for (const wire::FleetStats& s : stats) {
-    sum.clients += s.clients;
-    sum.batches = std::max(sum.batches, s.batches);
-    sum.recovered += s.recovered;
-    sum.via_usr += s.via_usr;
-    sum.unrecovered += s.unrecovered;
-    sum.data_frames += s.data_frames;
-    sum.shaped_off += s.shaped_off;
-    sum.nacks_suppressed += s.nacks_suppressed;
-    sum.reports_sent += s.reports_sent;
-    sum.control_frames += s.control_frames;
-    sum.wire_version = std::max(sum.wire_version, s.wire_version);
-    sum.finished = sum.finished && s.finished;
-    sum.epoch = std::max(sum.epoch, s.epoch);
-    sum.failovers += s.failovers;
-    sum.resubs_sent += s.resubs_sent;
-    sum.recovery_ms.insert(sum.recovery_ms.end(), s.recovery_ms.begin(),
-                           s.recovery_ms.end());
-  }
+  wire::FleetStats sum = wire::fold_fleets(stats);
 
   Json out = Json::object();
   out.set("tool", "rekey_load");
-  out.set("clients", sum.clients);
   out.set("threads", static_cast<unsigned long long>(slices.size()));
-  out.set("batches", sum.batches);
-  out.set("recovered", sum.recovered);
-  out.set("via_usr", sum.via_usr);
-  out.set("unrecovered", sum.unrecovered);
-  out.set("data_frames", sum.data_frames);
-  out.set("shaped_off", sum.shaped_off);
-  out.set("nacks_suppressed", sum.nacks_suppressed);
-  out.set("reports_sent", sum.reports_sent);
-  out.set("control_frames", sum.control_frames);
-  out.set("wire_version", sum.wire_version);
-  out.set("finished", sum.finished);
-  out.set("epoch", sum.epoch);
-  out.set("failovers", sum.failovers);
-  out.set("resubs_sent", sum.resubs_sent);
+  wire::for_each_field(
+      sum, [&](const char* name, const auto& v) { out.set(name, v); });
   if (!sum.recovery_ms.empty()) {
     std::sort(sum.recovery_ms.begin(), sum.recovery_ms.end());
     const auto pct = [&](double p) {

@@ -14,7 +14,7 @@
 // higher fencing epoch, same deterministic batch replay — once the
 // primary has been silent past --elect-timeout-ms. `--blackout A:B`
 // kills the process at protocol-clock ms A (deterministic: the clock
-// advances --round-quantum-ms per lockstep step, never wall time).
+// advances 100 ms per lockstep step, never wall time).
 //
 // Group size is no longer bounded by the legacy 16-bit slot ids: the
 // daemon negotiates the wide-slot (v2) control frames automatically when
@@ -67,12 +67,8 @@ using namespace rekey;
                "--replica-of)\n"
                "  --elect-timeout-ms MS standby promotes after this much "
                "primary silence\n"
-               "  --heartbeat-ms MS     primary->standby heartbeat cadence "
-               "(0 = retry-ms)\n"
                "  --blackout A:B        die at protocol-clock ms A "
-               "(repeatable; B ends the window)\n"
-               "  --round-quantum-ms MS protocol-clock advance per lockstep "
-               "step (default 100)\n",
+               "(repeatable; B ends the window)\n",
                argv0, transport::ProtocolConfig{}.max_rounds_cap);
   std::exit(2);
 }
@@ -143,8 +139,6 @@ int main(int argc, char** argv) {
       cfg.standby = true;
     } else if (a == "--elect-timeout-ms") {
       cfg.elect_timeout_ms = static_cast<int>(arg_int(argc, argv, i));
-    } else if (a == "--heartbeat-ms") {
-      cfg.heartbeat_ms = static_cast<int>(arg_int(argc, argv, i));
     } else if (a == "--blackout" && i + 1 < argc) {
       const std::string spec = argv[++i];
       const auto colon = spec.find(':');
@@ -162,8 +156,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       cfg.fault.blackouts.push_back({start, end});
-    } else if (a == "--round-quantum-ms" && i + 1 < argc) {
-      cfg.round_quantum_ms = std::atof(argv[++i]);
     } else {
       usage(argv[0]);
     }
@@ -210,38 +202,8 @@ int main(int argc, char** argv) {
   Json out = Json::object();
   out.set("tool", "rekeyd");
   out.set("clients", cfg.clients);
-  out.set("endpoints", st.endpoints);
-  out.set("batches_run", st.batches_run);
-  out.set("enc_packets", st.enc_packets);
-  out.set("slots", st.slots);
-  out.set("data_frames", st.data_frames);
-  out.set("data_bytes", st.data_bytes);
-  out.set("proactive_parities", st.proactive_parities);
-  out.set("reactive_parities", st.reactive_parities);
-  out.set("rounds", st.rounds);
-  out.set("unicast_waves", st.unicast_waves);
-  out.set("usr_frags", st.usr_frags);
-  out.set("control_frames", st.control_frames);
-  out.set("control_retransmits", st.control_retransmits);
-  out.set("reports", st.reports);
-  out.set("nack_users", st.nack_users);
-  out.set("recovered", st.recovered);
-  out.set("via_usr", st.via_usr);
-  out.set("gave_up", st.gave_up);
-  out.set("gave_up_dead", st.gave_up_dead);
-  out.set("endpoints_dropped", st.endpoints_dropped);
-  out.set("endpoints_incompatible", st.endpoints_incompatible);
-  out.set("wire_version", st.wire_version);
-  out.set("rho_final", st.rho_final);
-  out.set("snapshots_sent", st.snapshots_sent);
-  out.set("snapshot_chunks", st.snapshot_chunks);
-  out.set("snapshots_restored", st.snapshots_restored);
-  out.set("resubs", st.resubs);
-  out.set("epoch", st.epoch);
-  out.set("promoted", st.promoted);
-  out.set("died", st.died);
-  out.set("died_at_ms", st.died_at_ms);
-  out.set("completed", st.completed);
+  wire::for_each_field(
+      st, [&](const char* name, const auto& v) { out.set(name, v); });
   std::cout << out.dump(2) << "\n";
 
   // A scheduled blackout death is a planned outcome, not a failure — the
