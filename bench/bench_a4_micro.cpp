@@ -20,6 +20,9 @@
 #include "keytree/marking.h"
 #include "keytree/rekey_subtree.h"
 #include "packet/assign.h"
+#include "transport/server.h"
+#include "transport/user.h"
+#include "transport/workload.h"
 
 namespace {
 
@@ -203,6 +206,63 @@ void BM_UkaAssignment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UkaAssignment);
+
+// The member path: what a virtual client pays per batch when its own
+// ENC packet arrives first (every member of the `steady` wire workload).
+// Both rows use wide (v2) 1027-byte packets, whose entry region is 1011
+// bytes and holds at most 45 entries.
+void BM_EntryRegionCheck(benchmark::State& state) {
+  packet::EncPacket p;
+  for (std::int64_t e = 0; e < state.range(0); ++e) {
+    packet::EncEntry entry;
+    entry.enc_id = static_cast<std::uint32_t>(e + 1);
+    entry.enc.tag = 0xA5A5;
+    p.entries.push_back(entry);
+  }
+  const Bytes wire = p.serialize(packet::kDefaultPacketSize, /*wide=*/true);
+  const packet::WireView region =
+      packet::WireView(wire).subspan(packet::kEncHeaderSizeWide);
+  for (auto _ : state)
+    benchmark::DoNotOptimize(packet::EntryRegion::check(region));
+}
+BENCHMARK(BM_EntryRegionCheck)->Arg(1)->Arg(20)->Arg(45);
+
+// UserTransport::reset plus the on_packet call that delivers the member's
+// own ENC packet: a fleet's per-member work on such a batch.
+void BM_MemberOwnPacket(benchmark::State& state) {
+  transport::WorkloadConfig wc;
+  wc.group_size = 4096;
+  wc.leaves = 1024;
+  const transport::GeneratedMessage msg =
+      transport::generate_message(wc, /*seed=*/1, /*msg_id=*/1);
+  transport::ProtocolConfig cfg;
+  cfg.wide_slots = true;
+  transport::ServerTransport server(
+      cfg, msg.payload, packet::assign_keys(msg.payload, cfg.packet_size, true),
+      0, /*msg_id=*/1);
+  const transport::PacketPool pool = server.round_packets(1);
+  const std::size_t user = msg.old_ids.size() / 2;
+  const std::uint32_t old_id = msg.old_ids[user];
+  transport::UserTransport member(old_id, cfg.block_size, msg.payload.degree,
+                                  &pool, /*wide=*/true);
+  // The own packet: the one whose delivery recovers a restarted member.
+  std::size_t own = pool.size();
+  for (std::size_t p = 0; p < pool.size() && own == pool.size(); ++p) {
+    member.reset(old_id);
+    member.on_packet(p, 1);
+    if (member.recovered()) own = p;
+  }
+  if (own == pool.size()) {
+    state.SkipWithError("no ENC packet recovers the member");
+    return;
+  }
+  for (auto _ : state) {
+    member.reset(old_id);
+    member.on_packet(own, 1);
+    benchmark::DoNotOptimize(member.recovered());
+  }
+}
+BENCHMARK(BM_MemberOwnPacket);
 
 Bytes random_bytes(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);

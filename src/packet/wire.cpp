@@ -1,6 +1,7 @@
 #include "packet/wire.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "common/ensure.h"
 
@@ -20,6 +21,13 @@ std::uint32_t read_u32_at(WireView wire, std::size_t off) {
          static_cast<std::uint32_t>(wire[off + 1]) << 16 |
          static_cast<std::uint32_t>(wire[off + 2]) << 8 |
          static_cast<std::uint32_t>(wire[off + 3]);
+}
+
+template <class T>
+T load_native(const std::uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
 }
 
 std::size_t enc_header_size(bool wide) {
@@ -44,15 +52,29 @@ EncEntry to_wire_entry(const tree::Encryption& e) {
   return w;
 }
 
-std::optional<EntryRegion> EntryRegion::check(WireView region) {
+// Every member checks its own packet here once per batch, so the check
+// starts on a cache line of its own: where the linker happens to place
+// it cannot move the member path's timing.
+[[gnu::aligned(64)]] std::optional<EntryRegion> EntryRegion::check(
+    WireView region) {
+  const std::uint8_t* p = region.data();
+  const std::size_t n = region.size();
+  // A zero id is four zero bytes, so one native 4-byte load tests it
+  // whatever the host's byte order.
   std::size_t end = 0;
-  while (region.size() - end >= kEntrySize && read_u32_at(region, end) != 0)
+  while (n - end >= kEntrySize && load_native<std::uint32_t>(p + end) != 0)
     end += kEntrySize;
   // The zero id that stopped the loop (if any) and everything after it
-  // must be padding. OR-folding the tail keeps the loop branch-free.
-  std::uint8_t tail = 0;
-  for (std::size_t i = end; i < region.size(); ++i) tail |= region[i];
-  if (tail != 0) return std::nullopt;
+  // must be padding. OR-folding the tail 8 bytes at a time keeps the
+  // loop branch-free; four folds in flight keep it from waiting on one.
+  std::uint64_t fold[4] = {0, 0, 0, 0};
+  std::size_t i = end;
+  for (; n - i >= 32; i += 32)
+    for (std::size_t w = 0; w < 4; ++w)
+      fold[w] |= load_native<std::uint64_t>(p + i + 8 * w);
+  for (; n - i >= 8; i += 8) fold[0] |= load_native<std::uint64_t>(p + i);
+  for (; i < n; ++i) fold[0] |= p[i];
+  if ((fold[0] | fold[1] | fold[2] | fold[3]) != 0) return std::nullopt;
   return EntryRegion(region.first(end));
 }
 

@@ -53,6 +53,20 @@ UserTransport::UserTransport(std::uint32_t old_id, std::size_t k,
   REKEY_ENSURE(pool != nullptr);
 }
 
+void UserTransport::reset(std::uint32_t old_id) {
+  recovered_ = false;
+  id_updated_ = false;
+  id_ = old_id;
+  estimator_ = packet::BlockIdEstimator(old_id, k_, degree_);
+  complete_through_ = -1;
+  shards_ = std::vector<StoredShard>();
+  max_kid_ = 0;
+  recovery_round_ = 0;
+  rounds_ended_ = 0;
+  own_packet_.reset();
+  entries_ = std::vector<packet::EncEntry>();
+}
+
 bool UserTransport::note_max_kid(std::uint32_t max_kid) {
   if (id_updated_) return true;
   const auto derived = tree::derive_new_user_id(id_, max_kid, degree_);
@@ -84,7 +98,11 @@ void UserTransport::recover(int round) {
   shards_ = std::vector<StoredShard>();  // a recovered user holds no shards
 }
 
-void UserTransport::on_packet(std::size_t pool_index, int round) {
+// on_packet, store_shard and end_of_round run once per member and frame
+// or round, so each starts on a cache line of its own: where the linker
+// happens to place them cannot move the member path's timing.
+[[gnu::aligned(64)]] void UserTransport::on_packet(std::size_t pool_index,
+                                                   int round) {
   if (recovered_) return;
   const Bytes& wire = (*pool_)[pool_index];
   const auto type = packet::peek_type(wire);
@@ -144,8 +162,9 @@ void UserTransport::on_packet(std::size_t pool_index, int round) {
   }
 }
 
-void UserTransport::store_shard(std::uint32_t block, std::uint32_t shard,
-                                std::size_t pool_index) {
+[[gnu::aligned(64)]] void UserTransport::store_shard(std::uint32_t block,
+                                                    std::uint32_t shard,
+                                                    std::size_t pool_index) {
   // Idempotent against duplicated and reordered delivery: a shard index
   // already held is ignored, so duplicates can neither inflate the
   // shard count past k (which would fake decodability and understate
@@ -213,7 +232,8 @@ bool UserTransport::try_decode_block(std::uint32_t block, int round) {
   return false;
 }
 
-std::vector<packet::NackEntry> UserTransport::end_of_round(int round) {
+[[gnu::aligned(64)]] std::vector<packet::NackEntry> UserTransport::end_of_round(
+    int round) {
   if (recovered_) return {};
   ++rounds_ended_;
 

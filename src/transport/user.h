@@ -41,6 +41,12 @@ class UserTransport {
   UserTransport(std::uint32_t old_id, std::size_t k, unsigned degree,
                 const PacketPool* pool, bool wide = false);
 
+  // Restarts this transport for the next rekey message, as if newly
+  // built with `old_id` and the same k, degree, pool and width, so a
+  // fleet restarts its members in place instead of rebuilding them every
+  // batch. Like a new transport, it holds no shard or entry storage.
+  void reset(std::uint32_t old_id);
+
   // Deliver the packet stored at pool[pool_index]. `round` is the current
   // multicast round (1-based), used for latency accounting.
   void on_packet(std::size_t pool_index, int round);

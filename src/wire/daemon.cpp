@@ -27,6 +27,23 @@ int ms_until(Clock::time_point deadline) {
   return left < 0 ? 0 : static_cast<int>(left);
 }
 
+// A session's tree holds the fleet's uids [0, clients) and the silent
+// pool in churn_members, each once. A snapshot whose tree holds other
+// members would have the first replayed batch leave, or serve, a member
+// the tree does not hold.
+bool members_match(const tree::KeyTree& tree, const ServerSnapshot& s) {
+  std::vector<tree::MemberId> churn = s.churn_members;
+  std::sort(churn.begin(), churn.end());
+  if (std::adjacent_find(churn.begin(), churn.end()) != churn.end())
+    return false;
+  if (!churn.empty() && churn.front() < s.clients) return false;
+  if (tree.num_users() != std::size_t{s.clients} + churn.size()) return false;
+  for (tree::MemberId m = 0; m < s.clients; ++m)
+    if (!tree.has_member(m)) return false;
+  return std::all_of(churn.begin(), churn.end(),
+                     [&tree](tree::MemberId m) { return tree.has_member(m); });
+}
+
 }  // namespace
 
 KeyServerDaemon::KeyServerDaemon(WireTransport& wire,
@@ -786,9 +803,10 @@ DaemonStats KeyServerDaemon::run_standby() {
 bool KeyServerDaemon::promote() {
   const ServerSnapshot& s = *pending_snap_;
   // The seal only proves the primary sent these bytes; the embedded tree
-  // is first checked here, before any state changes.
+  // and its members are first checked here, before any state changes.
   auto restored = tree::restore_sharded_tree(s.tree_blob, config_.key_seed);
-  if (!restored || restored->degree() != config_.degree) {
+  if (!restored || restored->degree() != config_.degree ||
+      !members_match(*restored, s)) {
     std::fprintf(stderr,
                  "rekeyd: snapshot %u holds no usable key tree - standing "
                  "down\n",

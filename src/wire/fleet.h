@@ -23,7 +23,6 @@
 #include <chrono>
 #include <concepts>
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -145,14 +144,19 @@ class ClientFleet {
  private:
   using Clock = std::chrono::steady_clock;
 
+  // The session's member table. Built at the first batch and restarted
+  // in place at every later one, so a batch costs no member allocations.
+  // Members point into `pool`, so the table never moves: it is a member
+  // of the (immovable) fleet.
   struct Batch {
+    bool open = false;  // between a batch's opening and its BatchDone
     std::uint32_t seq = 0;
     std::uint8_t msg_id = 0;
     transport::PacketPool pool;
     std::vector<transport::UserTransport> users;  // index: uid - first_uid
     // Indices of the unrecovered users, ascending: the per-frame and
-    // per-mark loops walk only these (compacted after each pass), so a
-    // recovered user costs nothing for the rest of the batch.
+    // per-mark loops walk only these (compacted in or after each pass),
+    // so a recovered user costs nothing for the rest of the batch.
     std::vector<std::uint32_t> active;
     std::vector<bool> via_usr;
     std::vector<double> recover_ms;  // -1 until recovered
@@ -217,7 +221,7 @@ class ClientFleet {
   std::vector<bool> have_slot_;
   std::size_t slots_have_ = 0;
 
-  std::optional<Batch> batch_;
+  Batch batch_;
   std::uint32_t next_seq_ = 0;
   std::uint32_t done_seq_ = 0;  // last finalized batch + 1
   Bytes cached_done_ack_;

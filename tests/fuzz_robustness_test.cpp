@@ -3,6 +3,8 @@
 // ignoring garbage, never crashing or throwing on network input.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "packet/estimate.h"
 #include "packet/wire.h"
@@ -332,6 +334,74 @@ TEST(Fuzz, EntryCheckMatchesParsersOnRandomBuffers) {
   // Both verdicts were exercised.
   EXPECT_GT(accepted, 400u);
   EXPECT_LT(accepted, 3600u);
+}
+
+// `n` entries with nonzero ids and random bodies, then `pad` zero bytes.
+Bytes entry_region(Rng& rng, std::size_t n, std::size_t pad) {
+  Bytes region = random_bytes(rng, n * packet::kEntrySize + pad);
+  for (std::size_t e = 0; e < n; ++e)
+    region[e * packet::kEntrySize] |= 0x80;  // the id is never zero
+  std::fill(region.end() - static_cast<std::ptrdiff_t>(pad), region.end(), 0);
+  return region;
+}
+
+TEST(Fuzz, EntryCheckMatchesTheOracleAtEveryWordBoundary) {
+  // The in-place check reads ids 4 bytes and padding 8 bytes at a time.
+  // Regions built to land each edge on every offset within a word, behind
+  // an ENC header of either width (so at two offsets from the buffer
+  // start, checked through the parsers too) and on their own, must get
+  // the oracle's verdict and entries.
+  Rng rng(30);
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  const auto agree = [&](const Bytes& region) {
+    const auto got = packet::EntryRegion::check(region);
+    const auto want = reference_entries(region);
+    ASSERT_EQ(got.has_value(), want.has_value());
+    if (got) EXPECT_EQ(got->to_vector(), *want);
+    if (got)
+      ++accepted;
+    else
+      ++rejected;
+    for (const bool wide : {false, true}) {
+      Bytes wire(wide ? packet::kEncHeaderSizeWide : packet::kEncHeaderSize,
+                 0);
+      wire.insert(wire.end(), region.begin(), region.end());
+      expect_enc_parsers_agree(wire, wide);
+    }
+  };
+  for (std::size_t n = 0; n <= 5; ++n) {
+    // Padding after the last entry, of every length mod 8 and past one
+    // entry's width; then one nonzero byte at each padding offset.
+    for (std::size_t pad = 0; pad <= 2 * packet::kEntrySize; ++pad) {
+      const Bytes region = entry_region(rng, n, pad);
+      agree(region);
+      for (std::size_t off = 0; off < pad; ++off) {
+        Bytes dirty = region;
+        dirty[n * packet::kEntrySize + off] =
+            static_cast<std::uint8_t>(rng.next_in(1, 255));
+        agree(dirty);
+      }
+    }
+    // A zero id at each entry position, followed by data (rejected) or
+    // by zeros only (accepted, the entries before it).
+    for (std::size_t at = 0; at < n; ++at) {
+      Bytes region = entry_region(rng, n, rng.next_in(0, 9));
+      const auto id = region.begin() + at * packet::kEntrySize;
+      std::fill(id, id + 4, 0);
+      agree(region);
+      std::fill(id, region.end(), 0);
+      agree(region);
+    }
+    // A partial trailing entry that holds data, of every length.
+    for (std::size_t part = 1; part < packet::kEntrySize; ++part) {
+      Bytes region = entry_region(rng, n, part);
+      region[n * packet::kEntrySize + rng.next_in(0, part - 1)] = 0x5A;
+      agree(region);
+    }
+  }
+  EXPECT_GT(accepted, 100u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 TEST(Fuzz, TruncationSweepNackPacket) {

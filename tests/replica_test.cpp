@@ -434,6 +434,23 @@ TEST(Replica, StandbyStandsDownOnUnrestorableTree) {
   EXPECT_EQ(st.batches_run, 0u);
 }
 
+TEST(Replica, StandbyStandsDownOnGhostChurnMember) {
+  // The tree restores and has the configured degree, but churn_members
+  // names a uid the tree does not hold: sample_snapshot's tree holds
+  // every id up to next_member - 1 except 3, and the ghost lies above
+  // them. Promoting would have the first replayed batch leave a member
+  // the tree does not hold, so the standby stands down instead.
+  ServerSnapshot s = sample_snapshot(64, 32);
+  const tree::MemberId top = s.next_member - 1;  // the tree's highest member
+  s.next_member += 8;
+  s.churn_members.push_back(top + 4);
+  const DaemonStats st = standby_after_ghost_snapshot(s);
+  EXPECT_EQ(st.snapshots_restored, 1u);
+  EXPECT_FALSE(st.promoted);
+  EXPECT_FALSE(st.completed);
+  EXPECT_EQ(st.batches_run, 0u);
+}
+
 TEST(Replica, MidBatchBlackoutFailsOver) {
   // Blackout at protocol clock 500: batch 1's pre-burst step (batch 0
   // consumed 100..300, batch 1's boundary is 400). The primary dies with

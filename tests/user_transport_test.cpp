@@ -10,6 +10,7 @@
 
 #include "common/ensure.h"
 #include "common/rng.h"
+#include "packet/assign.h"
 #include "transport/server.h"
 #include "transport/user.h"
 #include "transport/workload.h"
@@ -48,12 +49,17 @@ struct Rig {
   // user's own packet is one of many.
   explicit Rig(std::size_t n = 512, std::size_t leaves = 128,
                std::size_t k = 5, int proactive = 0,
-               std::uint64_t seed = 1) {
+               std::uint64_t seed = 1, bool wide = false,
+               std::size_t joins = 0) {
     WorkloadConfig wc;
     wc.group_size = n;
     wc.leaves = leaves;
+    wc.joins = joins;
     msg = generate_message(wc, seed, /*msg_id=*/1);
+    if (wide)  // wide packets hold one entry fewer
+      msg.assignment = packet::assign_keys(msg.payload, wc.packet_size, true);
     cfg.block_size = k;
+    cfg.wide_slots = wide;
     cfg.validate();
     server = std::make_unique<ServerTransport>(cfg, msg.payload,
                                                msg.assignment, proactive,
@@ -72,7 +78,27 @@ struct Rig {
 
   UserTransport user(std::size_t i) const {
     return UserTransport(msg.old_ids[i], cfg.block_size, msg.payload.degree,
-                         &pool);
+                         &pool, cfg.wide_slots);
+  }
+
+  // User i's id after this message (Theorem 4.2).
+  std::uint32_t new_id(std::size_t i) const {
+    return static_cast<std::uint32_t>(
+        tree::derive_new_user_id(msg.old_ids[i], msg.payload.max_kid,
+                                 msg.payload.degree)
+            .value());
+  }
+
+  // Pool index of user i's own ENC packet among the pooled packets `idx`.
+  std::size_t own_packet(const std::vector<std::size_t>& idx,
+                         std::size_t i) const {
+    const std::uint32_t id = new_id(i);
+    for (const auto p : idx) {
+      const auto h = packet::parse_enc_header(pool[p], cfg.wide_slots);
+      if (h && h->frm_id <= id && id <= h->to_id) return p;
+    }
+    ADD_FAILURE() << "user " << i << " has no ENC packet";
+    return 0;
   }
 
   // Block of user i's own ENC packet among the pooled packets `idx`.
@@ -496,6 +522,121 @@ TEST(UserTransport, OwnPacketDeliveryAllocatesNothing) {
     ASSERT_TRUE(u.recovered()) << "user " << me;
     EXPECT_EQ(allocs, 0u) << "user " << me;
     EXPECT_FALSE(u.entries().empty()) << "user " << me;
+  }
+}
+
+// What a transport shows once one message has been played to it.
+struct Outcome {
+  bool recovered = false;
+  int recovery_round = 0;
+  std::uint32_t id = 0;
+  std::uint32_t max_kid = 0;
+  std::vector<packet::EncEntry> entries;
+  std::vector<std::vector<packet::NackEntry>> nacks;  // every end_of_round
+
+  friend bool operator==(const Outcome&, const Outcome&) = default;
+};
+
+enum class Script { OwnPacket, FecAfterLoss, Usr, Nothing };
+
+// Plays the round-1 packets `idx` of `rig`'s message to `u`, as user i:
+// every packet; every ENC packet but its own, then the parities in
+// round 2 (an FEC decode after a NACK); a USR packet; or nothing.
+Outcome play(const Rig& rig, const std::vector<std::size_t>& idx,
+             UserTransport& u, std::size_t i, Script script) {
+  Outcome o;
+  switch (script) {
+    case Script::OwnPacket:
+      for (const auto p : idx) u.on_packet(p, 1);
+      o.nacks.push_back(u.end_of_round(1));
+      break;
+    case Script::FecAfterLoss: {
+      const std::size_t own = rig.own_packet(idx, i);
+      std::vector<std::size_t> parities;
+      for (const auto p : idx) {
+        if (packet::peek_type(rig.pool[p]) == packet::PacketType::Parity)
+          parities.push_back(p);
+        else if (p != own)
+          u.on_packet(p, 1);
+      }
+      o.nacks.push_back(u.end_of_round(1));
+      for (const auto p : parities) u.on_packet(p, 2);
+      o.nacks.push_back(u.end_of_round(2));
+      break;
+    }
+    case Script::Usr:
+      u.on_usr(rig.server->usr_for(rig.new_id(i)));
+      break;
+    case Script::Nothing:
+      o.nacks.push_back(u.end_of_round(1));
+      o.nacks.push_back(u.end_of_round(2));
+      break;
+  }
+  o.recovered = u.recovered();
+  o.recovery_round = u.recovery_round();
+  o.id = u.current_id();
+  o.max_kid = u.max_kid();
+  if (o.recovered) o.entries = u.entries();
+  return o;
+}
+
+TEST(UserTransport, RestartedTransportEqualsAFreshOne) {
+  // One transport restarted with reset() after every message, and a
+  // newly built one per message, play the same seeded sequence of users
+  // and scripts at both widths: they must agree on everything a caller
+  // can read. Joins into a full tree split leaves, so ids move.
+  for (const bool wide : {false, true}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      Rig rig(256, 0, 5, /*proactive=*/2, seed, wide, /*joins=*/128);
+      const auto idx = rig.send_round(1);
+      Rng rng(seed);
+      UserTransport restarted = rig.user(0);
+      play(rig, idx, restarted, 0, Script::FecAfterLoss);
+      std::size_t recovered = 0;
+      std::size_t nacked = 0;
+      std::size_t moved = 0;
+      for (int step = 0; step < 24; ++step) {
+        const std::size_t i = rng.next_in(0, rig.msg.old_ids.size() - 1);
+        const auto script = static_cast<Script>(rng.next_in(0, 3));
+        restarted.reset(rig.msg.old_ids[i]);
+        UserTransport fresh = rig.user(i);
+        const Outcome want = play(rig, idx, fresh, i, script);
+        EXPECT_EQ(play(rig, idx, restarted, i, script), want)
+            << "wide " << wide << " seed " << seed << " step " << step;
+        recovered += want.recovered;
+        for (const auto& n : want.nacks) nacked += !n.empty();
+        moved += want.id != rig.msg.old_ids[i];
+      }
+      // The sequences exercised recovery, NACKs and moved ids alike.
+      EXPECT_GT(recovered, 0u);
+      EXPECT_GT(nacked, 0u);
+      EXPECT_GT(moved, 0u);
+    }
+  }
+}
+
+TEST(UserTransport, ResetThenOwnPacketAllocatesNothing) {
+  // A fleet restarts each member in place every batch: the restart plus
+  // the delivery that recovers the member make no heap allocation, also
+  // after a message that left shards or entries behind.
+  for (const bool wide : {false, true}) {
+    Rig rig(512, 128, 5, /*proactive=*/2, /*seed=*/1, wide);
+    const auto idx = rig.send_round(1);
+    UserTransport u = rig.user(0);
+    play(rig, idx, u, 0, Script::FecAfterLoss);
+    for (const std::size_t i : {std::size_t{1}, std::size_t{200},
+                                rig.msg.old_ids.size() - 1}) {
+      const std::size_t own = rig.own_packet(idx, i);
+      const std::size_t before = g_allocs.load();
+      u.reset(rig.msg.old_ids[i]);
+      u.on_packet(own, 1);
+      const std::size_t allocs = g_allocs.load() - before;
+      ASSERT_TRUE(u.recovered()) << "user " << i;
+      EXPECT_EQ(allocs, 0u) << "wide " << wide << " user " << i;
+      EXPECT_FALSE(u.entries().empty());
+      u.reset(rig.msg.old_ids[i]);
+      play(rig, idx, u, i, Script::Usr);  // leaves entries behind
+    }
   }
 }
 

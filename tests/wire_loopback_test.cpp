@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <string_view>
@@ -577,6 +578,94 @@ TEST(WireLoopback, ManyEndpointsPartitionTheFleet) {
 // must fold by each field's rule: counts add, batches, wire_version and
 // epoch take the max, and the one flag holds only if every fleet's does.
 // A field added to FleetStats and its list but not to the fold fails here.
+// The next control payload of type `op` that `wire` receives, skipping
+// anything else; nullopt after `timeout_ms` without one.
+std::optional<Bytes> await_control(WireTransport& wire, ControlOp op,
+                                   int timeout_ms = 5000) {
+  std::vector<Datagram> in;
+  for (int waited = 0; waited < timeout_ms; waited += 10) {
+    in.clear();
+    wire.receive(in, 10);
+    for (const Datagram& d : in)
+      if (d.channel == kChanControl && peek_op(d.payload) == op)
+        return d.payload;
+  }
+  return std::nullopt;
+}
+
+TEST(WireLoopback, UsrFragmentsDoNotCompleteAcrossBatches) {
+  // A scripted server leaves the fleet's one member holding half of its
+  // batch-0 USR packet at BatchDone, then sends only the other half of
+  // its batch-1 packet. Reassembly keys partial packets by uid alone and
+  // the fleet keeps its member table across batches, so the leftover half
+  // must be gone: the two halves would parse as one USR packet.
+  LoopbackHub hub;
+  auto server = hub.attach();
+  auto fleet_wire = hub.attach();
+  ClientFleet fleet(*fleet_wire, server->endpoint(), fleet_slice(0, 1));
+  FleetStats fs;
+  std::thread fleet_thread([&] { fs = fleet.run(); });
+
+  packet::UsrPacket usr;
+  usr.new_user_id = 21;
+  usr.max_kid = 5;
+  for (std::uint32_t id : {21u, 5u, 1u}) {
+    packet::EncEntry e;
+    e.enc_id = id;
+    e.enc.tag = static_cast<std::uint16_t>(id);
+    usr.entries.push_back(e);
+  }
+  const Bytes first = usr.serialize();
+  usr.msg_id = 1;
+  for (packet::EncEntry& e : usr.entries) e.enc.ciphertext[0] = 0xEE;
+  const Bytes second = usr.serialize();
+  const std::size_t half = first.size() / 2;
+  const auto frag = [&](std::uint32_t batch, std::uint16_t i, const Bytes& w) {
+    UsrFragFrame f;
+    f.batch_seq = batch;
+    f.frag = i;
+    f.nfrags = 2;
+    f.bytes.assign(w.begin() + (i == 0 ? 0 : half),
+                   i == 0 ? w.begin() + half : w.end());
+    return *serialize(f);
+  };
+  Bytes mixed(first.begin(), first.begin() + half);
+  mixed.insert(mixed.end(), second.begin() + half, second.end());
+  ASSERT_TRUE(packet::UsrPacket::parse(mixed).has_value());
+
+  const Endpoint to = fleet_wire->endpoint();
+  ASSERT_TRUE(await_control(*server, ControlOp::Sub));
+  SubAckFrame ack;
+  ack.group_size = 1;
+  ack.expected_clients = 1;
+  ack.packet_size = 1027;
+  ack.batches = 2;
+  server->send(to, kChanControl, serialize(ack));
+  server->send(to, kChanControl, *serialize(SlotMapFrame{0, {5}}));
+  ASSERT_TRUE(await_control(*server, ControlOp::SlotMapAck));
+  for (std::uint32_t b = 0; b < 2; ++b) {
+    server->send(to, kChanControl,
+                 serialize(BatchStartFrame{b, static_cast<std::uint8_t>(b)}));
+    server->send(to, kChanControl, b == 0 ? frag(0, 0, first)
+                                          : frag(1, 1, second));
+    server->send(to, kChanControl,
+                 serialize(BatchDoneFrame{b, static_cast<std::uint8_t>(b)}));
+    const auto done = await_control(*server, ControlOp::DoneAck);
+    ASSERT_TRUE(done);
+    const auto f = parse_done_ack(*done);
+    ASSERT_TRUE(f);
+    EXPECT_EQ(f->batch_seq, b);
+    EXPECT_EQ(f->recovered, 0u) << "batch " << b;
+    EXPECT_EQ(f->gave_up, 1u) << "batch " << b;
+  }
+  server->send(to, kChanControl, serialize(FinFrame{}));
+  fleet_thread.join();
+  EXPECT_TRUE(fs.finished);
+  EXPECT_EQ(fs.batches, 2u);
+  EXPECT_EQ(fs.recovered, 0u);
+  EXPECT_EQ(fs.unrecovered, 2u);
+}
+
 TEST(FleetStatsFold, EveryListedFieldFollowsItsRule) {
   std::vector<FleetStats> fleets(3);
   const std::uint64_t offset[] = {1, 3, 2};
