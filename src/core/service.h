@@ -17,14 +17,11 @@
 
 #include <cstdint>
 #include <map>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/bytes.h"
-#include "common/parallel.h"
-#include "keytree/marking.h"
-#include "keytree/shard.h"
+#include "core/batch_engine.h"
 #include "keytree/user_view.h"
 #include "simnet/topology.h"
 #include "transport/metrics.h"
@@ -36,12 +33,6 @@ struct ServiceConfig {
   unsigned degree = 4;
   std::uint64_t key_seed = 0xC0FFEE;
   transport::ProtocolConfig protocol;  // used only with simulated delivery
-  // Batch pipeline (keytree/shard.h). shards > 1 partitions marking and
-  // encryption generation into per-shard tasks; worker_threads > 1 gives
-  // those tasks a pool. Output is bit-identical for every setting; the
-  // defaults (1, 1) run the one shard's tasks inline.
-  unsigned shards = 1;          // power of two in [1, 256]
-  unsigned worker_threads = 1;  // 0 picks default_thread_count()
 };
 
 struct IntervalReport {
@@ -78,9 +69,11 @@ class GroupKeyService {
   // unicast protocol; member views are fed from actual decoded packets.
   IntervalReport rekey_interval_over(simnet::Topology& topology);
 
-  std::size_t group_size() const { return tree_.num_users(); }
-  const crypto::SymmetricKey& group_key() const { return tree_.group_key(); }
-  const tree::KeyTree& tree() const { return tree_; }
+  std::size_t group_size() const { return engine_.tree().num_users(); }
+  const crypto::SymmetricKey& group_key() const {
+    return engine_.tree().group_key();
+  }
+  const tree::KeyTree& tree() const { return engine_.tree(); }
 
   bool has_member(tree::MemberId m) const { return members_.count(m) != 0; }
   // The keys member m holds; its group_key() is nullopt until the first
@@ -105,11 +98,12 @@ class GroupKeyService {
 
  private:
   IntervalReport run_batch(simnet::Topology* topology);
+  // Gives every member in the tree a view holding its full path keys.
+  void hand_out_path_keys();
 
   ServiceConfig config_;
-  tree::KeyTree tree_;
-  tree::ShardPlan plan_;
-  std::unique_ptr<rekey::ThreadPool> pool_;  // null with one worker
+  // One shard, run inline on the caller.
+  BatchEngine engine_;
   tree::MemberId next_member_ = 0;
   std::uint32_t next_msg_id_ = 0;
   std::vector<tree::MemberId> pending_joins_;
@@ -123,9 +117,6 @@ class GroupKeyService {
   // Transient sim state — deliberately not part of snapshot().
   double transport_clock_ms_ = 0.0;
   transport::RhoController rho_;
-  // Reused by bootstrap/restore so credential hand-out does not allocate
-  // per member.
-  std::vector<std::pair<tree::NodeId, crypto::SymmetricKey>> keys_scratch_;
 };
 
 }  // namespace rekey::core

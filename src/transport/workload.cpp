@@ -32,19 +32,25 @@ GeneratedMessage generate_message(const WorkloadConfig& config,
   out.payload = tree::generate_rekey_payload(kt, update, msg_id);
   out.assignment = packet::assign_keys(out.payload, config.packet_size);
   out.num_users = kt.num_users();
+  out.old_ids = pre_batch_ids(kt, update);
+  return out;
+}
 
-  // Old id per current user, in sorted slot order.
+std::vector<std::uint16_t> pre_batch_ids(const tree::KeyTree& tree,
+                                         const tree::BatchUpdate& update) {
   std::map<tree::NodeId, tree::NodeId> old_of_new;
   for (const auto& [old_slot, new_slot] : update.moved)
     old_of_new.emplace(new_slot, old_slot);
-  out.old_ids.reserve(kt.num_users());
-  kt.for_each_user_slot([&](tree::NodeId slot) {
+  std::vector<std::uint16_t> ids;
+  ids.reserve(tree.num_users());
+  tree.for_each_user_slot([&](tree::NodeId slot) {
     const auto it = old_of_new.find(slot);
     const tree::NodeId old_id = it == old_of_new.end() ? slot : it->second;
-    REKEY_ENSURE(old_id <= 0xFFFF);
-    out.old_ids.push_back(static_cast<std::uint16_t>(old_id));
+    REKEY_ENSURE_MSG(old_id <= 0xFFFF,
+                     "user id exceeds the simulator's 16-bit id limit");
+    ids.push_back(static_cast<std::uint16_t>(old_id));
   });
-  return out;
+  return ids;
 }
 
 }  // namespace rekey::transport

@@ -36,4 +36,9 @@ struct GeneratedMessage {
 GeneratedMessage generate_message(const WorkloadConfig& config,
                                   std::uint64_t seed, std::uint32_t msg_id);
 
+// GeneratedMessage::old_ids for `tree` after `update`. The simulator's
+// packets carry 16-bit ids, so ids beyond them throw EnsureError here.
+std::vector<std::uint16_t> pre_batch_ids(const tree::KeyTree& tree,
+                                         const tree::BatchUpdate& update);
+
 }  // namespace rekey::transport

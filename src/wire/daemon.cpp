@@ -7,10 +7,6 @@
 
 #include "common/ensure.h"
 #include "common/obs.h"
-#include "keytree/marking.h"
-#include "keytree/rekey_subtree.h"
-#include "keytree/snapshot.h"
-#include "packet/assign.h"
 
 namespace rekey::wire {
 
@@ -50,8 +46,8 @@ KeyServerDaemon::KeyServerDaemon(WireTransport& wire,
                                  const DaemonConfig& config)
     : wire_(wire),
       config_(config),
-      tree_(config.degree, config.key_seed),
-      plan_(tree::ShardPlan::make(config.degree, std::max(1u, config.shards))),
+      engine_(config.degree, config.key_seed, config.shards,
+              config.worker_threads),
       rho_(config.protocol, config.key_seed ^ 0x5EED) {
   REKEY_ENSURE_MSG(config.clients > 0, "daemon needs at least one client");
   REKEY_ENSURE_MSG(config.churn_pool >= config.churn_leaves,
@@ -72,9 +68,17 @@ KeyServerDaemon::KeyServerDaemon(WireTransport& wire,
                    "max_rounds_cap exceeds the u16 round counter");
   REKEY_ENSURE_MSG(!config.standby || config.peer.has_value(),
                    "a standby needs the primary's endpoint");
+  // Fail closed on the protocol fields the lockstep ignores (daemon.h).
+  const transport::ProtocolConfig plain;
+  const transport::ProtocolConfig& p = config.protocol;
+  REKEY_ENSURE_MSG(p.max_multicast_rounds == plain.max_multicast_rounds &&
+                       p.unicast_max_waves == plain.unicast_max_waves &&
+                       p.early_unicast_by_size == plain.early_unicast_by_size &&
+                       p.deadline_rounds == plain.deadline_rounds &&
+                       p.adapt_num_nack == plain.adapt_num_nack,
+                   "the daemon ignores these protocol fields; its round and "
+                   "wave caps are DaemonConfig's");
   config.fault.validate();
-  if (config.worker_threads != 1)
-    pool_ = std::make_unique<ThreadPool>(config.worker_threads);
 }
 
 void KeyServerDaemon::send_control(Endpoint to, const Bytes& frame) {
@@ -294,7 +298,7 @@ std::size_t KeyServerDaemon::pump(int timeout_ms) {
         // Spot-check the Theorem-4.2 id evolution: at a batch boundary a
         // client's id equals its slot in the (restored, pre-churn) tree.
         if (f->first_id !=
-            static_cast<std::uint64_t>(tree_.slot_of(f->first_uid))) {
+            static_cast<std::uint64_t>(engine_.tree().slot_of(f->first_uid))) {
           std::fprintf(stderr,
                        "rekeyd: resub id mismatch for uid %u (client id "
                        "evolution diverged)\n",
@@ -376,7 +380,7 @@ void KeyServerDaemon::send_slot_maps() {
     std::vector<std::uint32_t> slots;
     slots.reserve(es.count);
     for (std::uint32_t u = es.first_uid; u < es.first_uid + es.count; ++u)
-      slots.push_back(static_cast<std::uint32_t>(tree_.slot_of(u)));
+      slots.push_back(static_cast<std::uint32_t>(engine_.tree().slot_of(u)));
     for (const SlotMapFrame& f :
          chunk_slot_map(es.first_uid, slots, wire_.max_payload(), wide()))
       if (auto b = serialize(f)) frames[ep].push_back(std::move(*b));
@@ -464,17 +468,10 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
                            static_cast<std::ptrdiff_t>(leave_n));
   churn_members_.insert(churn_members_.end(), joins.begin(), joins.end());
 
-  tree::Marker marker(tree_);
-  TaskRunner runner(pool_.get());
-  const tree::BatchUpdate update = marker.run(joins, leaves, plan_, runner);
-  tree::RekeyPayload payload;
-  tree::generate_rekey_payload_into(tree_, update, msg_id, payload, plan_,
-                                    runner);
-  packet::Assignment assignment =
-      packet::assign_keys(payload, config_.protocol.packet_size, wide());
-
-  transport::ServerTransport server(config_.protocol, payload,
-                                    std::move(assignment),
+  core::BatchEngine::Batch batch = engine_.run(
+      joins, leaves, msg_id, config_.protocol.packet_size, wide());
+  transport::ServerTransport server(config_.protocol, batch.payload,
+                                    std::move(batch.assignment),
                                     rho_.proactive_parities(), msg_id);
   stats_.enc_packets += server.enc_packets();
   stats_.slots += server.num_slots();
@@ -549,28 +546,26 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
   if (to_unicast) {
     // Unicast phase: fragment-and-duplicate USR delivery to the uids the
     // endpoints reported unrecovered, wave by wave until silence.
-    std::set<std::uint32_t> stragglers;
-    for (const auto& [ep, es] : endpoints_) {
-      if (es.dead) continue;
-      stragglers.insert(es.unrecovered_uids.begin(),
-                        es.unrecovered_uids.end());
-    }
     std::map<std::uint32_t, std::vector<Bytes>> frag_cache;
-    int wave = 0;
-    while (!stragglers.empty() && !stopped()) {
-      if (config_.unicast_max_waves > 0 &&
-          wave >= config_.unicast_max_waves)
+    for (int wave = 1; !stopped(); ++wave) {
+      // Each straggler, with the live endpoint that reported it.
+      std::map<std::uint32_t, Endpoint> stragglers;
+      for (const auto& [ep, es] : endpoints_)
+        if (!es.dead)
+          for (const std::uint32_t uid : es.unrecovered_uids)
+            stragglers.emplace(uid, ep);
+      if (stragglers.empty()) break;
+      if (config_.unicast_max_waves > 0 && wave > config_.unicast_max_waves)
         break;  // abandoned stragglers surface in the DoneAck gave_up count
       // The wave counter travels as the u16 round field of RoundMark; an
       // unbounded (unicast_max_waves == 0) run must stop before it wraps.
-      if (wave >= 0xFFFF) break;
-      ++wave;
+      if (wave > 0xFFFF) break;
       if (step_clock()) return false;  // death point: before the wave
       const int dups = config_.protocol.usr_initial_duplicates + wave - 1;
-      for (const std::uint32_t uid : stragglers) {
+      for (const auto& [uid, owner] : stragglers) {
         auto it = frag_cache.find(uid);
         if (it == frag_cache.end()) {
-          const tree::NodeId slot = tree_.slot_of(uid);
+          const tree::NodeId slot = engine_.tree().slot_of(uid);
           const Bytes usr_wire =
               server.usr_for(static_cast<std::uint32_t>(slot))
                   .serialize(wide());
@@ -582,19 +577,9 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
             if (auto b = serialize(f)) frames_for_uid.push_back(std::move(*b));
           it = frag_cache.emplace(uid, std::move(frames_for_uid)).first;
         }
-        // Locate the endpoint owning this uid.
-        const EndpointState* owner = nullptr;
-        for (const auto& [ep, es] : endpoints_) {
-          if (es.dead) continue;
-          if (uid >= es.first_uid && uid < es.first_uid + es.count) {
-            owner = &es;
-            break;
-          }
-        }
-        if (owner == nullptr) continue;
         for (int d = 0; d < dups; ++d)
           for (const Bytes& f : it->second) {
-            send_control(owner->ep, f);
+            send_control(owner, f);
             ++stats_.usr_frags;
           }
       }
@@ -603,12 +588,6 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
                       server);
       if (stopped()) return false;
       server.take_feedback();  // unicast-phase reports carry no entries
-      stragglers.clear();
-      for (const auto& [ep, es] : endpoints_) {
-        if (es.dead) continue;
-        stragglers.insert(es.unrecovered_uids.begin(),
-                          es.unrecovered_uids.end());
-      }
     }
   }
 
@@ -627,7 +606,7 @@ DaemonStats KeyServerDaemon::run() {
 
   // Populate before subscriptions: version selection inspects the initial
   // slot ids, and the SubAck already carries the negotiated version.
-  tree_.populate(config_.clients + config_.churn_pool, 0);
+  engine_.populate(config_.clients + config_.churn_pool, 0);
   next_member_ = config_.clients + config_.churn_pool;
   churn_members_.clear();
   for (std::uint32_t m = 0; m < config_.churn_pool; ++m)
@@ -638,7 +617,7 @@ DaemonStats KeyServerDaemon::run() {
   // initial maximum keeps a narrow session narrow for its whole life.
   tree::NodeId max_slot = 0;
   for (std::uint32_t u = 0; u < config_.clients + config_.churn_pool; ++u)
-    max_slot = std::max(max_slot, tree_.slot_of(u));
+    max_slot = std::max(max_slot, engine_.tree().slot_of(u));
   const bool needs_wide =
       max_slot * config_.degree + config_.degree > 0xFFFF;
   if (config_.wire_version == 0) {
@@ -655,32 +634,26 @@ DaemonStats KeyServerDaemon::run() {
   if (stopped()) return stats_;
 
   send_slot_maps();
+  return serve(0);
+}
 
-  bool aborted = false;
-  for (std::uint32_t b = 0; b < config_.batches; ++b) {
-    if (stopped()) {
-      aborted = true;
-      break;
-    }
+DaemonStats KeyServerDaemon::serve(std::uint32_t first_batch) {
+  std::uint32_t b = first_batch;
+  for (; b < config_.batches && !stopped(); ++b) {
     next_batch_ = b;
     // Ship before the boundary death point: wherever in batch b the
     // blackout lands, the standby already holds snapshot b, and no
     // client can have finalized batch b yet (its BatchStart hasn't been
-    // sent) — the done_seq invariant the Resub barrier checks.
+    // sent) — the done_seq invariant the Resub barrier checks. A promoted
+    // standby has written its old primary off and ships nothing.
     if (config_.peer.has_value() && !peer_dead_) ship_snapshot(b);
-    if (step_clock()) {  // death point: batch boundary
-      aborted = true;
-      break;
-    }
-    if (!run_batch(b)) {
-      aborted = true;
-      break;
-    }
+    // Death point: batch boundary (a standby can have its own blackout
+    // schedule).
+    if (step_clock() || !run_batch(b)) break;
   }
-
   stats_.rho_final = rho_.rho();
   stats_.epoch = epoch_;
-  stats_.completed = !aborted;
+  stats_.completed = b == config_.batches;
   if (!dead_) fin_handshake();
   return stats_;
 }
@@ -724,7 +697,7 @@ void KeyServerDaemon::ship_snapshot(std::uint32_t next_batch) {
   // blob is written in place inside the server blob, which reuses the
   // previous batch's buffer, and each SnapChunk frame is cut from the
   // blob as it is sent.
-  snapshot_server_into(s, tree_, plan_, snap_blob_);
+  snapshot_server_into(s, engine_.tree(), engine_.plan(), snap_blob_);
   const std::vector<SnapChunkFrame> chunks =
       chunk_snapshot(next_batch, snap_blob_, wire_.max_payload());
 
@@ -775,38 +748,16 @@ DaemonStats KeyServerDaemon::run_standby() {
   if (!promote()) return stats_;  // nothing usable to serve: stand down
   resub_barrier();
   if (stopped()) return stats_;
-
-  bool aborted = false;
-  for (std::uint32_t b = next_batch_; b < config_.batches; ++b) {
-    if (stopped()) {
-      aborted = true;
-      break;
-    }
-    next_batch_ = b;
-    if (step_clock()) {  // a standby can have its own blackout schedule
-      aborted = true;
-      break;
-    }
-    if (!run_batch(b)) {
-      aborted = true;
-      break;
-    }
-  }
-
-  stats_.rho_final = rho_.rho();
-  stats_.epoch = epoch_;
-  stats_.completed = !aborted;
-  if (!dead_) fin_handshake();
-  return stats_;
+  return serve(next_batch_);
 }
 
 bool KeyServerDaemon::promote() {
   const ServerSnapshot& s = *pending_snap_;
   // The seal only proves the primary sent these bytes; the embedded tree
   // and its members are first checked here, before any state changes.
-  auto restored = tree::restore_sharded_tree(s.tree_blob, config_.key_seed);
-  if (!restored || restored->degree() != config_.degree ||
-      !members_match(*restored, s)) {
+  if (!engine_.restore(s.tree_blob, [&s](const tree::KeyTree& tree) {
+        return members_match(tree, s);
+      })) {
     std::fprintf(stderr,
                  "rekeyd: snapshot %u holds no usable key tree - standing "
                  "down\n",
@@ -816,7 +767,6 @@ bool KeyServerDaemon::promote() {
   // The SnapChunk handler probed the rho state before acking it.
   REKEY_ENSURE_MSG(rho_.restore(s.rho),
                    "acked server snapshot failed rho restore");
-  tree_ = std::move(*restored);
   epoch_ = s.epoch + 1;
   next_batch_ = s.next_batch;
   session_version_ = s.session_version;

@@ -1,8 +1,8 @@
 // KeyServerDaemon — the batch-rekey key server over a real datagram
 // transport (the wire counterpart of transport::RekeySession).
 //
-// The daemon owns a persistent KeyTree whose members split into two
-// populations:
+// The daemon's batch engine holds a persistent KeyTree whose members
+// split into two populations:
 //
 //   * the fleet: uids [0, clients), one per remote virtual client, which
 //     never leave — their slot ids evolve across batches exactly as the
@@ -13,9 +13,9 @@
 //     batch to generate real rekey traffic. They have no transport; the
 //     multicast serves them but nobody reports for them.
 //
-// Per batch the daemon runs the same pipeline as the simulator —
-// Marker -> generate_rekey_payload -> assign_keys -> ServerTransport —
-// and drives the rounds over the wire in lockstep:
+// Per batch the daemon runs the same pipeline as GroupKeyService — the
+// batch engine (core/batch_engine.h), then ServerTransport — and drives
+// the rounds over the wire in lockstep:
 //
 //   1. data burst: every endpoint gets the round's ENC/PARITY frames
 //      (ENC slot wires go to sendmmsg straight out of the transport's
@@ -54,14 +54,10 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
-#include <set>
 #include <vector>
 
-#include "common/parallel.h"
-#include "keytree/keytree.h"
-#include "keytree/shard.h"
+#include "core/batch_engine.h"
 #include "simnet/fault.h"
 #include "transport/config.h"
 #include "transport/server.h"
@@ -96,7 +92,10 @@ struct DaemonConfig {
   int round_wait_ms = 5000;
   int retry_ms = 50;
   // Rounds before switching to unicast (the wire path always switches —
-  // a multicast-only daemon would wait forever for a dead client).
+  // a multicast-only daemon would wait forever for a dead client). The
+  // lockstep honours none of `protocol`'s max_multicast_rounds,
+  // unicast_max_waves, early_unicast_by_size (paper §7.1), deadline_rounds
+  // or adapt_num_nack (§6.2), so the daemon refuses any of them set.
   int max_multicast_rounds = 8;
   // Unicast waves before the remaining stragglers are abandoned.
   int unicast_max_waves = 64;
@@ -104,10 +103,9 @@ struct DaemonConfig {
   // dead and dropped from the lockstep.
   int endpoint_dead_after = 3;
 
-  // Batch pipeline (keytree/shard.h): shards > 1 runs marking and
-  // encryption generation as per-shard tasks; worker_threads > 1 backs
-  // them with a pool. The output, and so the wire traffic, is
-  // bit-identical for every setting; the defaults run one shard inline.
+  // The batch engine's shards and workers (core/batch_engine.h). The
+  // output, and so the wire traffic, is bit-identical for every setting;
+  // the defaults run one shard inline.
   unsigned shards = 1;          // power of two in [1, 256]
   unsigned worker_threads = 1;  // 0 picks default_thread_count()
 
@@ -307,6 +305,10 @@ class KeyServerDaemon {
   // standby, acks (round_wait_ms at most).
   void fin_handshake();
 
+  // Serves batches [first_batch, batches), shipping each one's snapshot
+  // first while a standby is healthy, then runs the Fin handshake unless
+  // the daemon went dark. The serving half of run() and run_standby().
+  DaemonStats serve(std::uint32_t first_batch);
   // Runs one churn batch end to end; returns false on stop request.
   bool run_batch(std::uint32_t batch_seq);
 
@@ -327,9 +329,7 @@ class KeyServerDaemon {
   DaemonConfig config_;
   std::atomic<bool> stop_{false};
 
-  tree::KeyTree tree_;
-  tree::ShardPlan plan_;
-  std::unique_ptr<rekey::ThreadPool> pool_;  // null with one worker
+  core::BatchEngine engine_;
   transport::RhoController rho_;
   tree::MemberId next_member_ = 0;
   std::vector<tree::MemberId> churn_members_;  // silent, in join order

@@ -65,9 +65,9 @@ struct ServerSnapshot {
   transport::RhoController::State rho;
 
   // Sealed sharded (v2) tree snapshot: structure, key material, member
-  // bindings, keygen counter. Restored separately via
-  // tree::restore_sharded_tree (ownership-validated) because only the
-  // daemon knows the key seed.
+  // bindings, keygen counter. Restored separately, by the daemon's batch
+  // engine (ownership-validated), because only the daemon knows the key
+  // seed.
   Bytes tree_blob;
 };
 
@@ -91,8 +91,8 @@ void snapshot_server_into(const ServerSnapshot& snap,
 // Verify the trailer, parse, and structurally validate (endpoint ranges
 // inside [0, clients), member ids below next_member, bounded counts).
 // nullopt on truncation, corruption, or any structural nonsense; the
-// embedded tree blob's own trailer and shard ownership are checked later
-// by restore_sharded_tree.
+// embedded tree blob's own trailer and shard ownership are checked later,
+// when the batch engine restores it.
 std::optional<ServerSnapshot> restore_server(const Bytes& blob);
 
 }  // namespace rekey::wire

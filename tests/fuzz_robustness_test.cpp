@@ -358,11 +358,12 @@ TEST(Fuzz, EntryCheckMatchesTheOracleAtEveryWordBoundary) {
     const auto got = packet::EntryRegion::check(region);
     const auto want = reference_entries(region);
     ASSERT_EQ(got.has_value(), want.has_value());
-    if (got) EXPECT_EQ(got->to_vector(), *want);
-    if (got)
+    if (got) {
+      EXPECT_EQ(got->to_vector(), *want);
       ++accepted;
-    else
+    } else {
       ++rejected;
+    }
     for (const bool wide : {false, true}) {
       Bytes wire(wide ? packet::kEncHeaderSizeWide : packet::kEncHeaderSize,
                  0);

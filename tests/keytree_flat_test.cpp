@@ -25,19 +25,23 @@
 
 // Global allocation counter for the no-allocation assertions. Counting
 // operator new is enough: the accessors under test only ever allocate
-// through std::vector.
+// through std::vector. The replacements stay out of line: inlined, they
+// would show the optimizer std::free applied to a pointer from operator
+// new, which it flags as a mismatched deallocation.
 namespace {
 std::atomic<std::size_t> g_allocs{0};
 }
 
-void* operator new(std::size_t size) {
+[[gnu::noinline]] void* operator new(std::size_t size) {
   ++g_allocs;
   if (void* p = std::malloc(size)) return p;
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace rekey::tree {
 namespace {

@@ -2,6 +2,8 @@
 // rekeying, ideal and simulated delivery, and multi-interval consistency.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/ensure.h"
 #include "core/service.h"
 
@@ -161,6 +163,29 @@ TEST(Service, SimulatedDeliveryExtremeLossStillConsistent) {
   ASSERT_TRUE(report.transport.has_value());
   for (const auto m : members)
     EXPECT_EQ(*svc.member(m).group_key(), svc.group_key());
+}
+
+TEST(Service, SimulatedDeliveryRefusesIdsBeyondSixteenBits) {
+  // The simulator's packets carry 16-bit user ids. A d = 2 group of
+  // 2^15 + 2 members holds slots up to 98 304, so its interval must fail
+  // with an error that names the limit before the session sends a packet,
+  // not deep in the unicast phase on truncated ids.
+  ServiceConfig cfg = default_config();
+  cfg.degree = 2;
+  GroupKeyService svc(cfg);
+  const auto members = svc.bootstrap_members((1u << 15) + 2);
+  simnet::TopologyConfig tc;
+  tc.num_users = members.size();
+  simnet::Topology topo(tc, 7);
+  svc.request_leave(members[0]);
+  try {
+    svc.rekey_interval_over(topo);
+    ADD_FAILURE() << "an interval over ids beyond 16 bits ran";
+  } catch (const EnsureError& e) {
+    EXPECT_NE(std::string(e.what()).find("16-bit id limit"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Service, ReportCountsMatchWorkload) {

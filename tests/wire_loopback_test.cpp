@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/ensure.h"
+#include "common/obs.h"
 #include "wire/daemon.h"
 #include "wire/fleet.h"
 #include "wire/loopback.h"
@@ -548,7 +549,8 @@ TEST(WireLoopback, LockstepWaitNeverPollsWithZeroTimeout) {
 TEST(WireLoopback, MaxRoundsAboveTheRoundCapIsRefusedAtStartup) {
   // The multicast loop ensures round <= max_rounds_cap, so a larger
   // max_multicast_rounds would abort a running session the first time a
-  // member cannot recover. The constructor refuses it instead.
+  // member cannot recover. The constructor refuses it instead, and each
+  // protocol field the lockstep would silently ignore too.
   LoopbackHub hub;
   auto wire = hub.attach();
   DaemonConfig dc = base_daemon(16);
@@ -556,6 +558,37 @@ TEST(WireLoopback, MaxRoundsAboveTheRoundCapIsRefusedAtStartup) {
   EXPECT_NO_THROW(KeyServerDaemon(*wire, dc));
   dc.max_multicast_rounds = dc.protocol.max_rounds_cap + 1;
   EXPECT_THROW(KeyServerDaemon(*wire, dc), EnsureError);
+
+  std::vector<DaemonConfig> ignored(5, base_daemon(16));
+  ignored[0].protocol.max_multicast_rounds = 2;
+  ignored[1].protocol.unicast_max_waves = 4;
+  ignored[2].protocol.early_unicast_by_size = true;
+  ignored[3].protocol.deadline_rounds = 2;
+  ignored[4].protocol.adapt_num_nack = true;
+  for (std::size_t i = 0; i < ignored.size(); ++i)
+    EXPECT_THROW(KeyServerDaemon(*wire, ignored[i]), EnsureError) << i;
+}
+
+TEST(WireLoopback, BatchesAdvanceTheKeyServerMetrics) {
+  // The daemon runs each batch through the batch engine, which records
+  // the keyserver.* metrics: one count and one timing per batch run.
+  auto& reg = obs::MetricsRegistry::global();
+  const std::uint64_t batches = reg.counter("keyserver.batches").value();
+  const std::uint64_t encryptions =
+      reg.counter("keyserver.encryptions").value();
+  const std::size_t timed = reg.histogram("keyserver.batch_us").count();
+  LoopbackHub hub;
+  DaemonConfig dc = base_daemon(64);
+  dc.batches = 3;
+  const auto r =
+      run_session(hub, dc, {fleet_slice(0, 32), fleet_slice(32, 32)});
+  ASSERT_EQ(r.daemon.batches_run, 3u);
+  EXPECT_EQ(reg.counter("keyserver.batches").value() - batches,
+            r.daemon.batches_run);
+  EXPECT_EQ(reg.histogram("keyserver.batch_us").count() - timed,
+            r.daemon.batches_run);
+  EXPECT_GT(reg.counter("keyserver.encryptions").value(), encryptions);
+  EXPECT_GT(reg.gauge("keyserver.arena_bytes").value(), 0.0);
 }
 
 TEST(WireLoopback, ManyEndpointsPartitionTheFleet) {
