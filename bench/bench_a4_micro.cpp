@@ -240,7 +240,8 @@ void BM_MemberOwnPacket(benchmark::State& state) {
   transport::ServerTransport server(
       cfg, msg.payload, packet::assign_keys(msg.payload, cfg.packet_size, true),
       0, /*msg_id=*/1);
-  const transport::PacketPool pool = server.round_packets(1);
+  transport::PacketPool pool;
+  for (Bytes& w : server.round_packets(1)) pool.push_back(std::move(w));
   const std::size_t user = msg.old_ids.size() / 2;
   const std::uint32_t old_id = msg.old_ids[user];
   transport::UserTransport member(old_id, cfg.block_size, msg.payload.degree,
@@ -263,6 +264,37 @@ void BM_MemberOwnPacket(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_MemberOwnPacket);
+
+// What a pool pays once per packet, for every member: a copy of the
+// packet plus its facts at both widths. Arg 0 is a wide 1027-byte ENC
+// packet holding 45 entries, arg 1 a PARITY packet of the same size.
+void BM_PacketPoolPush(benchmark::State& state) {
+  Bytes wire;
+  if (state.range(0) == 0) {
+    packet::EncPacket p;
+    p.max_kid = 1;
+    p.frm_id = 100;
+    p.to_id = 200;
+    for (std::uint32_t e = 0; e < packet::max_entries(1027, true); ++e) {
+      packet::EncEntry entry;
+      entry.enc_id = e + 1;
+      entry.enc.tag = 0xA5A5;
+      p.entries.push_back(entry);
+    }
+    wire = p.serialize(packet::kDefaultPacketSize, /*wide=*/true);
+  } else {
+    packet::ParityPacket p;
+    p.fec.assign(packet::kDefaultPacketSize - packet::kFecOffset, 0x5A);
+    wire = p.serialize();
+  }
+  transport::PacketPool pool;
+  for (auto _ : state) {
+    pool.clear();
+    pool.push_back(wire);
+    benchmark::DoNotOptimize(pool.size());
+  }
+}
+BENCHMARK(BM_PacketPoolPush)->Arg(0)->Arg(1);
 
 Bytes random_bytes(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);

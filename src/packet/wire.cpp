@@ -52,9 +52,11 @@ EncEntry to_wire_entry(const tree::Encryption& e) {
   return w;
 }
 
-// Every member checks its own packet here once per batch, so the check
-// starts on a cache line of its own: where the linker happens to place
-// it cannot move the member path's timing.
+// A packet pool checks each packet here once per slot width as it
+// arrives, and members read the result instead of checking their own
+// packet. The check still starts on a cache line of its own, like the
+// member path's functions: where the linker happens to place it cannot
+// move their timing.
 [[gnu::aligned(64)]] std::optional<EntryRegion> EntryRegion::check(
     WireView region) {
   const std::uint8_t* p = region.data();

@@ -175,6 +175,8 @@ struct EncHeader {
   std::uint32_t max_kid = 0;
   std::uint32_t frm_id = 0;
   std::uint32_t to_id = 0;
+
+  friend bool operator==(const EncHeader&, const EncHeader&) = default;
 };
 std::optional<EncHeader> parse_enc_header(WireView wire, bool wide = false);
 
@@ -182,6 +184,8 @@ struct ParityHeader {
   std::uint8_t msg_id = 0;
   std::uint16_t block_id = 0;
   std::uint8_t parity_seq = 0;
+
+  friend bool operator==(const ParityHeader&, const ParityHeader&) = default;
 };
 std::optional<ParityHeader> parse_parity_header(WireView wire);
 

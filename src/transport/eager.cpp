@@ -71,19 +71,20 @@ EagerMetrics EagerSession::run_message(const tree::RekeyPayload& payload,
 
   auto schedule_wire = [&](Bytes wire) {
     const std::size_t idx = pool.size();
+    pool.push_back(std::move(wire));
     next_send = std::max(next_send, loop.now());
     // Record the shard in the ledger (both ENC slots and parities).
-    if (const auto eh = packet::parse_enc_header(wire)) {
+    const PacketFacts& facts = pool.facts(idx, /*wide=*/false);
+    if (const auto& eh = facts.enc) {
       auto& times = shard_send_time[eh->block_id];
       if (times.size() <= eh->seq) times.resize(eh->seq + 1, -1e18);
       times[eh->seq] = next_send;
-    } else if (const auto ph = packet::parse_parity_header(wire)) {
+    } else if (const auto& ph = facts.parity) {
       auto& times = shard_send_time[ph->block_id];
       const std::size_t shard = config_.block_size + ph->parity_seq;
       if (times.size() <= shard) times.resize(shard + 1, -1e18);
       times[shard] = next_send;
     }
-    pool.push_back(std::move(wire));
     loop.schedule_at(next_send, [&, idx] { send_packet(idx); });
     next_send += config_.send_interval_ms;
   };

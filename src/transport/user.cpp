@@ -104,21 +104,18 @@ void UserTransport::recover(int round) {
 [[gnu::aligned(64)]] void UserTransport::on_packet(std::size_t pool_index,
                                                    int round) {
   if (recovered_) return;
-  const Bytes& wire = (*pool_)[pool_index];
-  const auto type = packet::peek_type(wire);
-  if (!type) return;
+  const PacketFacts& facts = pool_->facts(pool_index, wide_);
 
-  if (*type == packet::PacketType::Enc) {
-    const auto h = packet::parse_enc_header(wire, wide_);
-    if (!h) return;
+  if (const auto& h = facts.enc) {
     if (!note_max_kid(h->max_kid)) return;  // corrupt header
     if (h->frm_id <= id_ && id_ <= h->to_id) {
-      // My specific packet: check its entry region in place and keep the
-      // pool index, nothing else. The check can still fail on a damaged
-      // entry region that slipped past the header checks (e.g. a
-      // corrupted copy whose checksum collided); that is a bad datagram,
-      // not a protocol error — drop it and wait for FEC or a resend.
-      if (!packet::enc_entries(wire, wide_)) return;
+      // My specific packet: keep the pool index, nothing else. The pool
+      // checked its entry region once for every member. The check can
+      // still fail on a damaged entry region that slipped past the header
+      // checks (e.g. a corrupted copy whose checksum collided); that is a
+      // bad datagram, not a protocol error — drop it and wait for FEC or a
+      // resend.
+      if (!facts.entries_ok) return;
       own_packet_ = static_cast<std::uint32_t>(pool_index);
       recover(round);
       return;
@@ -142,9 +139,7 @@ void UserTransport::recover(int round) {
     return;
   }
 
-  if (*type == packet::PacketType::Parity) {
-    const auto h = packet::parse_parity_header(wire);
-    if (!h) return;
+  if (const auto& h = facts.parity) {
     // Parities follow the last ENC slot wave: every block is complete.
     complete_through_ = std::numeric_limits<std::int64_t>::max();
     // The code has 256 - k parities: a larger parity_seq is forged, and

@@ -3,7 +3,8 @@
 // During a round a user classifies incoming packets: its own ENC packet
 // (frmID <= id <= toID) means immediate success; other ENC packets feed the
 // block-id estimator; ENC and PARITY packets of candidate blocks are
-// retained (by reference into the session's packet pool) for FEC decoding.
+// retained (by index into the session's packet pool) for FEC decoding. The
+// pool parsed each packet's header once for all users (transport/pool.h).
 // At each round end the user tries to decode every candidate block with >=
 // k shards; if its packet is still missing it emits NACK entries — one
 // <parities needed, block> pair per candidate block. Genuine blocks cannot
@@ -22,15 +23,9 @@
 
 #include "packet/estimate.h"
 #include "packet/wire.h"
+#include "transport/pool.h"
 
 namespace rekey::transport {
-
-// Packets live in a per-message pool owned by the session; users hold
-// indices, so N users retaining the same packet costs N*4 bytes, not N KB.
-// That includes a user's own ENC packet: its entries are read from the
-// pool on demand, so the pool must outlive every entries() call and keep
-// its packets unchanged.
-using PacketPool = std::vector<Bytes>;
 
 class UserTransport {
  public:
@@ -47,8 +42,9 @@ class UserTransport {
   // batch. Like a new transport, it holds no shard or entry storage.
   void reset(std::uint32_t old_id);
 
-  // Deliver the packet stored at pool[pool_index]. `round` is the current
-  // multicast round (1-based), used for latency accounting.
+  // Deliver the packet stored at pool[pool_index], classified by the
+  // facts the pool found for it at this transport's width. `round` is the
+  // current multicast round (1-based), used for latency accounting.
   void on_packet(std::size_t pool_index, int round);
 
   // Deliver a unicast USR packet.
@@ -84,9 +80,9 @@ class UserTransport {
 
   // After recovery: the user's encryption entries (empty when the rekey
   // message carried nothing for this user). Built on each call: from the
-  // pool when the user's own ENC packet arrived (it was checked in place
-  // and is kept only by index), else from the copy an FEC decode or a USR
-  // packet left behind.
+  // pool when the user's own ENC packet arrived (the pool checked it and
+  // the user keeps only its index), else from the copy an FEC decode or a
+  // USR packet left behind.
   std::vector<packet::EncEntry> entries() const;
 
  private:

@@ -8,6 +8,9 @@ namespace rekey::wire {
 
 namespace {
 
+// Members deliver_data walks between two clock reads.
+constexpr std::size_t kStampStep = 64;
+
 // Shaper stream tags (the `tag` input of ShapingConfig::drop).
 constexpr std::uint64_t kTagData = 1;  // downstream data frames
 constexpr std::uint64_t kTagUp = 2;    // upstream NACK suppression
@@ -115,10 +118,14 @@ void ClientFleet::open_batch(std::uint32_t seq, std::uint8_t msg_id) {
   b.t0 = Clock::now();
 }
 
-void ClientFleet::note_recovered(std::size_t u, bool usr) {
+void ClientFleet::note_recovered(std::span<const std::uint32_t> members,
+                                 bool usr) {
   Batch& b = batch_;
-  b.recover_ms[u] = ms_since(b.t0);
-  b.via_usr[u] = usr;
+  const double ms = ms_since(b.t0);
+  for (const std::uint32_t u : members) {
+    b.recover_ms[u] = ms;
+    b.via_usr[u] = usr;
+  }
 }
 
 void ClientFleet::drop_recovered() {
@@ -130,6 +137,13 @@ void ClientFleet::drop_recovered() {
 // Runs once per data frame over every unrecovered member, so it starts
 // on a cache line of its own: where the linker happens to place it
 // cannot move the member path's timing.
+//
+// The pool parses the frame once; each member then reads its facts. The
+// members are walked in steps of at most kStampStep, and a step that
+// recovered any member reads the clock once after it and stamps all of
+// them: a stamp is never earlier than the recovery it records, and at
+// most one step later. One frame can recover nearly every member, so a
+// stamp per frame would misdate them by up to a whole pass.
 [[gnu::aligned(64)]] void ClientFleet::deliver_data(const Bytes& frame) {
   if (frame.empty()) return;
   const std::uint8_t msg_id = frame[0] & 0x3F;
@@ -156,21 +170,29 @@ void ClientFleet::drop_recovered() {
   const int round_now = b.last_round + 1;
   // One pass delivers and compacts: members recovered here or through
   // USR since the last pass leave `active`, the rest keep their order.
+  std::uint32_t stamped[kStampStep] = {};
   std::size_t kept = 0;
-  for (const std::uint32_t u : b.active) {
-    transport::UserTransport& user = b.users[u];
-    if (user.recovered()) continue;  // through USR since the last pass
-    if (config_.shaping.drop(config_.first_uid + u, kTagData, n,
-                             config_.shaping.down_loss)) {
-      ++stats_.shaped_off;
-    } else {
-      user.on_packet(idx, round_now);
-      if (user.recovered()) {
-        note_recovered(u, false);
-        continue;
+  const std::size_t n_active = b.active.size();
+  for (std::size_t begin = 0; begin < n_active; begin += kStampStep) {
+    const std::size_t end = std::min(n_active, begin + kStampStep);
+    std::size_t recovered = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t u = b.active[i];
+      transport::UserTransport& user = b.users[u];
+      if (user.recovered()) continue;  // through USR since the last pass
+      if (config_.shaping.drop(config_.first_uid + u, kTagData, n,
+                               config_.shaping.down_loss)) {
+        ++stats_.shaped_off;
+      } else {
+        user.on_packet(idx, round_now);
+        if (user.recovered()) {
+          stamped[recovered++] = u;
+          continue;
+        }
       }
+      b.active[kept++] = u;
     }
-    b.active[kept++] = u;
+    if (recovered > 0) note_recovered({stamped, recovered}, false);
   }
   b.active.resize(kept);
 }
@@ -252,7 +274,7 @@ void ClientFleet::on_round_mark(const RoundMarkFrame& f) {
       if (user.recovered()) continue;  // through USR since the last pass
       auto entries = user.end_of_round(round);
       if (user.recovered()) {
-        note_recovered(u, false);  // decoded at round end
+        note_recovered({&u, 1}, false);  // decoded at round end
       } else {
         b.last_nacks[u] = std::move(entries);
       }
@@ -267,7 +289,7 @@ void ClientFleet::on_usr_frag(const UsrFragFrame& f) {
   if (f.uid < config_.first_uid || f.uid >= config_.first_uid + config_.count)
     return;
   Batch& b = batch_;
-  const std::size_t u = f.uid - config_.first_uid;
+  const std::uint32_t u = f.uid - config_.first_uid;
   transport::UserTransport& user = b.users[u];
   if (user.recovered()) return;
   const std::uint64_t n = (static_cast<std::uint64_t>(b.seq) << 24) |
@@ -281,7 +303,7 @@ void ClientFleet::on_usr_frag(const UsrFragFrame& f) {
   const auto usr = packet::UsrPacket::parse(*full, wide());
   if (!usr) return;  // damaged reassembly — wait for the next wave
   user.on_usr(*usr);
-  if (user.recovered()) note_recovered(u, true);
+  if (user.recovered()) note_recovered({&u, 1}, true);
 }
 
 bool ClientFleet::maybe_failover(const Datagram& d) {

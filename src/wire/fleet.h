@@ -98,7 +98,10 @@ struct FleetStats {
   std::uint64_t resubs_sent = 0;
   // Per recovered client-batch: ms from batch open until the client holds
   // its ENC entries (its own packet, an FEC decode or a USR packet). No
-  // client decrypts them, so this is not yet time to the group key.
+  // client decrypts them, so this is not yet time to the group key. A
+  // data frame's recoveries are stamped once per step of at most 64
+  // members, after the step: never early, and late by at most the rest of
+  // that step. Round-end decodes and USR packets stamp each recovery.
   std::vector<double> recovery_ms;
 };
 
@@ -182,7 +185,8 @@ class ClientFleet {
   void subscribe();
   void open_batch(std::uint32_t seq, std::uint8_t msg_id);
   void deliver_data(const Bytes& frame);
-  void note_recovered(std::size_t u, bool usr);
+  // Stamps `members` as recovered now, at one clock read.
+  void note_recovered(std::span<const std::uint32_t> members, bool usr);
   void drop_recovered();
   void on_round_mark(const RoundMarkFrame& f);
   void build_and_send_report(std::uint16_t round, std::uint8_t phase);

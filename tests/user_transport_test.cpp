@@ -1,7 +1,9 @@
 // User (receiver) protocol tests: recovery via own packet, via FEC
 // decoding, via USR; block estimation integration; NACK generation; the
-// flat shard store; failing closed on forged FEC blocks; and the
-// allocation-free own-packet path.
+// flat shard store; failing closed on forged FEC blocks; the
+// allocation-free own-packet path; and the packet facts the pool finds
+// once for every user.
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <new>
@@ -638,6 +640,86 @@ TEST(UserTransport, ResetThenOwnPacketAllocatesNothing) {
       play(rig, idx, u, i, Script::Usr);  // leaves entries behind
     }
   }
+}
+
+TEST(PacketPool, FactsMatchTheParsers) {
+  // The facts a pool stores for each packet equal what the header parsers
+  // and the entry check find in its bytes, at both widths, for every
+  // packet type, every truncation up to the widest header, damaged entry
+  // regions and random bytes.
+  PacketPool pool;
+  const auto add_with_truncations = [&pool](const Bytes& wire) {
+    pool.push_back(wire);
+    for (std::size_t n = 0; n <= packet::kEncHeaderSizeWide; ++n)
+      pool.push_back(Bytes(wire.begin(),
+                           wire.begin() + std::min(n, wire.size())));
+  };
+  for (const bool wide : {false, true}) {
+    Rig rig(512, 128, 5, /*proactive=*/2, /*seed=*/1, wide);
+    for (const Bytes& w : rig.server->round_packets(1))  // ENC and PARITY
+      add_with_truncations(w);
+    add_with_truncations(rig.server->usr_for(rig.new_id(0)).serialize(wide));
+  }
+  packet::NackPacket nack;
+  nack.msg_id = 1;
+  nack.entries = {{2, 3, 4}, {1, 7, 9}};
+  add_with_truncations(nack.serialize());
+
+  for (const bool wide : {false, true}) {
+    packet::EncPacket p;
+    p.msg_id = 1;
+    p.max_kid = 100;
+    p.frm_id = 120;
+    p.to_id = 130;
+    for (std::uint32_t e = 1; e <= 3; ++e) {
+      packet::EncEntry entry;
+      entry.enc_id = e;
+      entry.enc.tag = 0xA5A5;
+      entry.enc.ciphertext.fill(static_cast<std::uint8_t>(e));
+      p.entries.push_back(entry);
+    }
+    const Bytes good = p.serialize(packet::kDefaultPacketSize, wide);
+    const std::size_t header =
+        wide ? packet::kEncHeaderSizeWide : packet::kEncHeaderSize;
+    Bytes padding = good;  // nonzero padding after the last entry
+    padding.back() = 1;
+    // A partial trailing entry: cut inside the third entry.
+    const Bytes partial(good.begin(),
+                        good.begin() + header + 2 * packet::kEntrySize + 7);
+    Bytes zero_id = good;  // the second entry's id zeroed, its data kept
+    std::fill_n(zero_id.begin() + header + packet::kEntrySize, 4, 0);
+    pool.push_back(good);
+    pool.push_back(std::move(padding));
+    pool.push_back(partial);
+    pool.push_back(std::move(zero_id));
+  }
+
+  Rng rng(4);
+  for (int i = 0; i < 500; ++i) {
+    Bytes junk(rng.next_in(0, 1027));
+    for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_in(0, 255));
+    pool.push_back(std::move(junk));
+  }
+
+  std::size_t enc = 0, parity = 0, enc_damaged = 0;
+  for (std::size_t i = 0; i < pool.size(); ++i) {
+    for (const bool wide : {false, true}) {
+      const PacketFacts& f = pool.facts(i, wide);
+      EXPECT_EQ(f.enc, packet::parse_enc_header(pool[i], wide))
+          << "packet " << i << " wide " << wide;
+      EXPECT_EQ(f.parity, packet::parse_parity_header(pool[i]))
+          << "packet " << i << " wide " << wide;
+      EXPECT_EQ(f.entries_ok, packet::enc_entries(pool[i], wide).has_value())
+          << "packet " << i << " wide " << wide;
+      enc += f.enc.has_value();
+      parity += f.parity.has_value();
+      enc_damaged += f.enc.has_value() && !f.entries_ok;
+    }
+  }
+  // The inputs reached every kind of fact.
+  EXPECT_GT(enc, 0u);
+  EXPECT_GT(parity, 0u);
+  EXPECT_GE(enc_damaged, 6u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <map>
 #include <optional>
 #include <set>
@@ -33,6 +34,8 @@ struct RunResult {
   std::vector<FleetStats> fleets;
   // Per fleet: every control payload it sent, in order.
   std::vector<std::vector<Bytes>> fleet_control;
+  // Per fleet: wall ms measured around its run().
+  std::vector<double> fleet_wall_ms;
 };
 
 // Passes everything through and records the control payloads sent.
@@ -67,6 +70,7 @@ RunResult run_session(LoopbackHub& hub, DaemonConfig dc,
   RunResult r;
   r.fleets.resize(fleet_configs.size());
   r.fleet_control.resize(fleet_configs.size());
+  r.fleet_wall_ms.resize(fleet_configs.size());
   std::thread daemon_thread([&] { r.daemon = daemon.run(); });
   std::vector<std::thread> fleet_threads;
   for (std::size_t i = 0; i < fleet_configs.size(); ++i) {
@@ -74,7 +78,11 @@ RunResult run_session(LoopbackHub& hub, DaemonConfig dc,
       auto wire = hub.attach();
       TapWire tap(*wire, r.fleet_control[i]);
       ClientFleet fleet(tap, daemon_wire->endpoint(), fleet_configs[i]);
+      const auto t0 = std::chrono::steady_clock::now();
       r.fleets[i] = fleet.run();
+      r.fleet_wall_ms[i] = std::chrono::duration<double, std::milli>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count();
     });
   }
   for (auto& t : fleet_threads) t.join();
@@ -208,6 +216,40 @@ TEST(WireLoopback, UnicastPhaseServesStragglersWithFragmentation) {
   EXPECT_GT(r.daemon.usr_frags, r.daemon.via_usr);
   EXPECT_TRUE(r.fleets[0].finished);
   EXPECT_EQ(r.fleets[0].unrecovered, 0u);
+}
+
+TEST(WireLoopback, EveryRecoveryGetsOneHonestStamp) {
+  // Two fleets of more than one 64-member stamp step each, under down
+  // loss and with a unicast phase, so members recover both from data
+  // frames and from USR packets. Each fleet holds one recovery_ms sample
+  // per recovered client-batch, none still at the -1 of an unstamped
+  // member, and none later than its run() returned.
+  LoopbackHub hub(150);
+  DaemonConfig dc = base_daemon(200);
+  dc.batches = 2;
+  dc.max_multicast_rounds = 1;
+  dc.protocol.packet_size = 120;
+  std::vector<FleetConfig> fcs = {fleet_slice(0, 100), fleet_slice(100, 100)};
+  for (FleetConfig& fc : fcs) {
+    fc.shaping.down_loss = 0.3;
+    fc.shaping.seed = 7;
+  }
+  auto r = run_session(hub, dc, fcs);
+  EXPECT_EQ(r.daemon.recovered, 400u);
+  EXPECT_GT(r.daemon.unicast_waves, 0u);
+  for (std::size_t i = 0; i < r.fleets.size(); ++i) {
+    SCOPED_TRACE(::testing::Message() << "fleet " << i);
+    const FleetStats& fs = r.fleets[i];
+    EXPECT_TRUE(fs.finished);
+    EXPECT_EQ(fs.recovered, 200u);
+    EXPECT_GT(fs.via_usr, 0u);
+    EXPECT_LT(fs.via_usr, fs.recovered);
+    ASSERT_EQ(fs.recovery_ms.size(), fs.recovered);
+    for (const double ms : fs.recovery_ms) {
+      EXPECT_GE(ms, 0.0);
+      EXPECT_LE(ms, r.fleet_wall_ms[i]);
+    }
+  }
 }
 
 TEST(WireLoopback, ReportsListExactlyTheUnrecoveredInUidOrder) {
