@@ -5,6 +5,7 @@
 // shows how far the SIMD layer lifts that constant over scalar.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -295,6 +296,57 @@ void BM_PacketPoolPush(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PacketPoolPush)->Arg(0)->Arg(1);
+
+// A member's round end after it lost its own ENC packet of a k = 10
+// block of 300-byte packets: UserTransport::end_of_round alone, timed by
+// hand around the call (restarting the member and delivering its other
+// packets is not timed). Arg 0: the member is the first to decode the
+// block, so the pool solves it; arg 1: an earlier decode left the
+// block's rows in the pool, and the member's shards agree with them.
+void BM_MemberRoundEndDecode(benchmark::State& state) {
+  transport::WorkloadConfig wc;
+  wc.packet_size = 300;
+  const transport::GeneratedMessage msg =
+      transport::generate_message(wc, /*seed=*/1, /*msg_id=*/1);
+  transport::ProtocolConfig cfg;
+  cfg.block_size = 10;
+  cfg.packet_size = wc.packet_size;
+  transport::ServerTransport server(cfg, msg.payload, msg.assignment,
+                                    /*proactive=*/2, /*msg_id=*/1);
+  transport::PacketPool fresh;
+  for (Bytes& w : server.round_packets(1)) fresh.push_back(std::move(w));
+  transport::PacketPool pool = fresh;
+  const std::uint32_t old_id = msg.old_ids[msg.old_ids.size() / 2];
+  transport::UserTransport member(old_id, cfg.block_size, msg.payload.degree,
+                                  &pool);
+  // Every packet but those whose delivery alone recovers the member.
+  std::vector<std::size_t> others;
+  for (std::size_t p = 0; p < pool.size(); ++p) {
+    member.reset(old_id);
+    member.on_packet(p, 1);
+    if (!member.recovered()) others.push_back(p);
+  }
+  const auto round_end = [&] {
+    member.reset(old_id);
+    for (const std::size_t p : others) member.on_packet(p, 1);
+    const auto t0 = std::chrono::steady_clock::now();
+    benchmark::DoNotOptimize(member.end_of_round(1));
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+  };
+  round_end();  // leaves the block's rows in the pool
+  if (!member.recovered()) {
+    state.SkipWithError("the round end does not recover the member");
+    return;
+  }
+  const bool shared = state.range(0) == 1;
+  for (auto _ : state) {
+    if (!shared) pool = fresh;  // no rows: this member solves the block
+    state.SetIterationTime(round_end());
+  }
+}
+BENCHMARK(BM_MemberRoundEndDecode)->Arg(0)->Arg(1)->UseManualTime();
 
 Bytes random_bytes(std::size_t n, std::uint64_t seed) {
   Rng rng(seed);

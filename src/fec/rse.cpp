@@ -8,7 +8,7 @@
 namespace rekey::fec {
 
 RseCoder::RseCoder(int k) : k_(k) {
-  REKEY_ENSURE_MSG(k >= 1 && k <= 128, "block size out of range");
+  REKEY_ENSURE_MSG(k >= 1 && k <= kMaxBlockSize, "block size out of range");
 }
 
 std::uint8_t RseCoder::coeff(int parity_index, int data_index) const {

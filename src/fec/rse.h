@@ -21,6 +21,9 @@
 
 namespace rekey::fec {
 
+// The largest block size k a code supports.
+inline constexpr int kMaxBlockSize = 128;
+
 struct Shard {
   // index < k: data packet #index; index >= k: parity packet #(index - k).
   int index = 0;

@@ -1,42 +1,35 @@
 #include "transport/user.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "common/ensure.h"
-#include "fec/rse.h"
 #include "keytree/ids.h"
 
 namespace rekey::transport {
 
 namespace {
 
-// A decoded FEC region of an ENC packet (maxKID onward): the served id
-// range and its checked entries, viewing the decoded bytes. nullopt when
-// the region is too short or its entry region is damaged, which only
-// forged or corrupted shards can cause.
-struct DecodedRegion {
-  std::uint32_t frm_id;
-  std::uint32_t to_id;
-  packet::EntryRegion entries;
-};
-
-std::optional<DecodedRegion> parse_region(const Bytes& region, bool wide) {
+// The checked entry region of a decoded FEC region (maxKID onward) whose
+// served id range holds `id`. nullopt when the range misses `id`, and
+// when the region is too short or its entry region is damaged, which
+// only forged or corrupted shards can cause.
+std::optional<packet::EntryRegion> entries_for(const Bytes& region, bool wide,
+                                               std::uint32_t id) {
   const std::size_t ids = (wide ? packet::kEncHeaderSizeWide
                                 : packet::kEncHeaderSize) -
                           packet::kFecOffset;
   if (region.size() < ids) return std::nullopt;
-  const auto entries =
-      packet::EntryRegion::check(packet::WireView(region).subspan(ids));
-  if (!entries) return std::nullopt;
   ByteReader r(region);
-  const auto id = [&r, wide]() -> std::uint32_t {
+  const auto next = [&r, wide]() -> std::uint32_t {
     return wide ? r.get_u32() : r.get_u16();
   };
-  id();  // maxKID: the user's id was settled before any decode
-  const std::uint32_t frm = id();
-  const std::uint32_t to = id();
-  return DecodedRegion{frm, to, *entries};
+  next();  // maxKID: the user's id was settled before any decode
+  const std::uint32_t frm = next();
+  const std::uint32_t to = next();
+  if (id < frm || id > to) return std::nullopt;
+  return packet::EntryRegion::check(packet::WireView(region).subspan(ids));
 }
 
 }  // namespace
@@ -202,24 +195,23 @@ std::vector<packet::EncEntry> UserTransport::entries() const {
 }
 
 bool UserTransport::try_decode_block(std::uint32_t block, int round) {
-  std::vector<fec::Shard> shards;
-  shards.reserve(shards_.size());
+  // The shards the FEC decoder picks from the block's: its data shards,
+  // then its parities, each in arrival order, k in all (the store holds
+  // each shard index once). The pool decodes them, or shares the rows of
+  // an earlier user's decode that those very shards agree with.
+  REKEY_ENSURE(k_ <= PacketPool::kMaxBlockSize);
+  std::array<std::uint32_t, PacketPool::kMaxBlockSize> chosen{};
+  std::size_t n = 0;
+  for (const StoredShard& s : shards_)
+    if (s.block == block && s.shard < k_) chosen[n++] = s.pool_index;
   for (const StoredShard& s : shards_) {
-    if (s.block != block) continue;
-    const Bytes& wire = (*pool_)[s.pool_index];
-    fec::Shard shard;
-    shard.index = static_cast<int>(s.shard);
-    shard.payload.assign(wire.begin() + packet::kFecOffset, wire.end());
-    shards.push_back(std::move(shard));
+    if (n == k_) break;
+    if (s.block == block && s.shard >= k_) chosen[n++] = s.pool_index;
   }
-  const fec::RseCoder coder(static_cast<int>(k_));
-  const auto decoded = coder.decode(shards);
-  if (!decoded.has_value()) return false;
-
-  for (const Bytes& region : *decoded) {
-    const auto d = parse_region(region, wide_);
-    if (d && d->frm_id <= id_ && id_ <= d->to_id) {
-      entries_ = d->entries.to_vector();
+  for (const Bytes& region :
+       pool_->decode_block(block, k_, std::span(chosen.data(), n))) {
+    if (const auto entries = entries_for(region, wide_, id_)) {
+      entries_ = entries->to_vector();
       recover(round);
       return true;
     }

@@ -5,8 +5,10 @@
 // block-id estimator; ENC and PARITY packets of candidate blocks are
 // retained (by index into the session's packet pool) for FEC decoding. The
 // pool parsed each packet's header once for all users (transport/pool.h).
-// At each round end the user tries to decode every candidate block with >=
-// k shards; if its packet is still missing it emits NACK entries — one
+// At each round end the user picks k shards of every candidate block that
+// has them, and the pool decodes them: once per block for all users whose
+// shards agree, privately for the others (PacketPool::decode_block). If
+// its packet is still missing the user emits NACK entries — one
 // <parities needed, block> pair per candidate block. Genuine blocks cannot
 // all decode without yielding the user's packet; when they do, some shards
 // were forged, and the user fails closed: it drops every stored shard and

@@ -1,8 +1,8 @@
 // User (receiver) protocol tests: recovery via own packet, via FEC
 // decoding, via USR; block estimation integration; NACK generation; the
 // flat shard store; failing closed on forged FEC blocks; the
-// allocation-free own-packet path; and the packet facts the pool finds
-// once for every user.
+// allocation-free own-packet path; and the packet facts and FEC decodes
+// the pool finds once for every user.
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
@@ -642,9 +642,53 @@ TEST(UserTransport, ResetThenOwnPacketAllocatesNothing) {
   }
 }
 
+TEST(UserTransport, SharedRoundEndDecodeAllocatesOnlyItsEntries) {
+  // Once one member has decoded a block, a second member that lost its
+  // own packet of that block recovers at round end from the rows the
+  // pool keeps: its one allocation is its entries.
+  for (const bool wide : {false, true}) {
+    Rig rig(512, 128, 5, /*proactive=*/2, /*seed=*/1, wide);
+    const auto idx = rig.send_round(1);
+    // Every ENC packet that serves member i, duplicates included.
+    const auto serves = [&rig](std::size_t p, std::size_t i) {
+      const auto h = packet::parse_enc_header(rig.pool[p], rig.cfg.wide_slots);
+      return h && h->frm_id <= rig.new_id(i) && rig.new_id(i) <= h->to_id;
+    };
+    const auto block_of = [&rig](std::size_t p) {
+      return packet::parse_enc_header(rig.pool[p], rig.cfg.wide_slots)
+          ->block_id;
+    };
+    const std::size_t a = 0;
+    const std::size_t own_a = rig.own_packet(idx, a);
+    std::size_t b = 1;
+    while (b < rig.msg.old_ids.size() &&
+           (serves(own_a, b) ||
+            block_of(rig.own_packet(idx, b)) != block_of(own_a)))
+      ++b;
+    ASSERT_LT(b, rig.msg.old_ids.size());
+    UserTransport first = rig.user(a);
+    UserTransport second = rig.user(b);
+    for (const auto p : idx) {
+      if (!serves(p, a)) first.on_packet(p, 1);
+      if (!serves(p, b)) second.on_packet(p, 1);
+    }
+    ASSERT_TRUE(first.end_of_round(1).empty());
+    ASSERT_TRUE(first.recovered());
+    ASSERT_FALSE(second.recovered());
+    const std::size_t before = g_allocs.load();
+    const auto nack = second.end_of_round(1);
+    const std::size_t allocs = g_allocs.load() - before;
+    ASSERT_TRUE(second.recovered()) << "wide " << wide;
+    EXPECT_TRUE(nack.empty());
+    EXPECT_EQ(allocs, 1u) << "wide " << wide;
+    EXPECT_FALSE(second.entries().empty());
+  }
+}
+
 TEST(PacketPool, FactsMatchTheParsers) {
   // The facts a pool stores for each packet equal what the header parsers
-  // and the entry check find in its bytes, at both widths, for every
+  // and, for an ENC packet, the entry check find in its bytes, at both
+  // widths, for every
   // packet type, every truncation up to the widest header, damaged entry
   // regions and random bytes.
   PacketPool pool;
@@ -709,7 +753,9 @@ TEST(PacketPool, FactsMatchTheParsers) {
           << "packet " << i << " wide " << wide;
       EXPECT_EQ(f.parity, packet::parse_parity_header(pool[i]))
           << "packet " << i << " wide " << wide;
-      EXPECT_EQ(f.entries_ok, packet::enc_entries(pool[i], wide).has_value())
+      EXPECT_EQ(f.entries_ok,
+                packet::parse_enc_header(pool[i], wide).has_value() &&
+                    packet::enc_entries(pool[i], wide).has_value())
           << "packet " << i << " wide " << wide;
       enc += f.enc.has_value();
       parity += f.parity.has_value();
@@ -720,6 +766,116 @@ TEST(PacketPool, FactsMatchTheParsers) {
   EXPECT_GT(enc, 0u);
   EXPECT_GT(parity, 0u);
   EXPECT_GE(enc_damaged, 6u);
+}
+
+
+TEST(PacketPool, SharedDecodeMatchesAPrivatePool) {
+  // Each member loses 30% of the round-1 packets, and every fifth one
+  // also receives full-length forged parities under the genuine parity
+  // indices of every block, at random positions. Every member's round
+  // end on a pool it shares with all the others, whether the forged
+  // holders decode first (and leave a forger's rows as a block's memo)
+  // or last, must equal its round end alone on a copy of the pool taken
+  // before any decode.
+  constexpr int kProactive = 2;
+  std::size_t decoded = 0, forged_mattered = 0, nacked = 0, mismatches = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    const bool wide = seed % 2 == 0;
+    Rig rig(512, 128, 5, kProactive, seed, wide);
+    const auto idx = rig.send_round(1);
+    std::uint32_t blocks = 0;
+    for (const auto p : idx)
+      if (const auto h = packet::parse_enc_header(rig.pool[p], wide))
+        blocks = std::max<std::uint32_t>(blocks, h->block_id + 1u);
+    Rng rng(seed);
+    std::vector<std::size_t> forged;
+    for (std::uint32_t blk = 0; blk < blocks; ++blk) {
+      for (int p = 0; p < kProactive; ++p) {
+        packet::ParityPacket f;
+        f.msg_id = 1;
+        f.block_id = static_cast<std::uint16_t>(blk);
+        f.parity_seq = static_cast<std::uint8_t>(p);
+        f.fec.resize(rig.pool[idx[0]].size() - packet::kFecOffset);
+        for (auto& byte : f.fec)
+          byte = static_cast<std::uint8_t>(rng.next_in(0, 255));
+        forged.push_back(rig.add(f.serialize()));
+      }
+    }
+    const PacketPool pristine = rig.pool;
+
+    const std::size_t n = rig.msg.old_ids.size();
+    // What each member receives: the genuine packets it did not lose,
+    // plus, for every fifth member, the forged ones.
+    std::vector<std::vector<std::size_t>> genuine(n), delivered(n);
+    for (std::size_t u = 0; u < n; ++u) {
+      for (const auto p : idx)
+        if (rng.next_in(0, 99) >= 30) genuine[u].push_back(p);
+      delivered[u] = genuine[u];
+      if (u % 5 != 0) continue;
+      for (const auto f : forged) {
+        const auto at = static_cast<std::ptrdiff_t>(
+            rng.next_in(0, delivered[u].size()));
+        delivered[u].insert(delivered[u].begin() + at, f);
+      }
+    }
+    const auto member = [&](const PacketPool& pool, std::size_t u,
+                            const std::vector<std::size_t>& packets) {
+      UserTransport t(rig.msg.old_ids[u], rig.cfg.block_size,
+                      rig.msg.payload.degree, &pool, wide);
+      for (const auto p : packets) t.on_packet(p, 1);
+      return t;
+    };
+    const auto round_end = [](UserTransport& t) {
+      Outcome o;
+      o.nacks.push_back(t.end_of_round(1));
+      o.recovered = t.recovered();
+      o.recovery_round = t.recovery_round();
+      o.id = t.current_id();
+      o.max_kid = t.max_kid();
+      if (o.recovered) o.entries = t.entries();
+      return o;
+    };
+
+    std::vector<Outcome> alone(n);
+    for (std::size_t u = 0; u < n; ++u) {
+      const PacketPool own = pristine;
+      UserTransport t = member(own, u, delivered[u]);
+      const bool lost_own = !t.recovered();
+      alone[u] = round_end(t);
+      decoded += lost_own && alone[u].recovered;
+      nacked += !alone[u].nacks[0].empty();
+      if (u % 5 == 0) {
+        const PacketPool clean = pristine;
+        UserTransport g = member(clean, u, genuine[u]);
+        forged_mattered += round_end(g) != alone[u];
+      }
+    }
+
+    for (const bool forged_first : {true, false}) {
+      const PacketPool shared = pristine;
+      std::vector<UserTransport> users;
+      users.reserve(n);
+      for (std::size_t u = 0; u < n; ++u)
+        users.push_back(member(shared, u, delivered[u]));
+      std::vector<std::size_t> order;
+      for (const bool forged : {forged_first, !forged_first})
+        for (std::size_t u = 0; u < n; ++u)
+          if ((u % 5 == 0) == forged) order.push_back(u);
+      for (const std::size_t u : order) {
+        if (round_end(users[u]) == alone[u]) continue;
+        if (++mismatches <= 5)
+          ADD_FAILURE() << "seed " << seed << " user " << u
+                        << (forged_first ? " (forged holders first)"
+                                         : " (forged holders last)");
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // Members decoded and NACKed, and the forged parities changed what
+  // some of their holders got.
+  EXPECT_GT(decoded, 0u);
+  EXPECT_GT(nacked, 0u);
+  EXPECT_GT(forged_mattered, 0u);
 }
 
 }  // namespace
