@@ -5,6 +5,7 @@
 #include "common/ensure.h"
 #include "common/obs.h"
 #include "packet/wire.h"
+#include "transport/policy.h"
 
 namespace rekey::transport {
 
@@ -20,11 +21,6 @@ void RekeySession::resume_clock_at(double t_ms) {
                    "session clock resumed backwards: loss processes would "
                    "be queried at non-monotone times");
   clock_ms_ = t_ms;
-}
-
-double RekeySession::resume_clock_at_least(double t_ms) {
-  if (t_ms > clock_ms_) clock_ms_ = t_ms;
-  return clock_ms_;
 }
 
 MessageMetrics RekeySession::run_message(
@@ -47,6 +43,7 @@ MessageMetrics RekeySession::run_message(
                          controller_.proactive_parities(), msg_id);
   m.slots = server.num_slots();
 
+  MessagePolicy policy(config_, controller_);
   PacketPool pool;
   std::vector<UserTransport> users;
   users.reserve(n_users);
@@ -72,6 +69,11 @@ MessageMetrics RekeySession::run_message(
 
   auto notify = [&](std::size_t u) {
     if (on_recovered) on_recovered(u, users[u]);
+  };
+  auto new_id = [&](std::size_t u) {
+    return static_cast<std::uint16_t>(
+        tree::derive_new_user_id(old_ids[u], payload.max_kid, payload.degree)
+            .value());
   };
 
   // Degraded-network wiring. Every fault behavior below is gated on
@@ -112,8 +114,6 @@ MessageMetrics RekeySession::run_message(
   while (!active.empty()) {
     ++round;
     const double round_start = t;
-    REKEY_ENSURE_MSG(round <= config_.max_rounds_cap,
-                     "multicast did not converge within the round cap");
 
     std::vector<Bytes> wires = server.round_packets(round);
     if (round == 1) {
@@ -228,21 +228,13 @@ MessageMetrics RekeySession::run_message(
         m.storm_nacks += static_cast<std::size_t>(extra);
       }
     }
-    if (round == 1) {
-      m.round1_nacks = nacks_received;
-      auto feedback = server.take_feedback();
-      if (config_.adaptive_rho) {
-        // A blackout overlapping round 1 (sends through NACK arrivals)
-        // makes the feedback unrepresentative: clamp AdjustRho escalation.
-        const bool degraded =
-            faults != nullptr &&
-            faults->blackout_overlaps(round_start,
-                                      t + topology_.max_rtt_ms());
-        controller_.on_round1_feedback(std::move(feedback), degraded);
-      }
-    } else {
-      server.take_feedback();  // only round-1 feedback drives AdjustRho
-    }
+    if (round == 1) m.round1_nacks = nacks_received;
+    // A blackout overlapping round 1 (sends through NACK arrivals) makes
+    // the feedback unrepresentative: clamp AdjustRho escalation.
+    policy.on_feedback(round, server.take_feedback(),
+                       round == 1 && faults != nullptr &&
+                           faults->blackout_overlaps(
+                               round_start, t + topology_.max_rtt_ms()));
 
     // Account recoveries of this round and compact the active index.
     std::size_t recovered_now = 0;
@@ -269,31 +261,19 @@ MessageMetrics RekeySession::run_message(
                     {"t_ms", t}});
     t += topology_.max_rtt_ms() + config_.round_slack_ms;
 
-    if (active.empty()) break;
-    if (config_.max_multicast_rounds > 0 &&
-        round >= config_.max_multicast_rounds) {
-      to_unicast = true;
-      break;
-    }
-    if (config_.early_unicast_by_size) {
-      // §7.1: switch early when the USR bytes owed do not exceed the
-      // parity bytes the next round would multicast.
-      std::size_t usr_bytes = 0;
-      for (const std::size_t u : server.straggler_set()) {
-        const auto new_id = tree::derive_new_user_id(
-            old_ids[u], payload.max_kid, payload.degree);
-        // Same helper the unicast phase's bandwidth accounting uses, so
-        // the switch condition and the F21/AB5 byte counts cannot drift.
-        usr_bytes += server.usr_wire_bytes(
-            static_cast<std::uint16_t>(new_id.value()));
-      }
-      const std::size_t parity_bytes =
-          server.pending_parities() * config_.packet_size;
-      if (usr_bytes > 0 && usr_bytes <= parity_bytes) {
-        to_unicast = true;
-        break;
-      }
-    }
+    // §7.1's owed bytes come from the helper the unicast phase bills
+    // with, so the switch and the F21/AB5 byte counts cannot drift.
+    const auto owed_usr_bytes = [&] {
+      std::size_t bytes = 0;
+      for (const std::size_t u : server.straggler_set())
+        bytes += server.usr_wire_bytes(new_id(u));
+      return bytes;
+    };
+    to_unicast = policy.after_round(round, active.size(),
+                                    server.pending_parities(),
+                                    owed_usr_bytes) ==
+                 MessagePolicy::Next::Unicast;
+    if (to_unicast) break;
   }
 
   // Unicast phase (paper Fig 22): lockstep waves so shared loss processes
@@ -303,11 +283,10 @@ MessageMetrics RekeySession::run_message(
     std::vector<std::size_t> stragglers = active;
     m.unicast_users = stragglers.size();
 
-    std::vector<int> dups(n_users, config_.usr_initial_duplicates);
+    std::vector<int> misses(n_users, 0);
     int waves = 0;
     while (!stragglers.empty()) {
-      if (config_.unicast_max_waves > 0 &&
-          waves >= config_.unicast_max_waves) {
+      if (!policy.more_waves(waves)) {
         // Persistent outage: the unicast deadline has passed. Give up on
         // the remaining stragglers explicitly (they stay unrecovered and
         // count as deadline misses) instead of retrying forever.
@@ -357,16 +336,12 @@ MessageMetrics RekeySession::run_message(
           ts += 0.1;
           continue;
         }
-        const std::uint16_t new_id = static_cast<std::uint16_t>(
-            tree::derive_new_user_id(old_ids[u], payload.max_kid,
-                                     static_cast<unsigned>(payload.degree))
-                .value());
-        const packet::UsrPacket usr = server.usr_for(new_id);
+        const packet::UsrPacket usr = server.usr_for(new_id(u));
         // USR wire bytes count toward server bandwidth (F21/AB5 would
         // otherwise understate unicast-heavy policies).
-        const std::size_t usr_wire = server.usr_wire_bytes(new_id);
+        const std::size_t usr_wire = server.usr_wire_bytes(new_id(u));
         bool got = false;
-        for (int i = 0; i < dups[u]; ++i) {
+        for (int i = 0; i < policy.usr_copies(misses[u]); ++i) {
           ++m.usr_packets;
           m.usr_bytes += usr_wire;
           c_usr_pkts.add();
@@ -384,10 +359,10 @@ MessageMetrics RekeySession::run_message(
           ++m.unicast_recovered_in_wave[waves];
           notify(u);
         } else {
-          ++dups[u];
+          ++misses[u];
           still.push_back(u);
         }
-        ts += 0.1 * dups[u];
+        ts += 0.1 * policy.usr_copies(misses[u]);
       }
       if (obs::trace_enabled())
         obs::Trace::emit(
@@ -409,16 +384,7 @@ MessageMetrics RekeySession::run_message(
   if (faults)
     for (const auto& q : deferred) m.late_drops += q.size();
 
-  // Deadline accounting: a user meets the deadline iff it recovered in a
-  // multicast round <= deadline_rounds.
-  if (config_.deadline_rounds > 0) {
-    std::size_t met = 0;
-    for (const auto& [round_no, count] : m.recovered_in_round)
-      if (round_no <= config_.deadline_rounds) met += count;
-    m.deadline_misses = n_users - met;
-    if (config_.adapt_num_nack)
-      controller_.on_deadline_report(m.deadline_misses);
-  }
+  m.deadline_misses = policy.finish();
 
   m.duration_ms = t - start_ms;
   clock_ms_ = t + config_.round_slack_ms;

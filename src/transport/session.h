@@ -5,6 +5,10 @@
 // The session drives real wire bytes through real loss processes; users
 // run the full Fig-27 receiver protocol including Theorem-4.2 id updates
 // and Appendix-D block estimation. Metrics mirror the paper's quantities.
+// When to stop, when to switch to unicast, how many USR copies to send
+// and what to tell AdjustRho and numNACK are MessagePolicy's
+// (transport/policy.h), which the wire daemon drives too; the session
+// owns the clock, the loss draws and the accounting.
 #pragma once
 
 #include <functional>
@@ -47,14 +51,6 @@ class RekeySession {
   // monotonicity check deep inside a round, far from the misuse.
   double clock_ms() const { return clock_ms_; }
   void resume_clock_at(double t_ms);
-
-  // Normalizing resume for restored state: a replica rebuilt from a
-  // snapshot carries the donor's clock, which may sit ahead of a locally
-  // recorded timestamp (the snapshot was cut after the last message the
-  // restorer saw). Instead of tripping the monotonicity assert above,
-  // clamp forward — the clock never moves backwards — and return the
-  // clock actually in effect.
-  double resume_clock_at_least(double t_ms);
 
  private:
   simnet::Topology& topology_;

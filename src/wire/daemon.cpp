@@ -7,6 +7,7 @@
 
 #include "common/ensure.h"
 #include "common/obs.h"
+#include "transport/policy.h"
 
 namespace rekey::wire {
 
@@ -68,16 +69,15 @@ KeyServerDaemon::KeyServerDaemon(WireTransport& wire,
                    "max_rounds_cap exceeds the u16 round counter");
   REKEY_ENSURE_MSG(!config.standby || config.peer.has_value(),
                    "a standby needs the primary's endpoint");
-  // Fail closed on the protocol fields the lockstep ignores (daemon.h).
+  // The message policy takes its round and wave caps from DaemonConfig
+  // (daemon.h), so protocol's own are refused rather than ignored.
   const transport::ProtocolConfig plain;
-  const transport::ProtocolConfig& p = config.protocol;
-  REKEY_ENSURE_MSG(p.max_multicast_rounds == plain.max_multicast_rounds &&
-                       p.unicast_max_waves == plain.unicast_max_waves &&
-                       p.early_unicast_by_size == plain.early_unicast_by_size &&
-                       p.deadline_rounds == plain.deadline_rounds &&
-                       p.adapt_num_nack == plain.adapt_num_nack,
-                   "the daemon ignores these protocol fields; its round and "
-                   "wave caps are DaemonConfig's");
+  REKEY_ENSURE_MSG(
+      config.protocol.max_multicast_rounds == plain.max_multicast_rounds &&
+          config.protocol.unicast_max_waves == plain.unicast_max_waves,
+      "the daemon's round and wave caps are DaemonConfig's");
+  config_.protocol.max_multicast_rounds = config.max_multicast_rounds;
+  config_.protocol.unicast_max_waves = config.unicast_max_waves;
   config.fault.validate();
 }
 
@@ -486,12 +486,11 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
   std::deque<Bytes> parity_store;
   std::vector<const Bytes*> frames;
 
+  transport::MessagePolicy policy(config_.protocol, rho_);
   bool to_unicast = false;
   int round = 0;
   for (;;) {
     ++round;
-    REKEY_ENSURE_MSG(round <= config_.protocol.max_rounds_cap,
-                     "wire lockstep did not converge within the round cap");
     if (step_clock()) return false;  // death point: before the round burst
     parity_store.clear();
     frames.clear();
@@ -522,9 +521,7 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
     collect_reports(batch_seq, msg_id, static_cast<std::uint16_t>(round), 0,
                     server);
     if (stopped()) return false;
-    auto feedback = server.take_feedback();
-    if (round == 1 && config_.protocol.adaptive_rho)
-      rho_.on_round1_feedback(std::move(feedback));
+    policy.on_feedback(round, server.take_feedback());
 
     std::uint64_t unrecovered = 0;
     for (const auto& [ep, es] : endpoints_)
@@ -536,17 +533,27 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
                         {"frames", static_cast<std::int64_t>(frames.size())},
                         {"unrecovered",
                          static_cast<std::int64_t>(unrecovered)}});
-    if (unrecovered == 0) break;
-    if (round >= config_.max_multicast_rounds) {
-      to_unicast = true;
-      break;
-    }
+    // §7.1's owed bytes: the USR packets of every listed straggler.
+    const auto owed_usr_bytes = [&] {
+      std::size_t bytes = 0;
+      for (const auto& [ep, es] : endpoints_)
+        if (!es.dead)
+          for (const std::uint32_t uid : es.unrecovered_uids)
+            bytes += server.usr_wire_bytes(
+                static_cast<std::uint32_t>(engine_.tree().slot_of(uid)));
+      return bytes;
+    };
+    const auto next = policy.after_round(
+        round, unrecovered, server.pending_parities(), owed_usr_bytes);
+    to_unicast = next == transport::MessagePolicy::Next::Unicast;
+    if (next != transport::MessagePolicy::Next::Round) break;
   }
 
   if (to_unicast) {
     // Unicast phase: fragment-and-duplicate USR delivery to the uids the
     // endpoints reported unrecovered, wave by wave until silence.
     std::map<std::uint32_t, std::vector<Bytes>> frag_cache;
+    std::map<std::uint32_t, int> misses;  // a uid listed again was missed
     for (int wave = 1; !stopped(); ++wave) {
       // Each straggler, with the live endpoint that reported it.
       std::map<std::uint32_t, Endpoint> stragglers;
@@ -555,13 +562,12 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
           for (const std::uint32_t uid : es.unrecovered_uids)
             stragglers.emplace(uid, ep);
       if (stragglers.empty()) break;
-      if (config_.unicast_max_waves > 0 && wave > config_.unicast_max_waves)
+      if (!policy.more_waves(wave - 1))
         break;  // abandoned stragglers surface in the DoneAck gave_up count
       // The wave counter travels as the u16 round field of RoundMark; an
       // unbounded (unicast_max_waves == 0) run must stop before it wraps.
       if (wave > 0xFFFF) break;
       if (step_clock()) return false;  // death point: before the wave
-      const int dups = config_.protocol.usr_initial_duplicates + wave - 1;
       for (const auto& [uid, owner] : stragglers) {
         auto it = frag_cache.find(uid);
         if (it == frag_cache.end()) {
@@ -577,7 +583,8 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
             if (auto b = serialize(f)) frames_for_uid.push_back(std::move(*b));
           it = frag_cache.emplace(uid, std::move(frames_for_uid)).first;
         }
-        for (int d = 0; d < dups; ++d)
+        const int copies = policy.usr_copies(misses[uid]++);
+        for (int d = 0; d < copies; ++d)
           for (const Bytes& f : it->second) {
             send_control(owner, f);
             ++stats_.usr_frags;
@@ -590,6 +597,7 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
       server.take_feedback();  // unicast-phase reports carry no entries
     }
   }
+  policy.finish();  // the deadline misses adapt numNACK
 
   // Death point: before BatchDone. A daemon that survives this step
   // finishes the batch — so at any failover no client has finalized the

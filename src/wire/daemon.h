@@ -22,8 +22,10 @@
 //      arena via ServerTransport::for_each_round_wire — no copies);
 //   2. RoundMark, re-sent on a timer until every live endpoint's final
 //      Report (or the round deadline) arrives;
-//   3. NACK feedback into accept_nack / RhoController, then the next
-//      round's reactive parities — identical control law to the simnet.
+//   3. NACK feedback into accept_nack, then the next round's reactive
+//      parities. What follows a round, and what AdjustRho and numNACK
+//      learn, is transport::MessagePolicy's, which RekeySession drives
+//      too: the daemon runs the control law the F-figures measure.
 //
 // Every lockstep step — slot maps, round reports, DoneAcks, the Fin
 // handshake, the snapshot ship and the failover Resub barrier — is one
@@ -33,8 +35,8 @@
 // its retry timer fires instead of polling. Endpoints that miss a
 // step's deadline are written off by drop_laggards.
 //
-// After max_multicast_rounds the unicast phase serves reported
-// stragglers with (fragmented, duplicated) USR packets wave by wave.
+// After the round cap or §7.1's size test, the unicast phase serves
+// reported stragglers with fragmented, duplicated USR packets by waves.
 // Data-plane loss needs no transport-level reliability — FEC and NACKs
 // are the protocol's own answer; only control frames are retransmitted.
 //
@@ -92,10 +94,11 @@ struct DaemonConfig {
   int round_wait_ms = 5000;
   int retry_ms = 50;
   // Rounds before switching to unicast (the wire path always switches —
-  // a multicast-only daemon would wait forever for a dead client). The
-  // lockstep honours none of `protocol`'s max_multicast_rounds,
-  // unicast_max_waves, early_unicast_by_size (paper §7.1), deadline_rounds
-  // or adapt_num_nack (§6.2), so the daemon refuses any of them set.
+  // a multicast-only daemon would wait forever for a dead client). This
+  // and unicast_max_waves stand in for `protocol`'s two caps, which the
+  // daemon refuses set, in the message policy it shares with the
+  // simulator; that policy applies `protocol`'s early_unicast_by_size
+  // (§7.1), deadline_rounds and adapt_num_nack (§6.2) too.
   int max_multicast_rounds = 8;
   // Unicast waves before the remaining stragglers are abandoned.
   int unicast_max_waves = 64;

@@ -299,27 +299,6 @@ TEST(Session, ResumeClockBackwardsRejected) {
   EXPECT_THROW(session.resume_clock_at(499.0), EnsureError);
 }
 
-TEST(Session, ResumeClockAtLeastClampsForwardOnly) {
-  // The restore path: a replica rebuilt from a snapshot carries the
-  // donor's clock, which can sit either side of a locally recorded
-  // timestamp. resume_clock_at_least must clamp forward, never trip the
-  // monotonicity check, and report the clock actually in effect.
-  ProtocolConfig cfg;
-  simnet::Topology topo(topo_config(32, 0.2, 0.2, 0.02, 0.01), 9);
-  RhoController rho(cfg, 9);
-  RekeySession session(topo, cfg, rho);
-  session.resume_clock_at(500.0);
-  // Behind the clock: a no-op that reports the in-effect clock instead
-  // of throwing like resume_clock_at would.
-  EXPECT_DOUBLE_EQ(session.resume_clock_at_least(499.0), 500.0);
-  EXPECT_DOUBLE_EQ(session.clock_ms(), 500.0);
-  // Equal: still a no-op.
-  EXPECT_DOUBLE_EQ(session.resume_clock_at_least(500.0), 500.0);
-  // Ahead: advances like resume_clock_at.
-  EXPECT_DOUBLE_EQ(session.resume_clock_at_least(750.0), 750.0);
-  EXPECT_DOUBLE_EQ(session.clock_ms(), 750.0);
-}
-
 TEST(Session, UnicastGiveUpAccountsEveryUser) {
   // A topology whose uplinks drop everything: the server never learns any
   // user, so the unicast phase can only spin on wake-up NACKs. With

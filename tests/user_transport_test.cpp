@@ -19,7 +19,9 @@
 
 // Global allocation counter for the no-allocation assertion. Counting
 // operator new is enough: the receive path allocates only through
-// standard containers.
+// standard containers. The nothrow form is replaced too, because what it
+// returns (std::stable_sort's buffer) is freed by the operator delete
+// below.
 namespace {
 std::atomic<std::size_t> g_allocs{0};
 }
@@ -30,12 +32,18 @@ void* operator new(std::size_t size) {
   throw std::bad_alloc();
 }
 
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  ++g_allocs;
+  return std::malloc(size == 0 ? 1 : size);
+}
+
 // These pair malloc with free. GCC does not see that through the inlined
 // operator calls and would warn of a new/free mismatch.
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmismatched-new-delete"
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 #pragma GCC diagnostic pop
 
 namespace rekey::transport {
@@ -525,6 +533,21 @@ TEST(UserTransport, OwnPacketDeliveryAllocatesNothing) {
     EXPECT_EQ(allocs, 0u) << "user " << me;
     EXPECT_FALSE(u.entries().empty()) << "user " << me;
   }
+}
+
+TEST(CountingAllocator, ServesTheNothrowFormThatStableSortUses) {
+  // std::stable_sort takes its scratch buffer from the nothrow operator
+  // new and hands it back to operator delete, which this file replaces
+  // with free: the nothrow form must come from malloc too, or a
+  // sanitizer build aborts on the mismatch. It is counted like the rest.
+  std::vector<std::pair<int, int>> v;
+  for (int i = 0; i < 64; ++i) v.emplace_back((i * 37) % 8, i);
+  const std::size_t before = g_allocs.load();
+  std::stable_sort(v.begin(), v.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  EXPECT_GT(g_allocs.load(), before);
+  EXPECT_TRUE(std::is_sorted(v.begin(), v.end()));  // ties keep their order
 }
 
 // What a transport shows once one message has been played to it.

@@ -591,8 +591,9 @@ TEST(WireLoopback, LockstepWaitNeverPollsWithZeroTimeout) {
 TEST(WireLoopback, MaxRoundsAboveTheRoundCapIsRefusedAtStartup) {
   // The multicast loop ensures round <= max_rounds_cap, so a larger
   // max_multicast_rounds would abort a running session the first time a
-  // member cannot recover. The constructor refuses it instead, and each
-  // protocol field the lockstep would silently ignore too.
+  // member cannot recover. The constructor refuses it instead. The round
+  // and wave caps are DaemonConfig's, so protocol's two are refused too;
+  // every other protocol field reaches the message policy.
   LoopbackHub hub;
   auto wire = hub.attach();
   DaemonConfig dc = base_daemon(16);
@@ -601,14 +602,59 @@ TEST(WireLoopback, MaxRoundsAboveTheRoundCapIsRefusedAtStartup) {
   dc.max_multicast_rounds = dc.protocol.max_rounds_cap + 1;
   EXPECT_THROW(KeyServerDaemon(*wire, dc), EnsureError);
 
-  std::vector<DaemonConfig> ignored(5, base_daemon(16));
-  ignored[0].protocol.max_multicast_rounds = 2;
-  ignored[1].protocol.unicast_max_waves = 4;
-  ignored[2].protocol.early_unicast_by_size = true;
-  ignored[3].protocol.deadline_rounds = 2;
-  ignored[4].protocol.adapt_num_nack = true;
-  for (std::size_t i = 0; i < ignored.size(); ++i)
-    EXPECT_THROW(KeyServerDaemon(*wire, ignored[i]), EnsureError) << i;
+  std::vector<DaemonConfig> caps(2, base_daemon(16));
+  caps[0].protocol.max_multicast_rounds = 2;
+  caps[1].protocol.unicast_max_waves = 4;
+  for (std::size_t i = 0; i < caps.size(); ++i)
+    EXPECT_THROW(KeyServerDaemon(*wire, caps[i]), EnsureError) << i;
+
+  std::vector<DaemonConfig> honoured(3, base_daemon(16));
+  honoured[0].protocol.early_unicast_by_size = true;
+  honoured[1].protocol.deadline_rounds = 2;
+  honoured[2].protocol.adapt_num_nack = true;
+  for (std::size_t i = 0; i < honoured.size(); ++i)
+    EXPECT_NO_THROW(KeyServerDaemon(*wire, honoured[i])) << i;
+}
+
+TEST(WireLoopback, DaemonSwitchesBySizeAndAdaptsNumNackFromDeadlines) {
+  // The daemon drives the simulator's message policy, so §7.1's early
+  // switch to unicast and the deadline report to numNACK (§6.2) act on
+  // the wire as in the F-figures: the switch trades multicast rounds for
+  // USR waves, and the misses of a one-round deadline lower numNACK, so
+  // AdjustRho raises rho.
+  const auto run = [](const auto& set) {
+    LoopbackHub hub;
+    DaemonConfig dc = base_daemon(96);
+    dc.churn_pool = 128;
+    dc.churn_joins = 64;
+    dc.churn_leaves = 64;
+    dc.batches = 6;
+    dc.protocol.packet_size = 300;
+    set(dc.protocol);
+    auto fc = fleet_slice(0, 96);
+    fc.shaping.down_loss = 0.25;
+    fc.shaping.seed = 99;
+    return run_session(hub, dc, {fc});
+  };
+  const RunResult plain = run([](transport::ProtocolConfig&) {});
+  const RunResult early = run(
+      [](transport::ProtocolConfig& p) { p.early_unicast_by_size = true; });
+  const RunResult deadline = run([](transport::ProtocolConfig& p) {
+    p.deadline_rounds = 1;
+    p.adapt_num_nack = true;
+  });
+  for (const RunResult* r : {&plain, &early, &deadline}) {
+    EXPECT_EQ(r->daemon.batches_run, 6u);
+    EXPECT_EQ(r->daemon.recovered, 6u * 96u);
+    EXPECT_EQ(r->daemon.gave_up, 0u);
+    EXPECT_TRUE(r->fleets[0].finished);
+    EXPECT_EQ(r->fleets[0].unrecovered, 0u);
+  }
+  EXPECT_LT(early.daemon.rounds, plain.daemon.rounds);
+  EXPECT_EQ(plain.daemon.via_usr, 0u);
+  EXPECT_GT(early.daemon.unicast_waves, 0u);
+  EXPECT_GT(early.daemon.via_usr, 0u);
+  EXPECT_GT(deadline.daemon.rho_final, plain.daemon.rho_final);
 }
 
 TEST(WireLoopback, BatchesAdvanceTheKeyServerMetrics) {
