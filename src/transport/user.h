@@ -69,12 +69,44 @@ class UserTransport {
   std::uint32_t current_id() const { return id_; }
   std::uint32_t max_kid() const { return max_kid_; }
 
+  // Which packets can still change this user (paper Fig 27: a user keeps
+  // only the packets of its candidate blocks). Until its id is settled
+  // (the first usable maxKID) and its block estimate is exact, every
+  // packet can. After that, only the packets of its block and the ENC
+  // packets whose [frmID, toID] holds its id: a forged ENC packet of
+  // another block that carries its id still recovers it. on_packet of
+  // any other packet changes nothing but the eager-mode mark below, and
+  // a recovered user ignores every packet. Settling is one-way until
+  // reset(), so a caller can index settled users by block and by id
+  // (wire::ClientFleet does).
+  struct Interest {
+    bool settled = false;  // false: every packet
+    std::uint32_t block = 0;
+    std::uint32_t id = 0;
+
+    // Whether a packet with these facts (at the user's width) can change
+    // the user.
+    bool takes(const PacketFacts& f) const {
+      if (!settled) return true;
+      if (f.enc)
+        return f.enc->block_id == block ||
+               (f.enc->frm_id <= id && id <= f.enc->to_id);
+      return f.parity && f.parity->block_id == block;
+    }
+  };
+  Interest interest() const {
+    if (!id_updated_ || !estimator_.exact()) return {};
+    return {true, estimator_.low(), id_};
+  }
+
   // Eager-mode loss detection. With interleaved sending the ENC slots go
   // out wave by wave (seq 0 of every block, then seq 1, ...), so receiving
   // block b's seq-(k-1) slot proves the initial shards of every block
   // <= b have been sent, and any parity proves it for all blocks. A user
   // "detects a loss" (paper Appendix A) once every block that could hold
-  // its packet is provably complete yet still undecodable.
+  // its packet is provably complete yet still undecodable. The mark counts
+  // only the packets handed to this user, so a user fed by interest()
+  // alone must not read it; EagerSession hands every user every packet.
   bool initial_pass_complete() const {
     return estimator_.bounded() &&
            complete_through_ >= static_cast<std::int64_t>(estimator_.high());

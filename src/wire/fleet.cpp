@@ -8,7 +8,7 @@ namespace rekey::wire {
 
 namespace {
 
-// Members deliver_data walks between two clock reads.
+// Members a frame's delivery walks between two clock reads.
 constexpr std::size_t kStampStep = 64;
 
 // Shaper stream tags (the `tag` input of ShapingConfig::drop).
@@ -102,8 +102,11 @@ void ClientFleet::open_batch(std::uint32_t seq, std::uint8_t msg_id) {
       b.last_nacks[u].clear();
     }
   }
-  b.active.resize(config_.count);
-  for (std::uint32_t u = 0; u < config_.count; ++u) b.active[u] = u;
+  b.unsettled.resize(config_.count);
+  for (std::uint32_t u = 0; u < config_.count; ++u) b.unsettled[u] = u;
+  b.settling.clear();
+  b.by_block.clear();
+  b.by_id.clear();
   b.via_usr.assign(config_.count, false);
   b.recover_ms.assign(config_.count, -1.0);
   b.usr_frag_arrivals.assign(config_.count, 0);
@@ -128,22 +131,42 @@ void ClientFleet::note_recovered(std::span<const std::uint32_t> members,
   }
 }
 
-void ClientFleet::drop_recovered() {
+void ClientFleet::list_unrecovered() {
   Batch& b = batch_;
-  std::erase_if(b.active,
-                [&b](std::uint32_t u) { return b.users[u].recovered(); });
+  const auto recovered = [&b](std::uint32_t u) {
+    return b.users[u].recovered();
+  };
+  const auto settled_recovered = [&recovered](const Settled& s) {
+    return recovered(s.member);
+  };
+  std::erase_if(b.unsettled, recovered);
+  std::erase_if(b.by_block, settled_recovered);
+  std::erase_if(b.by_id, settled_recovered);
+  b.listed.clear();
+  for (const Settled& s : b.by_block) b.listed.push_back(s.member);
+  std::ranges::sort(b.listed);
+  const auto settled = static_cast<std::ptrdiff_t>(b.listed.size());
+  b.listed.insert(b.listed.end(), b.unsettled.begin(), b.unsettled.end());
+  std::inplace_merge(b.listed.begin(), b.listed.begin() + settled,
+                     b.listed.end());
 }
 
-// Runs once per data frame over every unrecovered member, so it starts
-// on a cache line of its own: where the linker happens to place it
-// cannot move the member path's timing.
+// deliver_data and deliver_settled run once per data frame, so each
+// starts on a cache line of its own: where the linker happens to place
+// them cannot move the member path's timing.
 //
-// The pool parses the frame once; each member then reads its facts. The
-// members are walked in steps of at most kStampStep, and a step that
-// recovered any member reads the clock once after it and stamps all of
-// them: a stamp is never earlier than the recovery it records, and at
-// most one step later. One frame can recover nearly every member, so a
-// stamp per frame would misdate them by up to a whole pass.
+// The pool parses the frame once; each member then reads its facts. A
+// frame that is neither ENC nor PARITY reaches no member, since none
+// could use it. Every unsettled member gets the frame (the first frame
+// of a batch reaches them all, so this loop stays tight), then the
+// settled members it can change (deliver_settled). Members are walked in
+// steps of at most kStampStep, and a step that recovered any member reads
+// the clock once after it and stamps all of them: a stamp is never
+// earlier than the recovery it records, and at most one step later. One
+// frame can recover nearly every member, so a stamp per frame would
+// misdate them by up to a whole pass. A member's shaping draw depends on
+// (uid, frame) alone, so a member that a frame skips draws nothing for
+// it and every other draw stays the same.
 [[gnu::aligned(64)]] void ClientFleet::deliver_data(const Bytes& frame) {
   if (frame.empty()) return;
   const std::uint8_t msg_id = frame[0] & 0x3F;
@@ -168,16 +191,19 @@ void ClientFleet::drop_recovered() {
   const std::uint64_t n =
       (static_cast<std::uint64_t>(b.seq) << 40) | b.frame_counter++;
   const int round_now = b.last_round + 1;
+  const transport::PacketFacts& facts = b.pool.facts(idx, wide());
+  if (!facts.enc && !facts.parity) return;
   // One pass delivers and compacts: members recovered here or through
-  // USR since the last pass leave `active`, the rest keep their order.
+  // USR since the last pass leave `unsettled`, and so do members that
+  // settle here; the rest keep their order.
   std::uint32_t stamped[kStampStep] = {};
   std::size_t kept = 0;
-  const std::size_t n_active = b.active.size();
-  for (std::size_t begin = 0; begin < n_active; begin += kStampStep) {
-    const std::size_t end = std::min(n_active, begin + kStampStep);
+  const std::size_t n_unsettled = b.unsettled.size();
+  for (std::size_t begin = 0; begin < n_unsettled; begin += kStampStep) {
+    const std::size_t end = std::min(n_unsettled, begin + kStampStep);
     std::size_t recovered = 0;
     for (std::size_t i = begin; i < end; ++i) {
-      const std::uint32_t u = b.active[i];
+      const std::uint32_t u = b.unsettled[i];
       transport::UserTransport& user = b.users[u];
       if (user.recovered()) continue;  // through USR since the last pass
       if (config_.shaping.drop(config_.first_uid + u, kTagData, n,
@@ -189,21 +215,85 @@ void ClientFleet::drop_recovered() {
           stamped[recovered++] = u;
           continue;
         }
+        if (user.interest().settled) {
+          b.settling.push_back(u);
+          continue;
+        }
       }
-      b.active[kept++] = u;
+      b.unsettled[kept++] = u;
     }
     if (recovered > 0) note_recovered({stamped, recovered}, false);
   }
-  b.active.resize(kept);
+  b.unsettled.resize(kept);
+  deliver_settled(facts, idx, n, round_now);
+}
+
+// The settled members a frame can change are those of its block and,
+// for an ENC frame, those whose id its [frmID, toID] holds: a member
+// still recovers from an ENC packet of another block that carries its
+// id, a forged one included. The indices are sorted vectors, so a forged
+// block id or range costs a binary search, never an allocation sized by
+// the id. Members that settled on this frame enter the indices only
+// afterwards, so no member sees a frame twice.
+[[gnu::aligned(64)]] void ClientFleet::deliver_settled(
+    const transport::PacketFacts& f, std::size_t idx, std::uint64_t n,
+    int round) {
+  Batch& b = batch_;
+  const std::uint32_t block = f.enc ? f.enc->block_id : f.parity->block_id;
+  b.targets.clear();
+  for (const Settled& s :
+       std::ranges::equal_range(b.by_block, block, {}, &Settled::key))
+    b.targets.push_back(s.member);
+  if (f.enc) {
+    const std::uint32_t to = f.enc->to_id;
+    for (auto it = std::ranges::lower_bound(b.by_id, f.enc->frm_id, {},
+                                            &Settled::key);
+         it != b.by_id.end() && it->key <= to; ++it)
+      if (it->block != block) b.targets.push_back(it->member);
+  }
+
+  std::uint32_t stamped[kStampStep] = {};
+  const std::size_t n_targets = b.targets.size();
+  for (std::size_t begin = 0; begin < n_targets; begin += kStampStep) {
+    const std::size_t end = std::min(n_targets, begin + kStampStep);
+    std::size_t recovered = 0;
+    for (std::size_t i = begin; i < end; ++i) {
+      const std::uint32_t u = b.targets[i];
+      transport::UserTransport& user = b.users[u];
+      if (user.recovered()) continue;  // leaves the indices at a mark
+      if (config_.shaping.drop(config_.first_uid + u, kTagData, n,
+                               config_.shaping.down_loss)) {
+        ++stats_.shaped_off;
+        continue;
+      }
+      user.on_packet(idx, round);
+      if (user.recovered()) stamped[recovered++] = u;
+    }
+    if (recovered > 0) note_recovered({stamped, recovered}, false);
+  }
+
+  const auto added = static_cast<std::ptrdiff_t>(b.settling.size());
+  if (added == 0) return;
+  for (const std::uint32_t u : b.settling) {
+    const auto interest = b.users[u].interest();
+    b.by_block.push_back({interest.block, u, interest.block});
+    b.by_id.push_back({interest.id, u, interest.block});
+  }
+  b.settling.clear();
+  for (std::vector<Settled>* index : {&b.by_block, &b.by_id}) {
+    const auto mid = index->end() - added;
+    std::sort(mid, index->end());
+    std::inplace_merge(index->begin(), mid, index->end());
+  }
 }
 
 void ClientFleet::build_and_send_report(std::uint16_t round,
                                         std::uint8_t phase) {
-  drop_recovered();
+  list_unrecovered();
   Batch& b = batch_;
   std::vector<ReportUser> users_out;
-  const auto unrecovered = static_cast<std::uint32_t>(b.active.size());
-  for (const std::uint32_t u : b.active) {  // ascending uid order
+  const auto unrecovered = static_cast<std::uint32_t>(b.listed.size());
+  for (const std::uint32_t u : b.listed) {  // ascending uid order
     const std::uint32_t uid = config_.first_uid + u;
     if (phase == 0) {
       // Upstream shaping loses the NACK entries, not the user: the user
@@ -269,9 +359,9 @@ void ClientFleet::on_round_mark(const RoundMarkFrame& f) {
   if (f.phase == 0) {
     if (f.round <= b.last_round) return;  // older than what we reported
     const int round = f.round;
-    for (const std::uint32_t u : b.active) {
+    list_unrecovered();
+    for (const std::uint32_t u : b.listed) {  // ascending uid order
       transport::UserTransport& user = b.users[u];
-      if (user.recovered()) continue;  // through USR since the last pass
       auto entries = user.end_of_round(round);
       if (user.recovered()) {
         note_recovered({&u, 1}, false);  // decoded at round end

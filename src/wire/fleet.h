@@ -7,7 +7,10 @@
 // run — but the fleet shares a single receive loop, a single per-batch
 // packet pool, and a single control-plane voice (aggregated Reports)
 // across all of them, so a process can multiplex 10^5 clients per a few
-// threads (tools/rekey_load spawns one fleet per thread).
+// threads (tools/rekey_load spawns one fleet per thread). Each data frame
+// goes only to the unrecovered clients it can change: every client until
+// its id and block are settled, then the clients of the frame's block
+// and those whose id its ENC range holds (UserTransport::interest()).
 //
 // Loss/jitter shaping is client-side and deterministic: every potential
 // delivery draws from a stateless hash of (seed, uid, batch, counter),
@@ -87,7 +90,10 @@ struct FleetStats {
   std::uint64_t via_usr = 0;      // of which through the unicast phase
   std::uint64_t unrecovered = 0;  // client-batches abandoned by the server
   std::uint64_t data_frames = 0;  // data-plane frames received
-  std::uint64_t shaped_off = 0;   // deliveries the shaper suppressed
+  // Deliveries the shaper suppressed: of USR fragments, and of data
+  // frames to the clients that could use them (no draw is made for a
+  // frame that a client's interest() excludes).
+  std::uint64_t shaped_off = 0;
   std::uint64_t nacks_suppressed = 0;
   std::uint64_t reports_sent = 0;  // report parts (incl. retransmits)
   std::uint64_t control_frames = 0;
@@ -147,6 +153,14 @@ class ClientFleet {
  private:
   using Clock = std::chrono::steady_clock;
 
+  // A settled member in an index, which is sorted by (key, member).
+  struct Settled {
+    std::uint32_t key;     // the member's block or its id
+    std::uint32_t member;  // uid - first_uid
+    std::uint32_t block;   // the member's block
+    auto operator<=>(const Settled&) const = default;
+  };
+
   // The session's member table. Built at the first batch and restarted
   // in place at every later one, so a batch costs no member allocations.
   // Members point into `pool`, so the table never moves: it is a member
@@ -157,10 +171,24 @@ class ClientFleet {
     std::uint8_t msg_id = 0;
     transport::PacketPool pool;
     std::vector<transport::UserTransport> users;  // index: uid - first_uid
-    // Indices of the unrecovered users, ascending: the per-frame and
-    // per-mark loops walk only these (compacted in or after each pass),
-    // so a recovered user costs nothing for the rest of the batch.
-    std::vector<std::uint32_t> active;
+    // The unrecovered members, by what a data frame must reach
+    // (UserTransport::interest()). Members whose interest is not settled
+    // take every frame: `unsettled` holds them in ascending order, and
+    // each frame walks it (compacting it as it goes). A member that
+    // settles on a frame waits in `settling` until the frame is done,
+    // then enters `by_block` and `by_id`, where a frame finds exactly the
+    // members of its block and those its ENC range names. So a recovered
+    // member costs nothing for the rest of the batch, and a settled one
+    // only the frames it can use. Recovered members leave the indices at
+    // the next round mark; until then a frame skips them.
+    std::vector<std::uint32_t> unsettled;
+    std::vector<std::uint32_t> settling;
+    std::vector<Settled> by_block;
+    std::vector<Settled> by_id;
+    std::vector<std::uint32_t> targets;  // a frame's settled members
+    // The unrecovered members in ascending order, as a round mark lists
+    // them: `unsettled` merged with the settled ones.
+    std::vector<std::uint32_t> listed;
     std::vector<bool> via_usr;
     std::vector<double> recover_ms;  // -1 until recovered
     UsrReassembly reasm;
@@ -185,9 +213,16 @@ class ClientFleet {
   void subscribe();
   void open_batch(std::uint32_t seq, std::uint8_t msg_id);
   void deliver_data(const Bytes& frame);
+  // The rest of a frame's delivery after deliver_data has walked the
+  // unsettled members: hands the frame (facts `f`, pool index `idx`,
+  // shaping position `n`) to the settled members it can change, then
+  // indexes the members that settled on it.
+  void deliver_settled(const transport::PacketFacts& f, std::size_t idx,
+                       std::uint64_t n, int round);
   // Stamps `members` as recovered now, at one clock read.
   void note_recovered(std::span<const std::uint32_t> members, bool usr);
-  void drop_recovered();
+  // Drops recovered members from every list and fills `listed`.
+  void list_unrecovered();
   void on_round_mark(const RoundMarkFrame& f);
   void build_and_send_report(std::uint16_t round, std::uint8_t phase);
   void on_usr_frag(const UsrFragFrame& f);

@@ -564,15 +564,39 @@ struct Outcome {
 
 enum class Script { OwnPacket, FecAfterLoss, Usr, Nothing };
 
+// What a play fed by interest() left out, and what it took for the id
+// range alone.
+struct Fed {
+  std::size_t skipped = 0;
+  // Packets of another block than the settled user's, taken because
+  // their range holds its id, that recovered it.
+  std::size_t recovered_by_range = 0;
+};
+
 // Plays the round-1 packets `idx` of `rig`'s message to `u`, as user i:
 // every packet; every ENC packet but its own, then the parities in
-// round 2 (an FEC decode after a NACK); a USR packet; or nothing.
+// round 2 (an FEC decode after a NACK); a USR packet; or nothing. With
+// `fed`, `u` gets only the packets its interest() takes, asked before
+// each packet.
 Outcome play(const Rig& rig, const std::vector<std::size_t>& idx,
-             UserTransport& u, std::size_t i, Script script) {
+             UserTransport& u, std::size_t i, Script script,
+             Fed* fed = nullptr) {
+  const auto deliver = [&](std::size_t p, int round) {
+    if (fed == nullptr) return u.on_packet(p, round);
+    const PacketFacts& f = rig.pool.facts(p, rig.cfg.wide_slots);
+    const UserTransport::Interest in = u.interest();
+    if (!in.takes(f)) {
+      ++fed->skipped;
+      return;
+    }
+    u.on_packet(p, round);
+    if (in.settled && f.enc && f.enc->block_id != in.block && u.recovered())
+      ++fed->recovered_by_range;
+  };
   Outcome o;
   switch (script) {
     case Script::OwnPacket:
-      for (const auto p : idx) u.on_packet(p, 1);
+      for (const auto p : idx) deliver(p, 1);
       o.nacks.push_back(u.end_of_round(1));
       break;
     case Script::FecAfterLoss: {
@@ -582,10 +606,10 @@ Outcome play(const Rig& rig, const std::vector<std::size_t>& idx,
         if (packet::peek_type(rig.pool[p]) == packet::PacketType::Parity)
           parities.push_back(p);
         else if (p != own)
-          u.on_packet(p, 1);
+          deliver(p, 1);
       }
       o.nacks.push_back(u.end_of_round(1));
-      for (const auto p : parities) u.on_packet(p, 2);
+      for (const auto p : parities) deliver(p, 2);
       o.nacks.push_back(u.end_of_round(2));
       break;
     }
@@ -638,6 +662,128 @@ TEST(UserTransport, RestartedTransportEqualsAFreshOne) {
       EXPECT_GT(moved, 0u);
     }
   }
+}
+
+TEST(UserTransport, InterestIsExact) {
+  // Every member plays its share of one message twice: one copy gets
+  // every packet, the other only those its interest() takes. Each share
+  // holds the round-1 packets the member did not lose (30% loss, and
+  // every fourth member loses its own packet), redelivered packets,
+  // copies cut short anywhere (inside the header or the entries), for
+  // every third member full-length forged parities under the genuine
+  // parity indices of every block, and a forged ENC packet of another
+  // block whose range holds the member's id and whose entry region
+  // checks: at the end for the members that lost their own packet, so
+  // that it reaches them settled, else at a random place. Even members
+  // play the whole share in round 1; odd ones play it without the first
+  // packet that holds their id and get its parities in round 2. Both
+  // copies must agree on everything a caller can read, every NACK list
+  // included. Joins into a full tree split leaves, so ids move, and the
+  // messages at k = 7 end in a block with duplicate slots.
+  constexpr int kProactive = 2;
+  Fed fed;
+  std::size_t duplicates = 0, moved = 0, nacked = 0, mismatches = 0;
+  for (const bool wide : {false, true}) {
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+      for (const std::size_t k : {std::size_t{5}, std::size_t{7}}) {
+        Rig rig(1024, 0, k, kProactive, seed, wide, /*joins=*/384);
+        const auto idx = rig.send_round(1);
+        std::uint32_t blocks = 0;
+        for (const auto p : idx) {
+          if (const auto& h = rig.pool.facts(p, wide).enc) {
+            blocks = std::max<std::uint32_t>(blocks, h->block_id + 1u);
+            duplicates += h->duplicate;
+          }
+        }
+        ASSERT_GT(blocks, 1u);
+        Rng rng(seed * 10 + k);
+        const auto random_bytes = [&rng](auto& bytes) {
+          for (auto& b : bytes)
+            b = static_cast<std::uint8_t>(rng.next_in(0, 255));
+        };
+        std::vector<std::size_t> noise;
+        for (std::uint32_t blk = 0; blk < blocks; ++blk) {
+          for (int p = 0; p < kProactive; ++p) {
+            packet::ParityPacket f;
+            f.msg_id = 1;
+            f.block_id = static_cast<std::uint16_t>(blk);
+            f.parity_seq = static_cast<std::uint8_t>(p);
+            f.fec.resize(rig.pool[idx[0]].size() - packet::kFecOffset);
+            random_bytes(f.fec);
+            noise.push_back(rig.add(f.serialize()));
+          }
+        }
+        std::vector<std::size_t> cut;
+        for (const auto p : idx) {
+          Bytes copy = rig.pool[p];
+          copy.resize(rng.next_in(1, copy.size() - 1));
+          cut.push_back(rig.add(std::move(copy)));
+        }
+
+        const auto insert_at_random = [&rng](std::vector<std::size_t>& v,
+                                             std::size_t p) {
+          const auto at =
+              static_cast<std::ptrdiff_t>(rng.next_in(0, v.size()));
+          v.insert(v.begin() + at, p);
+        };
+        for (std::size_t i = 0; i < rig.msg.old_ids.size(); ++i) {
+          const std::uint32_t id = rig.new_id(i);
+          const std::size_t own = rig.own_packet(idx, i);
+          const bool lose_own = i % 4 == 0;
+          packet::EncPacket forged;
+          forged.msg_id = 1;
+          forged.block_id = static_cast<std::uint16_t>(
+              (rig.pool.facts(own, wide).enc->block_id + 1) % blocks);
+          forged.max_kid = rig.msg.payload.max_kid;
+          forged.frm_id = forged.to_id = id;
+          packet::EncEntry e;
+          e.enc_id = static_cast<std::uint32_t>(rng.next_in(1, 1000));
+          e.enc.tag = static_cast<std::uint16_t>(rng.next_in(0, 0xFFFF));
+          random_bytes(e.enc.ciphertext);
+          forged.entries.push_back(e);
+          const std::size_t fake =
+              rig.add(forged.serialize(rig.cfg.packet_size, wide));
+
+          std::vector<std::size_t> share;
+          for (const auto p : idx) {
+            if ((p == own && lose_own) || rng.next_in(0, 99) < 30) continue;
+            share.push_back(p);
+            if (rng.next_in(0, 99) < 10) insert_at_random(share, p);
+          }
+          for (const auto p : cut)
+            if (rng.next_in(0, 99) < 20) insert_at_random(share, p);
+          if (i % 3 == 0)
+            for (const auto p : noise) insert_at_random(share, p);
+          if (lose_own)
+            share.push_back(fake);
+          else
+            insert_at_random(share, fake);
+
+          const Script script =
+              i % 2 == 0 ? Script::OwnPacket : Script::FecAfterLoss;
+          UserTransport all = rig.user(i);
+          UserTransport lean = rig.user(i);
+          const Outcome want = play(rig, share, all, i, script);
+          const Outcome got = play(rig, share, lean, i, script, &fed);
+          moved += want.id != rig.msg.old_ids[i];
+          for (const auto& n : want.nacks) nacked += !n.empty();
+          if (got == want) continue;
+          if (++mismatches <= 5)
+            ADD_FAILURE() << "wide " << wide << " seed " << seed << " k "
+                          << k << " user " << i;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+  // The interest-fed copies skipped packets, and some recovered only
+  // through the id range of another block's packet; ids moved, members
+  // NACKed, and some messages carried duplicate slots.
+  EXPECT_GT(fed.skipped, 0u);
+  EXPECT_GT(fed.recovered_by_range, 0u);
+  EXPECT_GT(moved, 0u);
+  EXPECT_GT(nacked, 0u);
+  EXPECT_GT(duplicates, 0u);
 }
 
 TEST(UserTransport, ResetThenOwnPacketAllocatesNothing) {

@@ -787,6 +787,111 @@ TEST(WireLoopback, UsrFragmentsDoNotCompleteAcrossBatches) {
   EXPECT_EQ(fs.unrecovered, 2u);
 }
 
+// A scripted server that subscribes a fleet of one member (uid 0, at
+// slot `slot`), runs one batch whose data plane is `frames`, and ends
+// the session. Returns the batch's DoneAck (nullopt if the fleet never
+// sent one) and the fleet's stats.
+std::pair<std::optional<DoneAckFrame>, FleetStats> run_scripted_batch(
+    const FleetConfig& fc, std::uint32_t slot,
+    const std::vector<Bytes>& frames) {
+  LoopbackHub hub;
+  auto server = hub.attach();
+  auto fleet_wire = hub.attach();
+  ClientFleet fleet(*fleet_wire, server->endpoint(), fc);
+  FleetStats fs;
+  std::thread fleet_thread([&] { fs = fleet.run(); });
+  const Endpoint to = fleet_wire->endpoint();
+  std::optional<DoneAckFrame> done;
+  if (await_control(*server, ControlOp::Sub)) {
+    SubAckFrame ack;
+    ack.group_size = 1;
+    ack.expected_clients = 1;
+    ack.packet_size = 1027;
+    ack.batches = 1;
+    server->send(to, kChanControl, serialize(ack));
+    server->send(to, kChanControl, *serialize(SlotMapFrame{0, {slot}}));
+    if (await_control(*server, ControlOp::SlotMapAck)) {
+      server->send(to, kChanControl, serialize(BatchStartFrame{0, 0}));
+      for (const Bytes& f : frames) server->send(to, kChanData, f);
+      server->send(to, kChanControl, serialize(BatchDoneFrame{0, 1}));
+      if (const auto d = await_control(*server, ControlOp::DoneAck))
+        done = parse_done_ack(*d);
+    }
+  }
+  server->send(to, kChanControl, serialize(FinFrame{}));
+  fleet_thread.join();
+  return {done, fs};
+}
+
+TEST(WireLoopback, FleetRoutesFramesByIdAsWellAsByBlock) {
+  // The member holds slot 21, and every frame advertises maxKID 5, so its
+  // id stays 21 (Theorem 4.2). An ENC frame of block 0 whose range lies
+  // above 21 settles it on block 0. An ENC frame of block 1 whose range
+  // holds 21 and whose entry region checks (a forged one: the member's
+  // packet is in block 0) still recovers it, as it recovers a member fed
+  // every frame. So the fleet must find settled members by id as well as
+  // by block.
+  const auto enc = [](std::uint16_t block, std::uint8_t seq,
+                      std::uint32_t frm, std::uint32_t to) {
+    packet::EncPacket p;
+    p.msg_id = 0;
+    p.block_id = block;
+    p.seq = seq;
+    p.max_kid = 5;
+    p.frm_id = frm;
+    p.to_id = to;
+    packet::EncEntry e;
+    e.enc_id = frm;
+    e.enc.tag = 0xA5A5;
+    p.entries.push_back(e);
+    return p.serialize(packet::kDefaultPacketSize);
+  };
+  {
+    const auto [done, fs] = run_scripted_batch(
+        fleet_slice(0, 1), 21, {enc(0, 1, 22, 24), enc(1, 0, 20, 21)});
+    ASSERT_TRUE(done.has_value());
+    EXPECT_EQ(done->recovered, 1u);
+    EXPECT_EQ(done->gave_up, 0u);
+    EXPECT_TRUE(fs.finished);
+    EXPECT_EQ(fs.recovered, 1u);
+    EXPECT_EQ(fs.data_frames, 2u);
+  }
+  // Frames that parse as neither ENC nor PARITY at the session's width
+  // (headers cut short, a NACK, a USR packet) reach no member, so the
+  // shaper draws nothing for them, though half of the member's draws
+  // would drop a frame. They still count as received.
+  std::vector<Bytes> junk;
+  const Bytes whole_enc = enc(0, 0, 1, 2);
+  for (std::size_t n = 1; n < packet::kEncHeaderSize; ++n)
+    junk.emplace_back(whole_enc.begin(), whole_enc.begin() + n);
+  packet::ParityPacket parity;
+  parity.block_id = 0;
+  parity.fec.assign(16, 0x5A);
+  const Bytes whole_parity = parity.serialize();
+  for (std::size_t n = 1; n < packet::kFecOffset; ++n)
+    junk.emplace_back(whole_parity.begin(), whole_parity.begin() + n);
+  packet::NackPacket nack;
+  nack.entries = {{2, 0, 4}};
+  junk.push_back(nack.serialize());
+  packet::UsrPacket usr;
+  usr.new_user_id = 21;
+  usr.max_kid = 5;
+  junk.push_back(usr.serialize());
+  const std::size_t kinds = junk.size();
+  for (int copy = 1; copy < 4; ++copy)
+    for (std::size_t i = 0; i < kinds; ++i) junk.push_back(junk[i]);
+  FleetConfig fc = fleet_slice(0, 1);
+  fc.shaping.down_loss = 0.5;
+  fc.shaping.seed = 3;
+  const auto [done, fs] = run_scripted_batch(fc, 21, junk);
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->recovered, 0u);
+  EXPECT_EQ(done->gave_up, 1u);
+  EXPECT_TRUE(fs.finished);
+  EXPECT_EQ(fs.data_frames, junk.size());
+  EXPECT_EQ(fs.shaped_off, 0u);
+}
+
 TEST(FleetStatsFold, EveryListedFieldFollowsItsRule) {
   std::vector<FleetStats> fleets(3);
   const std::uint64_t offset[] = {1, 3, 2};
