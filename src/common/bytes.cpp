@@ -50,11 +50,6 @@ void ByteWriter::pad_to(std::size_t size) {
   buf_.resize(size, 0);
 }
 
-const Bytes& ByteWriter::bytes() const& {
-  ensure_boundary();
-  return buf_;
-}
-
 Bytes ByteWriter::take() && {
   ensure_boundary();
   return std::move(buf_);
@@ -123,17 +118,6 @@ std::span<const std::uint8_t> ByteReader::get_span(std::size_t n) {
   const std::span<const std::uint8_t> out = data_.subspan(pos_, n);
   pos_ += n;
   return out;
-}
-
-std::string to_hex(std::span<const std::uint8_t> data) {
-  static const char* digits = "0123456789abcdef";
-  std::string s;
-  s.reserve(data.size() * 2);
-  for (std::uint8_t b : data) {
-    s.push_back(digits[b >> 4]);
-    s.push_back(digits[b & 0xF]);
-  }
-  return s;
 }
 
 }  // namespace rekey

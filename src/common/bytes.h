@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace rekey {
@@ -33,7 +32,6 @@ class ByteWriter {
   std::size_t size() const { return buf_.size(); }
   bool at_byte_boundary() const { return bit_pos_ == 0; }
 
-  const Bytes& bytes() const&;
   Bytes take() &&;
 
  private:
@@ -67,8 +65,5 @@ class ByteReader {
   std::size_t pos_ = 0;
   int bit_pos_ = 0;  // bits already consumed from data_[pos_]
 };
-
-// Hex encoding, handy for logging and test diagnostics.
-std::string to_hex(std::span<const std::uint8_t> data);
 
 }  // namespace rekey

@@ -1,6 +1,7 @@
-// A small self-contained JSON value: enough for the observability layer
-// (metric snapshots, trace events) and the bench emitters, with a strict
-// parser so tests can round-trip the documents the benches write.
+// A small self-contained JSON value and its writer: enough for the
+// observability layer (metric snapshots, trace events) and the bench
+// emitters. The library only writes JSON; the strict parser that reads
+// the documents back lives with the tests (tests/support/json_read.h).
 //
 // Deliberate properties:
 //  * Objects preserve insertion order, so emitted documents are stable
@@ -8,13 +9,12 @@
 //  * Integers are kept distinct from doubles (the bench-diff tooling
 //    compares integer fields exactly, float fields within tolerance).
 //  * Doubles serialize via shortest round-trip formatting (std::to_chars),
-//    so dump(parse(dump(x))) is a fixed point.
+//    so a document re-parsed and dumped again is a fixed point.
 #pragma once
 
 #include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -60,7 +60,6 @@ class Json {
 
   bool as_bool() const { return std::get<bool>(value_); }
   std::int64_t as_int() const { return std::get<std::int64_t>(value_); }
-  double as_double() const;  // accepts either number representation
   const std::string& as_string() const { return std::get<std::string>(value_); }
   const Array& as_array() const { return std::get<Array>(value_); }
   Array& as_array() { return std::get<Array>(value_); }
@@ -68,29 +67,21 @@ class Json {
   Object& as_object() { return std::get<Object>(value_); }
 
   // Object access. set() replaces an existing key in place (order kept);
-  // find() returns nullptr when absent; at() throws via std::get on a
-  // non-object and REKEY-style logic_error when the key is missing.
+  // find() returns nullptr when absent.
   Json& set(std::string key, Json value);
   const Json* find(std::string_view key) const;
   Json* find(std::string_view key) {
     return const_cast<Json*>(std::as_const(*this).find(key));
   }
-  const Json& at(std::string_view key) const;
   bool contains(std::string_view key) const { return find(key) != nullptr; }
 
   // Array append.
   Json& push_back(Json value);
 
-  std::size_t size() const;
-
   // Compact single-line serialization (indent < 0) or pretty-printed with
   // `indent` spaces per level.
   std::string dump(int indent = -1) const;
   void dump_to(std::ostream& os, int indent = -1) const;
-
-  // Strict parse of a complete document; nullopt on any syntax error or
-  // trailing garbage.
-  static std::optional<Json> parse(std::string_view text);
 
   friend bool operator==(const Json&, const Json&) = default;
 

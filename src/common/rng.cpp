@@ -84,16 +84,6 @@ double Rng::next_exponential(double mean) {
   return -mean * std::log(u);
 }
 
-std::uint64_t Rng::next_geometric(double p) {
-  REKEY_ENSURE(p > 0.0 && p <= 1.0);
-  if (p == 1.0) return 0;
-  double u;
-  do {
-    u = next_double();
-  } while (u == 0.0);
-  return static_cast<std::uint64_t>(std::log(u) / std::log1p(-p));
-}
-
 std::vector<std::uint64_t> Rng::sample_without_replacement(std::uint64_t n,
                                                            std::uint64_t k) {
   REKEY_ENSURE(k <= n);

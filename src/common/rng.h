@@ -38,9 +38,6 @@ class Rng {
   // Exponentially distributed with the given mean (> 0).
   double next_exponential(double mean);
 
-  // Geometric: number of Bernoulli(p) failures before the first success.
-  std::uint64_t next_geometric(double p);
-
   // Fisher–Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

@@ -1,37 +1,24 @@
-// Streaming and batch statistics used by the benchmark harness and tests.
+// Streaming statistics used by the benchmark harness.
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace rekey {
 
-// Welford's online mean/variance plus min/max.
+// Welford's online mean plus the maximum.
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
 
   std::size_t count() const { return n_; }
   double mean() const;
-  double variance() const;  // sample variance (n-1 denominator)
-  double stddev() const;
-  double min() const;
   double max() const;
   double sum() const { return mean() * static_cast<double>(n_); }
 
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
   double max_ = 0.0;
 };
-
-// Percentile with linear interpolation; q in [0,1]. Sorts a copy.
-double percentile(std::vector<double> values, double q);
-
-// Arithmetic mean of a vector (0 for empty).
-double mean_of(const std::vector<double>& values);
 
 }  // namespace rekey

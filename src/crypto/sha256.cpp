@@ -84,12 +84,7 @@ void compress_scalar(Sha256::State& state, const std::uint8_t* blocks,
 
 using CompressFn = void (*)(Sha256::State&, const std::uint8_t*, std::size_t);
 
-struct CompressPath {
-  CompressFn fn;
-  const char* name;
-};
-
-CompressPath resolve_compress_path() {
+CompressFn resolve_compress_path() {
 #if defined(REKEY_SHA_NI)
   // REKEY_SIMD=scalar forces the reference path (same convention as the
   // FEC kernels); any other value keeps autodetection — the ISA names it
@@ -97,25 +92,17 @@ CompressPath resolve_compress_path() {
   const auto env = rekey::env::raw("REKEY_SIMD");
   const bool force_scalar = env.has_value() && *env == "scalar";
   if (!force_scalar && detail::cpu_has_sha_extensions())
-    return {detail::compress_sha_ni, "sha_ni"};
+    return detail::compress_sha_ni;
 #endif
-  return {compress_scalar, "scalar"};
-}
-
-const CompressPath& active_compress_path() {
-  static const CompressPath path = resolve_compress_path();
-  return path;
+  return compress_scalar;
 }
 
 }  // namespace
 
 void Sha256::compress(State& state, const std::uint8_t* blocks,
                       std::size_t nblocks) {
-  active_compress_path().fn(state, blocks, nblocks);
-}
-
-const char* Sha256::compress_path_name() {
-  return active_compress_path().name;
+  static const CompressFn active = resolve_compress_path();
+  active(state, blocks, nblocks);
 }
 
 Sha256::Sha256() : state_(kInitialState) {}

@@ -44,9 +44,6 @@ class Sha256 {
   static void compress(State& state, const std::uint8_t* blocks,
                        std::size_t nblocks);
 
-  // "sha_ni" or "scalar" — whichever compress() dispatches to.
-  static const char* compress_path_name();
-
  private:
   State state_;
   std::array<std::uint8_t, 64> buffer_;

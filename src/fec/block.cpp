@@ -11,16 +11,6 @@ BlockPartition::BlockPartition(std::size_t num_packets, std::size_t k)
   num_blocks_ = (num_packets + k - 1) / k;
 }
 
-std::size_t BlockPartition::block_of_packet(std::size_t p) const {
-  REKEY_ENSURE(p < num_packets_);
-  return p / k_;
-}
-
-std::size_t BlockPartition::seq_of_packet(std::size_t p) const {
-  REKEY_ENSURE(p < num_packets_);
-  return p % k_;
-}
-
 BlockSlot BlockPartition::slot(std::size_t block, std::size_t seq) const {
   REKEY_ENSURE(block < num_blocks_);
   REKEY_ENSURE(seq < k_);

@@ -33,11 +33,6 @@ class BlockPartition {
   // (>= num_packets because of last-block duplicates).
   std::size_t num_slots() const { return num_blocks_ * k_; }
 
-  // Block that original packet `p` belongs to.
-  std::size_t block_of_packet(std::size_t p) const;
-  // Sequence number of original packet `p` within its block.
-  std::size_t seq_of_packet(std::size_t p) const;
-
   // The slot at (block, seq) — resolves last-block duplicates.
   BlockSlot slot(std::size_t block, std::size_t seq) const;
 

@@ -3,7 +3,6 @@
 #include <array>
 
 #include "common/ensure.h"
-#include "fec/gf256_simd.h"
 
 namespace rekey::fec {
 
@@ -45,33 +44,6 @@ std::uint8_t GF256::inv(std::uint8_t a) {
   REKEY_ENSURE_MSG(a != 0, "inverse of zero in GF(256)");
   const auto& t = tables();
   return t.exp_[255 - t.log_[a]];
-}
-
-std::uint8_t GF256::div(std::uint8_t a, std::uint8_t b) {
-  REKEY_ENSURE_MSG(b != 0, "division by zero in GF(256)");
-  if (a == 0) return 0;
-  const auto& t = tables();
-  return t.exp_[t.log_[a] + 255 - t.log_[b]];
-}
-
-std::uint8_t GF256::pow(std::uint8_t a, unsigned e) {
-  if (e == 0) return 1;
-  if (a == 0) return 0;
-  const auto& t = tables();
-  return t.exp_[(static_cast<unsigned long long>(t.log_[a]) * e) % 255];
-}
-
-std::uint8_t GF256::exp(unsigned e) { return tables().exp_[e % 255]; }
-
-unsigned GF256::log(std::uint8_t a) {
-  REKEY_ENSURE_MSG(a != 0, "log of zero in GF(256)");
-  return tables().log_[a];
-}
-
-void GF256::add_scaled(std::span<std::uint8_t> dst,
-                       std::span<const std::uint8_t> src, std::uint8_t c) {
-  REKEY_ENSURE(dst.size() == src.size());
-  addmul_region(dst.data(), src.data(), dst.size(), c);
 }
 
 }  // namespace rekey::fec

@@ -1,10 +1,11 @@
 // Arithmetic over GF(2^8) with the AES/Rizzo polynomial x^8+x^4+x^3+x^2+1
 // (0x11D), via exp/log tables. This is the field underlying the
-// Reed-Solomon erasure coder used for PARITY packets.
+// Reed-Solomon erasure coder used for PARITY packets. These scalar forms
+// build the code's matrices; encode and decode run the vectorized region
+// kernels of fec/gf256_simd.h.
 #pragma once
 
 #include <cstdint>
-#include <span>
 
 namespace rekey::fec {
 
@@ -15,19 +16,7 @@ class GF256 {
   }
   static std::uint8_t sub(std::uint8_t a, std::uint8_t b) { return a ^ b; }
   static std::uint8_t mul(std::uint8_t a, std::uint8_t b);
-  static std::uint8_t div(std::uint8_t a, std::uint8_t b);  // b != 0
-  static std::uint8_t inv(std::uint8_t a);                  // a != 0
-  static std::uint8_t pow(std::uint8_t a, unsigned e);
-
-  // dst[i] ^= c * src[i] — the hot loop of encode/decode. Dispatches to
-  // the vectorized region kernels (fec/gf256_simd.h).
-  static void add_scaled(std::span<std::uint8_t> dst,
-                         std::span<const std::uint8_t> src, std::uint8_t c);
-
-  // Exponential of the generator alpha=2: alpha^e with e taken mod 255.
-  static std::uint8_t exp(unsigned e);
-  // Discrete log base alpha of a != 0.
-  static unsigned log(std::uint8_t a);
+  static std::uint8_t inv(std::uint8_t a);  // a != 0
 };
 
 }  // namespace rekey::fec

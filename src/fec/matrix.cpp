@@ -34,24 +34,6 @@ std::uint8_t* Matrix::row(std::size_t r) {
   return data_.data() + r * cols_;
 }
 
-const std::uint8_t* Matrix::row(std::size_t r) const {
-  REKEY_ENSURE(r < rows_);
-  return data_.data() + r * cols_;
-}
-
-Matrix Matrix::multiply(const Matrix& other) const {
-  REKEY_ENSURE(cols_ == other.rows_);
-  Matrix out(rows_, other.cols_);
-  for (std::size_t i = 0; i < rows_; ++i) {
-    for (std::size_t k = 0; k < cols_; ++k) {
-      const std::uint8_t a = at(i, k);
-      if (a == 0) continue;
-      addmul_region(out.row(i), other.row(k), other.cols_, a);
-    }
-  }
-  return out;
-}
-
 std::optional<Matrix> Matrix::inverted() const {
   REKEY_ENSURE(rows_ == cols_);
   const std::size_t n = rows_;

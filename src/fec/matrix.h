@@ -23,9 +23,6 @@ class Matrix {
   // Contiguous row r (cols() bytes) — rows are the unit the elimination
   // inner loops feed to the vectorized region kernels.
   std::uint8_t* row(std::size_t r);
-  const std::uint8_t* row(std::size_t r) const;
-
-  Matrix multiply(const Matrix& other) const;
 
   // Inverse via Gauss-Jordan; nullopt for singular matrices.
   std::optional<Matrix> inverted() const;

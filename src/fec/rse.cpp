@@ -43,14 +43,6 @@ void RseCoder::encode_one_into(std::span<const Bytes> data, int parity_index,
     addmul_region(out.data(), data[c].data(), len, coeff(parity_index, c));
 }
 
-std::vector<Bytes> RseCoder::encode(std::span<const Bytes> data, int first,
-                                    int count) const {
-  std::vector<Bytes> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (int j = 0; j < count; ++j) out.push_back(encode_one(data, first + j));
-  return out;
-}
-
 std::optional<std::vector<Bytes>> RseCoder::decode(
     std::span<const Shard> shards) const {
   // Pick k distinct shards, preferring data shards (identity rows are free).

@@ -46,10 +46,6 @@ class RseCoder {
   void encode_one_into(std::span<const Bytes> data, int parity_index,
                        std::span<std::uint8_t> out) const;
 
-  // Parities [first, first + count).
-  std::vector<Bytes> encode(std::span<const Bytes> data, int first,
-                            int count) const;
-
   // Reconstruct the k data packets from any >= k distinct shards.
   // Returns nullopt if fewer than k distinct shard indices are present.
   std::optional<std::vector<Bytes>> decode(

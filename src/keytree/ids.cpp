@@ -31,28 +31,12 @@ NodeId first_id_at_level(unsigned level, unsigned degree) {
   return id;
 }
 
-std::vector<NodeId> path_to_root(NodeId id, unsigned degree) {
-  std::vector<NodeId> path;
-  path.push_back(id);
-  while (id != kRootId) {
-    id = parent_of(id, degree);
-    path.push_back(id);
-  }
-  return path;
-}
-
 bool is_ancestor(NodeId anc, NodeId id, unsigned degree) {
   while (true) {
     if (id == anc) return true;
     if (id == kRootId) return false;
     id = parent_of(id, degree);
   }
-}
-
-NodeId leftmost_descendant(NodeId m, unsigned x, unsigned degree) {
-  NodeId id = m;
-  for (unsigned i = 0; i < x; ++i) id = id * degree + 1;
-  return id;
 }
 
 std::optional<NodeId> derive_new_user_id(NodeId old_id, NodeId max_kid,

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
 namespace rekey::tree {
 
@@ -35,14 +34,8 @@ unsigned level_of(NodeId id, unsigned degree);
 // Smallest id at a given level: (d^level - 1) / (d - 1).
 NodeId first_id_at_level(unsigned level, unsigned degree);
 
-// ids from `id` up to and including the root.
-std::vector<NodeId> path_to_root(NodeId id, unsigned degree);
-
 // True if `anc` is a (possibly improper) ancestor of `id`.
 bool is_ancestor(NodeId anc, NodeId id, unsigned degree);
-
-// f(x) of Theorem 4.2: the id of m's leftmost descendant x levels below.
-NodeId leftmost_descendant(NodeId m, unsigned x, unsigned degree);
 
 // Theorem 4.2: derive a user's new id from its pre-batch id and the
 // post-batch maximum k-node id. Returns nullopt only if no f(x) falls in

@@ -328,13 +328,6 @@ const crypto::SymmetricKey& KeyTree::group_key() const {
   return dense_.key[kRootId];
 }
 
-std::vector<std::pair<NodeId, crypto::SymmetricKey>> KeyTree::keys_for_slot(
-    NodeId slot) const {
-  std::vector<std::pair<NodeId, crypto::SymmetricKey>> keys;
-  keys_for_slot_into(slot, keys);
-  return keys;
-}
-
 void KeyTree::keys_for_slot_into(
     NodeId slot,
     std::vector<std::pair<NodeId, crypto::SymmetricKey>>& out) const {
@@ -362,12 +355,6 @@ unsigned KeyTree::height() const {
     deepest = id;
   }
   return level_of(deepest, degree_);
-}
-
-std::map<NodeId, Node> KeyTree::nodes() const {
-  std::map<NodeId, Node> out;
-  for_each_node([&](NodeId id, const Node& n) { out.emplace(id, n); });
-  return out;
 }
 
 std::size_t KeyTree::arena_bytes() const {

@@ -111,10 +111,8 @@ class KeyTree {
   const crypto::SymmetricKey& group_key() const;
 
   // All keys a user at `slot` holds: its individual key plus every k-node
-  // key on the path to the root (paper §2.1).
-  std::vector<std::pair<NodeId, crypto::SymmetricKey>> keys_for_slot(
-      NodeId slot) const;
-  // Allocation-free variant: clears and refills `out`.
+  // key on the path to the root (paper §2.1). Clears and refills `out`, so
+  // it allocates nothing once `out` has warmed up.
   void keys_for_slot_into(
       NodeId slot,
       std::vector<std::pair<NodeId, crypto::SymmetricKey>>& out) const;
@@ -163,9 +161,6 @@ class KeyTree {
       }
     }
   }
-
-  // Materialized ordered node map (cold: tests and debugging only).
-  std::map<NodeId, Node> nodes() const;
 
   // Rebuild a tree from node data (snapshot restore). Validates the
   // structural invariants; throws EnsureError on inconsistent input.

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/ensure.h"
-#include "keytree/rekey_subtree.h"
 
 namespace rekey::tree {
 
@@ -63,47 +62,6 @@ void check_shard_partition(const ShardPlan& plan,
   for (const NodeId id : aggregator_set)
     REKEY_ENSURE_MSG(id < plan.first_cut_id,
                      "below-cut node id leaked into the aggregator set");
-}
-
-void check_enc_id_disjointness(const RekeyPayload& payload,
-                               const ShardPlan& plan) {
-  std::vector<NodeId> ids;
-  ids.reserve(payload.encryptions.size());
-  for (const Encryption& e : payload.encryptions) {
-    // Every id must have a well-defined owner (shard or aggregator); the
-    // encrypting child of a changed k-node always does.
-    const unsigned s = plan.shard_of(e.enc_id);
-    REKEY_ENSURE(s == ShardPlan::kAggregator || s < plan.shards);
-    ids.push_back(e.enc_id);
-  }
-  std::sort(ids.begin(), ids.end());
-  REKEY_ENSURE_MSG(std::adjacent_find(ids.begin(), ids.end()) == ids.end(),
-                   "duplicate encryption id across shards");
-}
-
-void check_sharded_tree(const KeyTree& tree, const ShardPlan& plan) {
-  tree.check_invariants();
-  REKEY_ENSURE_MSG(tree.degree() == plan.degree,
-                   "shard plan degree does not match the tree");
-  // Ownership sanity over the live tree: a node's owner is either its
-  // parent's owner or, exactly at the cut, a shard whose parent is the
-  // aggregator. Anything else means the plan arithmetic (or a restored
-  // per-shard section) is corrupt.
-  tree.for_each_node([&](NodeId id, const Node&) {
-    const unsigned own = plan.shard_of(id);
-    if (id == kRootId) {
-      REKEY_ENSURE(own == ShardPlan::kAggregator || plan.cut_level == 0);
-      return;
-    }
-    const unsigned parent_own = plan.shard_of(parent_of(id, plan.degree));
-    if (own == ShardPlan::kAggregator)
-      REKEY_ENSURE_MSG(parent_own == ShardPlan::kAggregator,
-                       "aggregator node below a shard-owned node");
-    else
-      REKEY_ENSURE_MSG(parent_own == own ||
-                           parent_own == ShardPlan::kAggregator,
-                       "node's parent is owned by a different shard");
-  });
 }
 
 std::vector<NodeId> merge_disjoint_sorted(

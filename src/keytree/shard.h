@@ -32,8 +32,6 @@
 
 namespace rekey::tree {
 
-struct RekeyPayload;  // keytree/rekey_subtree.h
-
 struct ShardPlan {
   // Sentinel shard index for nodes above the cut (aggregator-owned).
   static constexpr unsigned kAggregator = ~0u;
@@ -77,19 +75,6 @@ struct ShardBatchStats {
 void check_shard_partition(const ShardPlan& plan,
                            std::span<const std::vector<NodeId>> shard_sets,
                            const std::vector<NodeId>& aggregator_set);
-
-// Verifies that the payload's encryption ids are globally unique and that
-// each id has a well-defined owning shard under `plan`. An encryption id
-// is the encrypting child's node id; each child has one parent and node
-// ownership is a partition, so encryptions from different shards never
-// collide and need no shard tag or id-space offset, on the wire or in the
-// (msg_id, enc_id) nonce. Throws EnsureError on violation.
-void check_enc_id_disjointness(const RekeyPayload& payload,
-                               const ShardPlan& plan);
-
-// Tree-level variant: verifies the base invariants plus plan/tree degree
-// agreement and that ownership of every present node is well defined.
-void check_sharded_tree(const KeyTree& tree, const ShardPlan& plan);
 
 // Merge of pairwise-disjoint sorted id vectors into one sorted vector —
 // the deterministic merge step of marking's per-shard path walks. The

@@ -13,8 +13,6 @@ namespace rekey::tree {
 namespace {
 
 constexpr std::uint32_t kTreeMagic = 0x524B5453;  // "RKTS"
-constexpr std::uint32_t kViewMagic = 0x524B5653;  // "RKVS"
-constexpr std::uint8_t kViewVersion = 1;
 // Tree format v2: per-shard node sections + the keygen counter. v1 (one
 // node list, no counter) is no longer read: a tree restored from it
 // re-drew keys from counter 0.
@@ -27,9 +25,6 @@ constexpr std::size_t kShardedHeaderSize = 4 + 1 + 1 + 4 + 4 + 8;
 constexpr std::size_t kSectionHeaderSize = 4 + 4;
 // id, kind, member (0 for a k-node), key.
 constexpr std::size_t kNodeRecordSize = 8 + 1 + 4 + crypto::SymmetricKey::kSize;
-// magic, version, degree, member, slot, key count; then (id, key) pairs.
-constexpr std::size_t kViewHeaderSize = 4 + 1 + 1 + 4 + 8 + 4;
-constexpr std::size_t kViewKeySize = 8 + crypto::SymmetricKey::kSize;
 
 // Writes the record of every node in [lo, hi), ascending; returns how
 // many it wrote.
@@ -206,51 +201,6 @@ std::optional<KeyTree> restore_sharded_tree(const Bytes& blob,
     tree.key_generator().set_counter(counter);
     if (plan_out != nullptr) *plan_out = plan;
     return tree;
-  } catch (const EnsureError&) {
-    return std::nullopt;
-  }
-}
-
-Bytes snapshot_view(const UserKeyView& view, unsigned degree) {
-  Bytes blob(kViewHeaderSize + view.keys().size() * kViewKeySize +
-             kDigestSize);
-  ByteCursor w(blob.data());
-  w.put_u32(kViewMagic);
-  w.put_u8(kViewVersion);
-  w.put_u8(static_cast<std::uint8_t>(degree));
-  w.put_u32(view.member());
-  w.put_u64(view.id());
-  w.put_u32(static_cast<std::uint32_t>(view.keys().size()));
-  for (const auto& [id, key] : view.keys()) {
-    w.put_u64(id);
-    w.put_bytes(key.bytes);
-  }
-  seal_at(blob, w);
-  return blob;
-}
-
-std::optional<UserKeyView> restore_view(const Bytes& blob) {
-  const auto body = snapshot_open(blob);
-  if (!body) return std::nullopt;
-  try {
-    ByteReader r(*body);
-    if (r.get_u32() != kViewMagic) return std::nullopt;
-    if (r.get_u8() != kViewVersion) return std::nullopt;
-    const unsigned degree = r.get_u8();
-    const MemberId member = r.get_u32();
-    const NodeId slot = r.get_u64();
-    const std::uint32_t count = r.get_u32();
-    std::vector<std::pair<NodeId, crypto::SymmetricKey>> keys;
-    keys.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      const NodeId id = r.get_u64();
-      crypto::SymmetricKey key;
-      const Bytes bytes = r.get_bytes(crypto::SymmetricKey::kSize);
-      std::copy(bytes.begin(), bytes.end(), key.bytes.begin());
-      keys.emplace_back(id, key);
-    }
-    if (r.remaining() != 0) return std::nullopt;
-    return UserKeyView(member, slot, degree, keys);
   } catch (const EnsureError&) {
     return std::nullopt;
   }

@@ -1,12 +1,11 @@
-// Key-tree and member-view snapshots.
+// Key-tree snapshots.
 //
 // A key server must survive restarts without re-keying the whole group:
 // the tree (structure + key material + member bindings) serializes to a
-// self-describing byte blob and restores to an identical tree. Member
-// views snapshot the same way, so a client can persist its key state
-// across reconnects. Blobs are versioned and integrity-checked with a
-// SHA-256 trailer; they contain raw key material, so at-rest encryption
-// is the caller's responsibility (out of scope here, as in the paper).
+// self-describing byte blob and restores to an identical tree. Blobs are
+// versioned and integrity-checked with a SHA-256 trailer; they contain
+// raw key material, so at-rest encryption is the caller's responsibility
+// (out of scope here, as in the paper).
 #pragma once
 
 #include <optional>
@@ -15,7 +14,6 @@
 #include "common/bytes.h"
 #include "keytree/keytree.h"
 #include "keytree/shard.h"
-#include "keytree/user_view.h"
 
 namespace rekey::tree {
 
@@ -64,10 +62,5 @@ void write_sharded_tree(const KeyTree& tree, const ShardPlan& plan,
 std::optional<KeyTree> restore_sharded_tree(const Bytes& blob,
                                             std::uint64_t key_seed,
                                             ShardPlan* plan_out = nullptr);
-
-// Serialize a member's key view (member id, slot, held keys).
-Bytes snapshot_view(const UserKeyView& view, unsigned degree);
-
-std::optional<UserKeyView> restore_view(const Bytes& blob);
 
 }  // namespace rekey::tree

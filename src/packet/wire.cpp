@@ -129,23 +129,6 @@ Bytes EncPacket::serialize(std::size_t packet_size, bool wide) const {
   return std::move(w).take();
 }
 
-std::optional<EncPacket> EncPacket::parse(WireView wire, bool wide) {
-  const auto h = parse_enc_header(wire, wide);
-  if (!h) return std::nullopt;
-  const auto region = enc_entries(wire, wide);
-  if (!region) return std::nullopt;  // truncated or damaged entry region
-  EncPacket p;
-  p.msg_id = h->msg_id;
-  p.block_id = h->block_id;
-  p.seq = h->seq;
-  p.duplicate = h->duplicate;
-  p.max_kid = h->max_kid;
-  p.frm_id = h->frm_id;
-  p.to_id = h->to_id;
-  p.entries = region->to_vector();
-  return p;
-}
-
 Bytes ParityPacket::serialize() const {
   REKEY_ENSURE(msg_id < 64);
   ByteWriter w;
@@ -155,19 +138,6 @@ Bytes ParityPacket::serialize() const {
   w.put_u8(parity_seq);
   w.put_bytes(fec);
   return std::move(w).take();
-}
-
-std::optional<ParityPacket> ParityPacket::parse(WireView wire) {
-  if (wire.size() < kFecOffset) return std::nullopt;
-  ByteReader r(wire);
-  if (r.get_bits(2) != static_cast<std::uint32_t>(PacketType::Parity))
-    return std::nullopt;
-  ParityPacket p;
-  p.msg_id = static_cast<std::uint8_t>(r.get_bits(6));
-  p.block_id = r.get_u16();
-  p.parity_seq = r.get_u8();
-  p.fec = r.get_bytes(r.remaining());
-  return p;
 }
 
 Bytes UsrPacket::serialize(bool wide) const {
@@ -204,38 +174,6 @@ std::optional<UsrPacket> UsrPacket::parse(WireView wire, bool wide) {
   const auto region = EntryRegion::check(wire.subspan(header));
   if (!region) return std::nullopt;  // truncated or damaged entry region
   p.entries = region->to_vector();
-  return p;
-}
-
-Bytes NackPacket::serialize() const {
-  REKEY_ENSURE(msg_id < 64);
-  ByteWriter w;
-  w.put_bits(static_cast<std::uint32_t>(PacketType::Nack), 2);
-  w.put_bits(msg_id, 6);
-  for (const NackEntry& e : entries) {
-    w.put_u8(e.parities_needed);
-    w.put_u16(e.block_id);
-    w.put_u8(e.max_shard_seen);
-  }
-  return std::move(w).take();
-}
-
-std::optional<NackPacket> NackPacket::parse(WireView wire) {
-  if (wire.empty()) return std::nullopt;
-  ByteReader r(wire);
-  if (r.get_bits(2) != static_cast<std::uint32_t>(PacketType::Nack))
-    return std::nullopt;
-  NackPacket p;
-  p.msg_id = static_cast<std::uint8_t>(r.get_bits(6));
-  while (r.remaining() >= 4) {
-    NackEntry e;
-    e.parities_needed = r.get_u8();
-    e.block_id = r.get_u16();
-    e.max_shard_seen = r.get_u8();
-    p.entries.push_back(e);
-  }
-  // NACKs carry no padding, so a partial trailing entry means truncation.
-  if (r.remaining() != 0) return std::nullopt;
   return p;
 }
 

@@ -1,9 +1,12 @@
-// Wire formats of the four protocol packets (paper Fig 5 and Appendix A).
+// Wire formats of the protocol packets (paper Fig 5 and Appendix A).
 //
 //   ENC    — encrypted new keys for a contiguous range of users
 //   PARITY — RSE parity over the FEC-covered region of a block's ENC packets
 //   USR    — one straggler's encryptions, unicast
-//   NACK   — per-block parity counts a user still needs
+//   NACK   — per-block parity counts a user still needs (NackEntry). No
+//            NACK packet is serialized: the simulator hands the entries
+//            to the server directly and the daemon carries them in its
+//            Report control frames, so the type tag stays reserved.
 //
 // Layout choices relative to the paper (documented deviations):
 //  * Block id is 16 bits rather than 8: the paper's own Fig 16 sweeps to
@@ -107,10 +110,10 @@ struct EncPacket {
   std::vector<EncEntry> entries;
 
   // Narrow (default) truncates the id fields to 16 bits exactly as the
-  // pre-wide format did; wide emits the 16-byte v2 header.
+  // pre-wide format did; wide emits the 16-byte v2 header. Receivers read
+  // the header with parse_enc_header and the entries with enc_entries.
   Bytes serialize(std::size_t packet_size = kDefaultPacketSize,
                   bool wide = false) const;
-  static std::optional<EncPacket> parse(WireView wire, bool wide = false);
 };
 
 struct ParityPacket {
@@ -119,8 +122,9 @@ struct ParityPacket {
   std::uint8_t parity_seq = 0;  // parity index within the block's code
   Bytes fec;                    // packet_size - kFecOffset bytes
 
+  // Receivers read the header with parse_parity_header; the FEC bytes are
+  // the wire bytes from kFecOffset on.
   Bytes serialize() const;
-  static std::optional<ParityPacket> parse(WireView wire);
 };
 
 struct UsrPacket {
@@ -146,14 +150,6 @@ struct NackEntry {
   friend bool operator==(const NackEntry&, const NackEntry&) = default;
 };
 
-struct NackPacket {
-  std::uint8_t msg_id = 0;
-  std::vector<NackEntry> entries;
-
-  Bytes serialize() const;
-  static std::optional<NackPacket> parse(WireView wire);
-};
-
 // Inspect the 2-bit type tag of any serialized packet.
 std::optional<PacketType> peek_type(WireView wire);
 
@@ -164,9 +160,10 @@ std::optional<PacketType> peek_type(WireView wire);
 // instead of reaching the structural parsers.
 std::uint16_t udp_checksum(WireView wire);
 
-// Header-only views: the receive path classifies hundreds of packets per
-// round and reads the entries of only the one it keeps (through
-// enc_entries), so these avoid copying entry lists / parity payloads.
+// Header parsers, the only ENC and PARITY parsers: the receive path
+// classifies hundreds of packets per round and reads the entries of only
+// the one it keeps (through enc_entries), so these copy no entry list or
+// parity payload.
 struct EncHeader {
   std::uint8_t msg_id = 0;
   std::uint16_t block_id = 0;

@@ -9,11 +9,6 @@ void EventLoop::schedule_at(double time_ms, Action action) {
   queue_.push(Event{time_ms, next_seq_++, std::move(action)});
 }
 
-void EventLoop::schedule_in(double delay_ms, Action action) {
-  REKEY_ENSURE(delay_ms >= 0.0);
-  schedule_at(now_ + delay_ms, std::move(action));
-}
-
 void EventLoop::run(std::size_t max_events) {
   std::size_t fired = 0;
   while (!queue_.empty()) {

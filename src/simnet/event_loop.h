@@ -20,8 +20,6 @@ class EventLoop {
 
   // Schedule at an absolute time >= now().
   void schedule_at(double time_ms, Action action);
-  // Schedule `delay_ms` from now (delay >= 0).
-  void schedule_in(double delay_ms, Action action);
 
   // Run until the queue drains (or until `max_events`, a runaway guard).
   void run(std::size_t max_events = 100'000'000);

@@ -8,7 +8,8 @@
 // Differences from the round-based RekeySession:
 //   * no rounds: the server paces packets continuously and reacts to each
 //     NACK the moment it arrives, deduplicating against its in-flight
-//     ledger (shards_scheduled - (max_shard_seen+1) >= needed => wait);
+//     ledger (the block's shards past max_shard_seen sent within the
+//     flight window cover `needed` => wait);
 //   * a user NACKs as soon as it sees the tail of the initial
 //     transmission pass (a seq k-1 slot or any parity) while its block is
 //     still undecodable, and re-NACKs on an RTT-scaled retry timer;

@@ -114,10 +114,4 @@ std::map<int, double> RunMetrics::round_distribution() const {
   return out;
 }
 
-std::size_t RunMetrics::total_deadline_misses() const {
-  std::size_t s = 0;
-  for (const auto& m : messages) s += m.deadline_misses;
-  return s;
-}
-
 }  // namespace rekey::transport

@@ -70,7 +70,6 @@ struct RunMetrics {
   // Fraction of users (over all messages) recovering in round r exactly;
   // a unicast wave-w recovery lands in the r = multicast_rounds + w bucket.
   std::map<int, double> round_distribution() const;
-  std::size_t total_deadline_misses() const;
 
   bool operator==(const RunMetrics&) const = default;
 };

@@ -264,11 +264,6 @@ Bytes ServerTransport::fresh_parity(std::size_t block) {
   return make_parity(block, next_parity_[block]++);
 }
 
-std::size_t ServerTransport::shards_scheduled(std::size_t block) const {
-  REKEY_ENSURE(block < partition_.num_blocks());
-  return config_.block_size + static_cast<std::size_t>(next_parity_[block]);
-}
-
 std::size_t ServerTransport::usr_wire_bytes(std::uint32_t new_id) const {
   const auto needs = payload_.user_needs.needs_of(new_id);
   const std::size_t header = config_.wide_slots ? packet::kUsrHeaderSizeWide

@@ -126,10 +126,8 @@ class ServerTransport {
   std::size_t usr_wire_bytes(std::uint32_t new_id) const;
 
   // Eager-mode interface (see transport/eager.h): one fresh parity for a
-  // block, and the number of shards (ENC slots + parities) produced for it
-  // so far — the in-flight ledger used for NACK deduplication.
+  // block.
   Bytes fresh_parity(std::size_t block);
-  std::size_t shards_scheduled(std::size_t block) const;
 
  private:
   Bytes make_parity(std::size_t block, int parity_index) const;

@@ -23,7 +23,6 @@ constexpr std::size_t kDoneAckSize = 17;
 // Replication frames.
 constexpr std::size_t kSnapChunkHeaderSize = 15;  // op + seq + part + nparts + len
 constexpr std::size_t kSnapAckSize = 5;
-constexpr std::size_t kHeartbeatSize = 9;
 constexpr std::size_t kResubSize = 25;
 
 // Width-dependent sizes (op byte included): a slot id is a u16 or a u32;
@@ -459,17 +458,6 @@ std::optional<SnapAckFrame> parse_snap_ack(packet::WireView payload) {
   return f;
 }
 
-std::optional<HeartbeatFrame> parse_heartbeat(packet::WireView payload) {
-  if (payload.size() != kHeartbeatSize ||
-      peek_op(payload) != ControlOp::Heartbeat)
-    return std::nullopt;
-  ByteReader r(payload.subspan(1));
-  HeartbeatFrame f;
-  f.epoch = r.get_u32();
-  f.next_batch = r.get_u32();
-  return f;
-}
-
 std::optional<ResubFrame> parse_resub(packet::WireView payload) {
   if (payload.size() != kResubSize || peek_op(payload) != ControlOp::Resub)
     return std::nullopt;
@@ -653,16 +641,6 @@ std::optional<Bytes> SnapshotReassembly::add(const SnapChunkFrame& frag) {
   parts_.clear();
   seen_.clear();
   return full;
-}
-
-void SnapshotReassembly::clear() {
-  seq_ = 0;
-  active_ = false;
-  complete_ = false;
-  nparts_ = 0;
-  have_ = 0;
-  parts_.clear();
-  seen_.clear();
 }
 
 }  // namespace rekey::wire

@@ -223,7 +223,9 @@ struct SnapAckFrame {
 
 // Primary -> standby liveness. `next_batch` is the batch the primary is
 // running (or about to run); a standby that stops hearing these past its
-// election timeout promotes itself with epoch = snapshot epoch + 1.
+// election timeout promotes itself with epoch = snapshot epoch + 1. The
+// standby takes any frame from its peer as liveness, so it never parses
+// one: the fields are for packet captures.
 struct HeartbeatFrame {
   std::uint32_t epoch = 0;
   std::uint32_t next_batch = 0;
@@ -288,7 +290,6 @@ std::optional<BatchDoneFrame> parse_batch_done(packet::WireView payload);
 std::optional<DoneAckFrame> parse_done_ack(packet::WireView payload);
 std::optional<SnapChunkFrame> parse_snap_chunk(packet::WireView payload);
 std::optional<SnapAckFrame> parse_snap_ack(packet::WireView payload);
-std::optional<HeartbeatFrame> parse_heartbeat(packet::WireView payload);
 std::optional<ResubFrame> parse_resub(packet::WireView payload);
 
 // Splits a uid range's slot assignments into SlotMap frames of width
@@ -340,7 +341,6 @@ std::vector<SnapChunkFrame> chunk_snapshot(std::uint32_t, Bytes&&,
 class SnapshotReassembly {
  public:
   std::optional<Bytes> add(const SnapChunkFrame& frag);
-  void clear();
 
  private:
   // Chunk-count cap: a hostile nparts must not size a huge vector. At

@@ -468,8 +468,10 @@ bool KeyServerDaemon::run_batch(std::uint32_t batch_seq) {
                            static_cast<std::ptrdiff_t>(leave_n));
   churn_members_.insert(churn_members_.end(), joins.begin(), joins.end());
 
+  // The cipher's message id is the whole batch number, so no (key, nonce)
+  // pair repeats when the 6-bit wire id wraps; packets carry msg_id.
   core::BatchEngine::Batch batch = engine_.run(
-      joins, leaves, msg_id, config_.protocol.packet_size, wide());
+      joins, leaves, batch_seq, config_.protocol.packet_size, wide());
   transport::ServerTransport server(config_.protocol, batch.payload,
                                     std::move(batch.assignment),
                                     rho_.proactive_parities(), msg_id);

@@ -85,13 +85,6 @@ Bytes snapshot_server(const ServerSnapshot& snap) {
   return blob;
 }
 
-Bytes snapshot_server(const ServerSnapshot& snap, const tree::KeyTree& tree,
-                      const tree::ShardPlan& plan) {
-  Bytes blob;
-  snapshot_server_into(snap, tree, plan, blob);
-  return blob;
-}
-
 // The primary's per-batch snapshot starts here, on a cache line of its
 // own like the tree writer and the digest it calls.
 [[gnu::aligned(64)]] void snapshot_server_into(const ServerSnapshot& snap,

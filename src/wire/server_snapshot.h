@@ -77,13 +77,10 @@ Bytes snapshot_server(const ServerSnapshot& snap);
 // The same bytes as setting snap.tree_blob to
 // tree::snapshot_sharded_tree(tree, plan) and calling the overload above,
 // but the v2 blob is written in place inside the v3 blob instead of
-// being built apart and copied in: one allocation for the whole
-// snapshot. `snap.tree_blob` must be empty.
-Bytes snapshot_server(const ServerSnapshot& snap, const tree::KeyTree& tree,
-                      const tree::ShardPlan& plan);
-// The same bytes written into `blob`, resized to fit. Its capacity is
-// kept, so a caller that reuses one buffer across batches writes into
-// pages it already holds instead of faulting in a fresh blob each time.
+// being built apart and copied in, into `blob`, resized to fit.
+// `snap.tree_blob` must be empty. The capacity of `blob` is kept, so a
+// caller that reuses one buffer across batches writes into pages it
+// already holds instead of faulting in a fresh blob each time.
 void snapshot_server_into(const ServerSnapshot& snap,
                           const tree::KeyTree& tree,
                           const tree::ShardPlan& plan, Bytes& blob);

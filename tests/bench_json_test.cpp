@@ -13,9 +13,31 @@
 #include <vector>
 
 #include "common/json.h"
+#include "support/json_read.h"
 
 namespace rekey {
 namespace {
+
+// A parsed document as the schema check reads it: Json's accessors plus
+// lookup by key and element counts, which the test support provides (the
+// library writes JSON and reads none).
+class Doc {
+ public:
+  // Implicit, so the loops below read array elements as Docs.
+  Doc(const Json& json) : json_(&json) {}
+
+  Doc at(std::string_view key) const { return test::at(*json_, key); }
+  std::size_t size() const { return test::size(*json_); }
+  bool is_object() const { return json_->is_object(); }
+  bool is_array() const { return json_->is_array(); }
+  std::int64_t as_int() const { return json_->as_int(); }
+  bool as_bool() const { return json_->as_bool(); }
+  const std::string& as_string() const { return json_->as_string(); }
+  const Json::Array& as_array() const { return json_->as_array(); }
+
+ private:
+  const Json* json_;
+};
 
 struct BenchBinary {
   const char* name;    // executable name under REKEY_BENCH_DIR
@@ -68,31 +90,31 @@ Json run_bench(const BenchBinary& bench) {
   buf << in.rdbuf();
   std::remove(out.c_str());
 
-  auto doc = Json::parse(buf.str());
+  auto doc = test::parse_json(buf.str());
   EXPECT_TRUE(doc.has_value()) << bench.name << ": unparseable JSON";
   return doc.value_or(Json());
 }
 
-void validate_schema(const BenchBinary& bench, const Json& doc) {
+void validate_schema(const BenchBinary& bench, const Doc doc) {
   SCOPED_TRACE(bench.name);
   ASSERT_TRUE(doc.is_object());
   EXPECT_EQ(doc.at("schema_version").as_int(), 1);
   EXPECT_EQ(doc.at("figure").as_string(), bench.figure);
   EXPECT_TRUE(doc.at("smoke").as_bool());
 
-  const Json& sections = doc.at("sections");
+  const Doc sections = doc.at("sections");
   ASSERT_TRUE(sections.is_array());
   ASSERT_GT(sections.size(), 0u) << "no sections captured";
-  for (const Json& section : sections.as_array()) {
+  for (const Doc section : sections.as_array()) {
     ASSERT_TRUE(section.is_object());
     EXPECT_FALSE(section.at("id").as_string().empty());
-    const Json& columns = section.at("columns");
-    const Json& rows = section.at("rows");
+    const Doc columns = section.at("columns");
+    const Doc rows = section.at("rows");
     ASSERT_TRUE(columns.is_array());
     ASSERT_TRUE(rows.is_array());
     ASSERT_GT(columns.size(), 0u);
     ASSERT_GT(rows.size(), 0u) << section.at("id").as_string();
-    for (const Json& row : rows.as_array()) {
+    for (const Doc row : rows.as_array()) {
       ASSERT_TRUE(row.is_array());
       EXPECT_EQ(row.size(), columns.size())
           << "row arity mismatch in " << section.at("id").as_string();
@@ -101,7 +123,7 @@ void validate_schema(const BenchBinary& bench, const Json& doc) {
     }
   }
 
-  const Json& seeds = doc.at("seeds");
+  const Doc seeds = doc.at("seeds");
   ASSERT_TRUE(seeds.is_array());
   for (const Json& seed : seeds.as_array()) {
     ASSERT_TRUE(seed.is_string());
@@ -109,7 +131,7 @@ void validate_schema(const BenchBinary& bench, const Json& doc) {
     EXPECT_EQ(seed.as_string().size(), 18u);  // 0x + 16 hex digits
   }
 
-  const Json& notes = doc.at("notes");
+  const Doc notes = doc.at("notes");
   ASSERT_TRUE(notes.is_array());
   for (const Json& note : notes.as_array()) EXPECT_TRUE(note.is_string());
 }

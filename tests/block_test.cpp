@@ -46,13 +46,15 @@ TEST(BlockPartition, SinglePacketBlockFullyDuplicated) {
 }
 
 TEST(BlockPartition, BlockAndSeqOfPacket) {
+  // Packet p sits in block p / k at sequence p % k.
   const BlockPartition p(23, 10);
-  EXPECT_EQ(p.block_of_packet(0), 0u);
-  EXPECT_EQ(p.block_of_packet(9), 0u);
-  EXPECT_EQ(p.block_of_packet(10), 1u);
-  EXPECT_EQ(p.block_of_packet(22), 2u);
-  EXPECT_EQ(p.seq_of_packet(22), 2u);
-  EXPECT_THROW(p.block_of_packet(23), EnsureError);
+  EXPECT_EQ(p.slot(0, 0).packet, 0u);
+  EXPECT_EQ(p.slot(0, 9).packet, 9u);
+  EXPECT_EQ(p.slot(1, 0).packet, 10u);
+  EXPECT_EQ(p.slot(2, 2).packet, 22u);
+  EXPECT_FALSE(p.slot(2, 2).duplicate);
+  EXPECT_TRUE(p.slot(2, 3).duplicate);  // no packet 23: last-block filler
+  EXPECT_THROW(p.slot(3, 0), EnsureError);
 }
 
 TEST(BlockPartition, KOne) {

@@ -11,6 +11,7 @@
 #include "crypto/hmac.h"
 #include "crypto/keys.h"
 #include "crypto/sha256.h"
+#include "support/oracles.h"
 
 namespace rekey::crypto {
 namespace {
@@ -18,7 +19,7 @@ namespace {
 Bytes from_ascii(const std::string& s) { return Bytes(s.begin(), s.end()); }
 
 std::string digest_hex(const Sha256::Digest& d) {
-  return rekey::to_hex(std::span(d.data(), d.size()));
+  return rekey::test::to_hex(std::span(d.data(), d.size()));
 }
 
 TEST(Sha256, EmptyString) {
@@ -118,9 +119,9 @@ TEST(ChaCha20, Rfc8439BlockFunction) {
                                         0x00, 0x4a, 0x00, 0x00, 0x00, 0x00};
   ChaCha20 c(key, nonce);
   const auto block = c.keystream_block(1);
-  EXPECT_EQ(rekey::to_hex(std::span(block.data(), 16)),
+  EXPECT_EQ(rekey::test::to_hex(std::span(block.data(), 16)),
             "10f1e7e4d13b5915500fdd1fa32071c4");
-  EXPECT_EQ(rekey::to_hex(std::span(block.data() + 48, 16)),
+  EXPECT_EQ(rekey::test::to_hex(std::span(block.data() + 48, 16)),
             "b5129cd1de164eb9cbd083e8a2503c4e");
 }
 
@@ -135,7 +136,7 @@ TEST(ChaCha20, Rfc8439Encryption) {
       "only one tip for the future, sunscreen would be it.");
   ChaCha20 c(key, nonce, /*initial_counter=*/1);
   c.apply(plain);
-  EXPECT_EQ(rekey::to_hex(std::span(plain.data(), 16)),
+  EXPECT_EQ(rekey::test::to_hex(std::span(plain.data(), 16)),
             "6e2e359a2568f98041ba0728dd0d6981");
 }
 

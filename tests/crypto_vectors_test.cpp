@@ -11,6 +11,7 @@
 #include "crypto/chacha20.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
+#include "support/oracles.h"
 
 namespace rekey::crypto {
 namespace {
@@ -26,7 +27,7 @@ Bytes from_hex(const std::string& hex) {
 }
 
 std::string digest_hex(const Sha256::Digest& d) {
-  return rekey::to_hex(std::span(d.data(), d.size()));
+  return rekey::test::to_hex(std::span(d.data(), d.size()));
 }
 
 // FIPS 180-4 / NIST CAVP short-message cases.
@@ -70,7 +71,7 @@ TEST(HmacVectors, Rfc4231Case5Truncated) {
   const Bytes key(20, 0x0c);
   const auto mac =
       hmac_sha256(key, from_ascii("Test With Truncation"));
-  EXPECT_EQ(rekey::to_hex(std::span(mac.data(), 16)),
+  EXPECT_EQ(rekey::test::to_hex(std::span(mac.data(), 16)),
             "a3b6167473100ee06e0c796c2955552b");
 }
 
@@ -95,7 +96,7 @@ TEST(ChaCha20Vectors, AppendixA1Vector1) {
   const Bytes expect = from_hex(
       "76b8e0ada0f13d90405d6ae55386bd28bdd219b8a08ded1aa836efcc8b770dc7"
       "da41597c5157488d7724e03fb8d84a376a43b8f41518a11cc387b669b2ee6586");
-  EXPECT_EQ(rekey::to_hex(block), rekey::to_hex(expect));
+  EXPECT_EQ(rekey::test::to_hex(block), rekey::test::to_hex(expect));
 }
 
 // RFC 8439 Appendix A.1 test vector #2: counter = 1, all-zero key/nonce.
@@ -104,7 +105,7 @@ TEST(ChaCha20Vectors, AppendixA1Vector2) {
   std::array<std::uint8_t, 12> nonce{};
   ChaCha20 c(key, nonce);
   const auto block = c.keystream_block(1);
-  EXPECT_EQ(rekey::to_hex(std::span(block.data(), 16)),
+  EXPECT_EQ(rekey::test::to_hex(std::span(block.data(), 16)),
             "9f07e7be5551387a98ba977c732d080d");
 }
 

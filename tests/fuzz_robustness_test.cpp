@@ -40,24 +40,31 @@ std::optional<std::vector<packet::EncEntry>> reference_entries(
   return out;
 }
 
-// The in-place check accepts exactly the ENC packets EncPacket::parse
-// accepts, with equal entries, and both follow the reference rule.
+// The ENC parsers the receive path runs follow the reference: the header
+// parser accepts exactly the buffers that hold an ENC header of the width,
+// and the in-place entry check accepts exactly the regions the reference
+// rule accepts, with equal entries.
 void expect_enc_parsers_agree(const Bytes& wire, bool wide) {
-  const auto parsed = packet::EncPacket::parse(wire, wide);
   const auto header = packet::parse_enc_header(wire, wide);
   const auto region = packet::enc_entries(wire, wide);
-  ASSERT_EQ(parsed.has_value(), header.has_value() && region.has_value());
   const std::size_t hdr =
       wide ? packet::kEncHeaderSizeWide : packet::kEncHeaderSize;
+  ASSERT_EQ(header.has_value(),
+            wire.size() >= hdr &&
+                packet::peek_type(wire) == packet::PacketType::Enc);
   const auto ref = wire.size() < hdr
                        ? std::nullopt
                        : reference_entries(packet::WireView(wire).subspan(hdr));
   ASSERT_EQ(region.has_value(), ref.has_value());
   if (!region) return;
   EXPECT_EQ(region->to_vector(), *ref);
-  if (parsed) {
-    EXPECT_EQ(parsed->entries, *ref);
-  }
+}
+
+// Whether the receive path takes `wire` as an ENC packet of the width: a
+// header and a checked entry region.
+bool enc_accepted(const Bytes& wire, bool wide) {
+  return packet::parse_enc_header(wire, wide).has_value() &&
+         packet::enc_entries(wire, wide).has_value();
 }
 
 // The same for USR packets: UsrPacket::parse accepts exactly the packets
@@ -104,12 +111,12 @@ TEST(Fuzz, ParsersNeverThrowOnRandomInput) {
   for (int trial = 0; trial < 5000; ++trial) {
     const Bytes wire = random_bytes(rng, rng.next_in(0, 64));
     EXPECT_NO_THROW({
-      (void)packet::EncPacket::parse(wire);
-      (void)packet::ParityPacket::parse(wire);
-      (void)packet::UsrPacket::parse(wire);
-      (void)packet::NackPacket::parse(wire);
-      (void)packet::parse_enc_header(wire);
+      for (const bool wide : {false, true}) {
+        (void)packet::parse_enc_header(wire, wide);
+        (void)packet::enc_entries(wire, wide);
+      }
       (void)packet::parse_parity_header(wire);
+      (void)packet::UsrPacket::parse(wire);
       (void)packet::peek_type(wire);
     });
   }
@@ -120,10 +127,12 @@ TEST(Fuzz, ParsersNeverThrowOnPacketSizedRandomInput) {
   for (int trial = 0; trial < 2000; ++trial) {
     const Bytes wire = random_bytes(rng, 1027);
     EXPECT_NO_THROW({
-      (void)packet::EncPacket::parse(wire);
-      (void)packet::ParityPacket::parse(wire);
+      for (const bool wide : {false, true}) {
+        (void)packet::parse_enc_header(wire, wide);
+        (void)packet::enc_entries(wire, wide);
+      }
+      (void)packet::parse_parity_header(wire);
       (void)packet::UsrPacket::parse(wire);
-      (void)packet::NackPacket::parse(wire);
     });
   }
 }
@@ -155,7 +164,7 @@ TEST(Fuzz, BitflippedEncPacketsParseOrRejectCleanly) {
       const std::size_t pos = rng.next_in(0, wire.size() - 1);
       wire[pos] ^= static_cast<std::uint8_t>(1u << rng.next_in(0, 7));
     }
-    EXPECT_NO_THROW((void)packet::EncPacket::parse(wire));
+    EXPECT_NO_THROW((void)enc_accepted(wire, /*wide=*/false));
     expect_enc_parsers_agree(wire, /*wide=*/false);
   }
 }
@@ -223,7 +232,7 @@ std::vector<packet::EncEntry> nonzero_id_entries(std::size_t n) {
 //
 // Each sweep runs for the narrow and the wide layout, and every cut (and
 // every single-bit flip of the full packet) must also be judged the same
-// way by the in-place entry check as by the copying parser.
+// way by the in-place entry check as by the reference rule.
 TEST(Fuzz, TruncationSweepEncPacket) {
   for (const bool wide : {false, true}) {
     SCOPED_TRACE(wide ? "wide" : "narrow");
@@ -241,9 +250,13 @@ TEST(Fuzz, TruncationSweepEncPacket) {
     const std::size_t data_end = hdr + p.entries.size() * packet::kEntrySize;
     for (std::size_t cut = 0; cut <= full.size(); ++cut) {
       const Bytes wire(full.begin(), full.begin() + cut);
-      std::optional<packet::EncPacket> parsed;
-      ASSERT_NO_THROW(parsed = packet::EncPacket::parse(wire, wide))
+      std::optional<packet::EncHeader> header;
+      std::optional<packet::EntryRegion> parsed;
+      ASSERT_NO_THROW(header = packet::parse_enc_header(wire, wide))
           << "cut " << cut;
+      ASSERT_NO_THROW(parsed = packet::enc_entries(wire, wide))
+          << "cut " << cut;
+      EXPECT_EQ(header.has_value(), cut >= hdr) << "cut " << cut;
       if (cut < hdr) {
         EXPECT_FALSE(parsed.has_value()) << "cut " << cut;
       } else if (cut < data_end && (cut - hdr) % packet::kEntrySize != 0) {
@@ -254,7 +267,8 @@ TEST(Fuzz, TruncationSweepEncPacket) {
         const std::size_t expect_entries =
             cut >= data_end ? p.entries.size()
                             : (cut - hdr) / packet::kEntrySize;
-        EXPECT_EQ(parsed->entries.size(), expect_entries) << "cut " << cut;
+        EXPECT_EQ(parsed->to_vector().size(), expect_entries)
+            << "cut " << cut;
       }
       expect_enc_parsers_agree(wire, wide);
     }
@@ -328,7 +342,7 @@ TEST(Fuzz, EntryCheckMatchesParsersOnRandomBuffers) {
       accepted += packet::UsrPacket::parse(wire, wide).has_value();
     } else {
       expect_enc_parsers_agree(wire, wide);
-      accepted += packet::EncPacket::parse(wire, wide).has_value();
+      accepted += enc_accepted(wire, wide);
     }
   }
   // Both verdicts were exercised.
@@ -405,34 +419,6 @@ TEST(Fuzz, EntryCheckMatchesTheOracleAtEveryWordBoundary) {
   EXPECT_GT(rejected, 1000u);
 }
 
-TEST(Fuzz, TruncationSweepNackPacket) {
-  packet::NackPacket p;
-  p.msg_id = 13;
-  for (int i = 0; i < 6; ++i) {
-    packet::NackEntry e;
-    e.parities_needed = static_cast<std::uint8_t>(1 + i);
-    e.block_id = static_cast<std::uint16_t>(10 + i);
-    e.max_shard_seen = static_cast<std::uint8_t>(3 + i);
-    p.entries.push_back(e);
-  }
-  const Bytes full = p.serialize();
-  for (std::size_t cut = 0; cut <= full.size(); ++cut) {
-    const Bytes wire(full.begin(), full.begin() + cut);
-    std::optional<packet::NackPacket> parsed;
-    ASSERT_NO_THROW(parsed = packet::NackPacket::parse(wire)) << "cut " << cut;
-    if (cut < 1) {
-      EXPECT_FALSE(parsed.has_value()) << "cut " << cut;
-    } else if ((cut - 1) % 4 != 0) {
-      // NACK entries carry no padding: a partial trailing entry is a
-      // truncated datagram, rejected outright.
-      EXPECT_FALSE(parsed.has_value()) << "mid-entry cut " << cut;
-    } else {
-      ASSERT_TRUE(parsed.has_value()) << "cut " << cut;
-      EXPECT_EQ(parsed->entries.size(), (cut - 1) / 4) << "cut " << cut;
-    }
-  }
-}
-
 TEST(Fuzz, TruncationSweepParityPacket) {
   packet::ParityPacket p;
   p.msg_id = 14;
@@ -442,8 +428,8 @@ TEST(Fuzz, TruncationSweepParityPacket) {
   const Bytes full = p.serialize();
   for (std::size_t cut = 0; cut <= full.size(); ++cut) {
     const Bytes wire(full.begin(), full.begin() + cut);
-    std::optional<packet::ParityPacket> parsed;
-    ASSERT_NO_THROW(parsed = packet::ParityPacket::parse(wire))
+    std::optional<packet::ParityHeader> parsed;
+    ASSERT_NO_THROW(parsed = packet::parse_parity_header(wire))
         << "cut " << cut;
     // A parity body is opaque FEC bytes with no internal structure; only
     // the header is checkable (the UDP checksum catches body truncation).

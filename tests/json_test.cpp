@@ -1,16 +1,21 @@
 // The JSON value type underpinning the observability layer: insertion
-// order, int/double distinction, round-trip stability, strict parsing.
+// order, int/double distinction, round-trip stability through the test
+// support's strict parser, and that parser's strictness.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 
 #include "common/json.h"
+#include "support/json_read.h"
 
 namespace rekey {
 namespace {
+
+using test::parse_json;
 
 TEST(Json, ObjectPreservesInsertionOrder) {
   Json o = Json::object();
@@ -36,15 +41,18 @@ TEST(Json, IntAndDoubleStayDistinct) {
   // Integer-valued doubles still serialize as doubles, so the type
   // survives a dump/parse round trip.
   EXPECT_EQ(d.dump(), "42.0");
-  auto rt = Json::parse(d.dump());
+  auto rt = parse_json(d.dump());
   ASSERT_TRUE(rt.has_value());
   EXPECT_TRUE(rt->is_double());
-  EXPECT_DOUBLE_EQ(d.as_double(), 42.0);
-  EXPECT_DOUBLE_EQ(i.as_double(), 42.0);  // as_double accepts either
+  EXPECT_DOUBLE_EQ(test::as_double(d), 42.0);
+  EXPECT_DOUBLE_EQ(test::as_double(i), 42.0);  // as_double accepts either
+  // A non-finite double dumps as null, so it cannot read back as a number.
+  EXPECT_THROW(test::as_double(Json(std::numeric_limits<double>::infinity())),
+               std::logic_error);
 
   // The parser keeps the distinction: no decimal point/exponent -> int.
-  auto pi = Json::parse("42");
-  auto pd = Json::parse("42.0");
+  auto pi = parse_json("42");
+  auto pd = parse_json("42.0");
   ASSERT_TRUE(pi && pd);
   EXPECT_TRUE(pi->is_int());
   EXPECT_TRUE(pd->is_double());
@@ -63,7 +71,7 @@ TEST(Json, DumpParseRoundTripIsFixedPoint) {
   });
   for (int indent : {-1, 0, 1, 2}) {
     const std::string once = doc.dump(indent);
-    auto parsed = Json::parse(once);
+    auto parsed = parse_json(once);
     ASSERT_TRUE(parsed.has_value()) << once;
     EXPECT_EQ(*parsed, doc);
     EXPECT_EQ(parsed->dump(indent), once);
@@ -75,9 +83,9 @@ TEST(Json, ShortestDoubleFormatting) {
   for (double v : {0.1, 1.0 / 3.0, 6.02e23, -0.0, 5e-324,
                    std::numeric_limits<double>::max()}) {
     const std::string s = Json(v).dump();
-    auto parsed = Json::parse(s);
+    auto parsed = parse_json(s);
     ASSERT_TRUE(parsed.has_value()) << s;
-    EXPECT_EQ(parsed->as_double(), v) << s;
+    EXPECT_EQ(test::as_double(*parsed), v) << s;
   }
 }
 
@@ -85,7 +93,7 @@ TEST(Json, StringEscaping) {
   Json s(std::string("a\"b\\c\n\t\x01z"));
   const std::string dumped = s.dump();
   EXPECT_EQ(dumped, "\"a\\\"b\\\\c\\n\\t\\u0001z\"");
-  auto parsed = Json::parse(dumped);
+  auto parsed = parse_json(dumped);
   ASSERT_TRUE(parsed.has_value());
   EXPECT_EQ(*parsed, s);
 
@@ -96,19 +104,19 @@ TEST(Json, StringEscaping) {
 }
 
 TEST(Json, ParseRejectsMalformedDocuments) {
-  EXPECT_FALSE(Json::parse(""));
-  EXPECT_FALSE(Json::parse("{"));
-  EXPECT_FALSE(Json::parse("[1,2,]"));
-  EXPECT_FALSE(Json::parse("{\"a\":1,}"));
-  EXPECT_FALSE(Json::parse("tru"));
-  EXPECT_FALSE(Json::parse("nan"));
-  EXPECT_FALSE(Json::parse("'single'"));
-  EXPECT_FALSE(Json::parse("{\"a\" 1}"));
+  EXPECT_FALSE(parse_json(""));
+  EXPECT_FALSE(parse_json("{"));
+  EXPECT_FALSE(parse_json("[1,2,]"));
+  EXPECT_FALSE(parse_json("{\"a\":1,}"));
+  EXPECT_FALSE(parse_json("tru"));
+  EXPECT_FALSE(parse_json("nan"));
+  EXPECT_FALSE(parse_json("'single'"));
+  EXPECT_FALSE(parse_json("{\"a\" 1}"));
   // Trailing garbage after a valid document is an error, not ignored.
-  EXPECT_FALSE(Json::parse("1 2"));
-  EXPECT_FALSE(Json::parse("{\"a\":1} x"));
+  EXPECT_FALSE(parse_json("1 2"));
+  EXPECT_FALSE(parse_json("{\"a\":1} x"));
   // Whitespace padding is fine.
-  EXPECT_TRUE(Json::parse("  {\"a\": [1, 2]}\n"));
+  EXPECT_TRUE(parse_json("  {\"a\": [1, 2]}\n"));
 }
 
 TEST(Json, ObjectAccessors) {
@@ -118,16 +126,16 @@ TEST(Json, ObjectAccessors) {
   ASSERT_NE(o.find("b"), nullptr);
   EXPECT_EQ(o.find("b")->as_string(), "two");
   EXPECT_EQ(o.find("c"), nullptr);
-  EXPECT_EQ(o.at("a").as_int(), 1);
-  EXPECT_THROW(o.at("missing"), std::logic_error);
-  EXPECT_EQ(o.size(), 2u);
+  EXPECT_EQ(test::at(o, "a").as_int(), 1);
+  EXPECT_THROW(test::at(o, "missing"), std::logic_error);
+  EXPECT_EQ(test::size(o), 2u);
 
   // push_back returns a reference to the appended element.
   Json a = Json::array();
   Json& first = a.push_back(1);
   EXPECT_EQ(first.as_int(), 1);
   a.push_back("x");
-  EXPECT_EQ(a.size(), 2u);
+  EXPECT_EQ(test::size(a), 2u);
   EXPECT_EQ(a.as_array()[1].as_string(), "x");
 }
 
@@ -143,11 +151,12 @@ TEST(Json, ParsesNestedBenchLikeDocument) {
     "seeds": ["0x0000000000000f08"],
     "notes": []
   })json";
-  auto doc = Json::parse(text);
+  auto doc = parse_json(text);
   ASSERT_TRUE(doc.has_value());
-  EXPECT_EQ(doc->at("schema_version").as_int(), 1);
-  EXPECT_EQ(doc->at("figure").as_string(), "F8");
-  const auto& rows = doc->at("sections").as_array()[0].at("rows").as_array();
+  EXPECT_EQ(test::at(*doc, "schema_version").as_int(), 1);
+  EXPECT_EQ(test::at(*doc, "figure").as_string(), "F8");
+  const auto& rows =
+      test::at(test::at(*doc, "sections").as_array()[0], "rows").as_array();
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_TRUE(rows[0].as_array()[0].is_int());
   EXPECT_TRUE(rows[0].as_array()[1].is_double());

@@ -23,6 +23,7 @@
 #include "keytree/rekey_subtree.h"
 #include "keytree/shard.h"
 #include "packet/assign.h"
+#include "support/oracles.h"
 #include "transport/server.h"
 
 namespace rekey::tree {
@@ -379,7 +380,7 @@ void expect_trees_equal(const KeyTree& flat, const legacy::LegacyTree& ref,
                         int batch) {
   EXPECT_EQ(flat.key_generator().counter(), ref.counter())
       << "draw-stream counter diverged at batch " << batch;
-  const std::map<NodeId, Node> a = flat.nodes();
+  const std::map<NodeId, Node> a = test::nodes(flat);
   const std::map<NodeId, Node>& b = ref.nodes();
   ASSERT_EQ(a.size(), b.size()) << "node count diverged at batch " << batch;
   auto ia = a.begin();
@@ -715,7 +716,7 @@ void run_sharded_differential(unsigned degree, std::uint64_t seed,
     expect_updates_equal(upd_b, ref_upd, batch);
     expect_trees_equal(sharded_tree, ref, batch);
     if (::testing::Test::HasFatalFailure()) return;
-    check_sharded_tree(sharded_tree, plan);
+    test::check_sharded_tree(sharded_tree, plan);
 
     // The per-shard stats partition the changed set exactly.
     std::size_t changed_total = mark_stats.aggregator_changed;
@@ -739,7 +740,7 @@ void run_sharded_differential(unsigned degree, std::uint64_t seed,
     expect_payloads_equal(sharded_payload, ref_payload, ref.user_slots(),
                           batch);
     if (::testing::Test::HasFatalFailure()) return;
-    check_enc_id_disjointness(sharded_payload, plan);
+    test::check_enc_id_disjointness(sharded_payload, plan);
     std::size_t enc_total = 0;
     for (const std::size_t c : pay_stats.shard_encryptions) enc_total += c;
     ASSERT_EQ(enc_total, sharded_payload.encryptions.size())

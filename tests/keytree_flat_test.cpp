@@ -22,6 +22,7 @@
 #include "keytree/marking.h"
 #include "keytree/rekey_subtree.h"
 #include "keytree/snapshot.h"
+#include "support/oracles.h"
 
 // Global allocation counter for the no-allocation assertions. Counting
 // operator new is enough: the accessors under test only ever allocate
@@ -97,7 +98,8 @@ TEST(KeyTreeFlat, FromNodesPlacesDeepIdsInOverflow) {
   EXPECT_EQ(t.num_nodes(), nodes.size());
   EXPECT_EQ(t.num_users(), 2u);
   EXPECT_LT(t.dense_capacity(), (NodeId{1} << 21));
-  expect_same_nodes(t.nodes(), nodes);  // overflow ids iterate in order too
+  // Overflow ids iterate in order too.
+  expect_same_nodes(test::nodes(t), nodes);
   // Point lookups cross the dense/overflow boundary transparently.
   const NodeId deep_u = nodes.rbegin()->first;
   EXPECT_TRUE(t.contains(deep_u));
@@ -112,7 +114,7 @@ TEST(KeyTreeFlat, SnapshotRoundTripWithOverflowNodes) {
   const auto restored = restore_sharded_tree(blob, 99);
   ASSERT_TRUE(restored.has_value());
   restored->check_invariants();
-  expect_same_nodes(restored->nodes(), t.nodes());
+  expect_same_nodes(test::nodes(*restored), test::nodes(t));
   EXPECT_EQ(restored->degree(), t.degree());
   EXPECT_EQ(restored->group_key(), t.group_key());
 }
@@ -125,7 +127,7 @@ TEST(KeyTreeFlat, SnapshotRoundTripAcrossDegrees) {
         snapshot_sharded_tree(t, ShardPlan::make(d, 1)), 1);
     ASSERT_TRUE(restored.has_value()) << "degree " << d;
     restored->check_invariants();
-    expect_same_nodes(restored->nodes(), t.nodes());
+    expect_same_nodes(test::nodes(*restored), test::nodes(t));
   }
 }
 
@@ -133,9 +135,9 @@ TEST(KeyTreeFlat, FromNodesRoundTripAcrossDegrees) {
   for (const unsigned d : {2u, 4u, 8u}) {
     KeyTree t(d, 21);
     t.populate(200, /*first_member=*/1000);
-    const KeyTree u = KeyTree::from_nodes(d, 22, t.nodes());
+    const KeyTree u = KeyTree::from_nodes(d, 22, test::nodes(t));
     u.check_invariants();
-    expect_same_nodes(u.nodes(), t.nodes());
+    expect_same_nodes(test::nodes(u), test::nodes(t));
     EXPECT_EQ(u.slot_of(1100), t.slot_of(1100)) << "degree " << d;
   }
 }
@@ -311,7 +313,7 @@ TEST(KeyTreeFlat, CopiesAreEqualAndIndependent) {
     assigned = *original;
     for (const KeyTree* c : {&copy, static_cast<const KeyTree*>(&assigned)}) {
       c->check_invariants();
-      expect_same_nodes(c->nodes(), original->nodes());
+      expect_same_nodes(test::nodes(*c), test::nodes(*original));
       EXPECT_EQ(c->dense_capacity(), original->dense_capacity());
       EXPECT_EQ(c->group_key(), original->group_key());
       for (const NodeId slot : original->user_slots()) {
@@ -320,11 +322,11 @@ TEST(KeyTreeFlat, CopiesAreEqualAndIndependent) {
       }
     }
     // A batch on the original leaves the copies as they were.
-    const std::map<NodeId, Node> before = copy.nodes();
+    const std::map<NodeId, Node> before = test::nodes(copy);
     Marker(*original).run(std::vector<MemberId>{5000, 5001, 5002},
                           std::vector<MemberId>{});
-    expect_same_nodes(copy.nodes(), before);
-    expect_same_nodes(assigned.nodes(), before);
+    expect_same_nodes(test::nodes(copy), before);
+    expect_same_nodes(test::nodes(assigned), before);
   }
 }
 

@@ -26,6 +26,7 @@
 #include "keytree/shard.h"
 #include "keytree/snapshot.h"
 #include "packet/assign.h"
+#include "support/oracles.h"
 
 namespace rekey::tree {
 namespace {
@@ -204,12 +205,12 @@ TEST(CheckEncIdDisjointness, PassesRealPayloadsAndCatchesDuplicates) {
   generate_rekey_payload_into(t, upd, 1, payload);
   const ShardPlan plan = ShardPlan::make(4, 8);
   ASSERT_FALSE(payload.encryptions.empty());
-  EXPECT_NO_THROW(check_enc_id_disjointness(payload, plan));
+  EXPECT_NO_THROW(test::check_enc_id_disjointness(payload, plan));
 
   // Two encryptions under one id would collide on the wire (the (msg_id,
   // enc_id) nonce and the per-user entry lookup both assume uniqueness).
   payload.encryptions.back().enc_id = payload.encryptions.front().enc_id;
-  EXPECT_THROW(check_enc_id_disjointness(payload, plan), EnsureError);
+  EXPECT_THROW(test::check_enc_id_disjointness(payload, plan), EnsureError);
 }
 
 // ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ std::vector<BatchArtifacts> replay_sharded(const ShardPlan& plan,
     const packet::Assignment asn = packet::assign_keys(payload, 1027);
 
     BatchArtifacts a;
-    a.nodes = t.nodes();
+    a.nodes = test::nodes(t);
     a.counter = t.key_generator().counter();
     a.encryptions = payload.encryptions;
     for (const packet::EncPacket& pkt : asn.packets)
@@ -426,8 +427,8 @@ TEST(ShardedSnapshot, MidEpochRoundTripResumesTheExactDrawStream) {
   EXPECT_EQ(plan_out.cut_level, plan.cut_level);
   EXPECT_EQ(restored->key_generator().counter(), t.key_generator().counter());
   {
-    const std::map<NodeId, Node> a = t.nodes();
-    const std::map<NodeId, Node> b = restored->nodes();
+    const std::map<NodeId, Node> a = test::nodes(t);
+    const std::map<NodeId, Node> b = test::nodes(*restored);
     ASSERT_EQ(a.size(), b.size());
     auto ib = b.begin();
     for (const auto& [id, n] : a) {
@@ -512,8 +513,8 @@ TEST(ShardedSnapshot, RoundTripAcrossDenseOverflowBoundary) {
   const auto restored = restore_sharded_tree(blob, 99);
   ASSERT_TRUE(restored.has_value());
   restored->check_invariants();
-  const std::map<NodeId, Node> a = t.nodes();
-  const std::map<NodeId, Node> b = restored->nodes();
+  const std::map<NodeId, Node> a = test::nodes(t);
+  const std::map<NodeId, Node> b = test::nodes(*restored);
   ASSERT_EQ(a.size(), b.size());
   auto ib = b.begin();
   for (const auto& [id, n] : a) {
@@ -611,9 +612,10 @@ TEST(ShardedSnapshot, BitCorruptionAndTruncationDetected) {
 TEST(CheckShardedTree, AcceptsLiveTreesAndRejectsDegreeMismatch) {
   KeyTree t(4, 3);
   t.populate(200);
-  check_sharded_tree(t, ShardPlan::make(4, 8));   // must not throw
-  check_sharded_tree(t, ShardPlan::make(4, 1));   // degenerate plan too
-  EXPECT_THROW(check_sharded_tree(t, ShardPlan::make(2, 8)), EnsureError);
+  test::check_sharded_tree(t, ShardPlan::make(4, 8));   // must not throw
+  test::check_sharded_tree(t, ShardPlan::make(4, 1));   // degenerate plan too
+  EXPECT_THROW(test::check_sharded_tree(t, ShardPlan::make(2, 8)),
+               EnsureError);
 }
 
 }  // namespace

@@ -78,7 +78,8 @@ TEST(KeyTree, KeysForSlotIsFullPath) {
   KeyTree t(4, 7);
   t.populate(16);
   const NodeId slot = t.slot_of(10);
-  const auto keys = t.keys_for_slot(slot);
+  std::vector<std::pair<NodeId, crypto::SymmetricKey>> keys;
+  t.keys_for_slot_into(slot, keys);
   // Height-2 tree: individual + level-1 aux + root = 3 keys.
   ASSERT_EQ(keys.size(), 3u);
   EXPECT_EQ(keys.front().first, slot);

@@ -9,6 +9,7 @@
 #include "common/ensure.h"
 #include "keytree/marking.h"
 #include "keytree/rekey_subtree.h"
+#include "support/oracles.h"
 
 namespace rekey::tree {
 namespace {
@@ -17,14 +18,14 @@ std::vector<MemberId> ids(std::initializer_list<MemberId> l) { return l; }
 
 std::set<NodeId> knodes_of(const KeyTree& t) {
   std::set<NodeId> out;
-  for (const auto& [id, n] : t.nodes())
+  for (const auto& [id, n] : test::nodes(t))
     if (n.kind == NodeKind::KNode) out.insert(id);
   return out;
 }
 
 std::set<NodeId> unodes_of(const KeyTree& t) {
   std::set<NodeId> out;
-  for (const auto& [id, n] : t.nodes())
+  for (const auto& [id, n] : test::nodes(t))
     if (n.kind == NodeKind::UNode) out.insert(id);
   return out;
 }

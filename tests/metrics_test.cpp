@@ -98,7 +98,6 @@ TEST(RunMetrics, EmptyRun) {
   EXPECT_DOUBLE_EQ(run.mean_bandwidth_overhead(), 0.0);
   EXPECT_DOUBLE_EQ(run.mean_round1_nacks(), 0.0);
   EXPECT_TRUE(run.round_distribution().empty());
-  EXPECT_EQ(run.total_deadline_misses(), 0u);
 }
 
 TEST(RunMetrics, RoundDistributionNormalized) {
@@ -110,16 +109,6 @@ TEST(RunMetrics, RoundDistributionNormalized) {
   EXPECT_NEAR(total, 1.0, 1e-12);
   EXPECT_NEAR(dist.at(1), 0.95, 1e-12);
   EXPECT_NEAR(dist.at(3), 0.01, 1e-12);  // unicast bucket
-}
-
-TEST(RunMetrics, DeadlineMissTotals) {
-  RunMetrics run;
-  auto a = sample_message();
-  a.deadline_misses = 3;
-  auto b = sample_message();
-  b.deadline_misses = 7;
-  run.messages = {a, b};
-  EXPECT_EQ(run.total_deadline_misses(), 10u);
 }
 
 }  // namespace

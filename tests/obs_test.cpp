@@ -11,6 +11,7 @@
 
 #include "common/json.h"
 #include "common/obs.h"
+#include "support/json_read.h"
 
 namespace rekey::obs {
 namespace {
@@ -83,10 +84,10 @@ TEST(Metrics, HistogramToJson) {
   for (int i = 1; i <= 100; ++i) h.observe(static_cast<double>(i));
   Json j = h.to_json();
   ASSERT_TRUE(j.is_object());
-  EXPECT_EQ(j.at("count").as_int(), 100);
-  EXPECT_DOUBLE_EQ(j.at("sum").as_double(), 5050.0);
-  EXPECT_DOUBLE_EQ(j.at("min").as_double(), 1.0);
-  EXPECT_DOUBLE_EQ(j.at("max").as_double(), 100.0);
+  EXPECT_EQ(test::at(j, "count").as_int(), 100);
+  EXPECT_DOUBLE_EQ(test::as_double(test::at(j, "sum")), 5050.0);
+  EXPECT_DOUBLE_EQ(test::as_double(test::at(j, "min")), 1.0);
+  EXPECT_DOUBLE_EQ(test::as_double(test::at(j, "max")), 100.0);
   EXPECT_TRUE(j.contains("p50"));
   EXPECT_TRUE(j.contains("p90"));
   EXPECT_TRUE(j.contains("p99"));
@@ -100,20 +101,22 @@ TEST(Metrics, RegistrySnapshotAndReset) {
   reg.histogram("latency").observe(3.0);
 
   Json snap = reg.to_json();
-  const auto& counters = snap.at("counters").as_object();
+  const auto& counters = test::at(snap, "counters").as_object();
   ASSERT_EQ(counters.size(), 2u);
   // Lexicographic order in the snapshot regardless of creation order.
   EXPECT_EQ(counters[0].first, "a_count");
   EXPECT_EQ(counters[1].first, "b_count");
   EXPECT_EQ(counters[1].second.as_int(), 2);
-  EXPECT_DOUBLE_EQ(snap.at("gauges").at("rho").as_double(), 1.6);
-  EXPECT_EQ(snap.at("histograms").at("latency").at("count").as_int(), 1);
+  EXPECT_DOUBLE_EQ(test::as_double(test::at(test::at(snap, "gauges"), "rho")),
+                   1.6);
+  const Json& latency = test::at(test::at(snap, "histograms"), "latency");
+  EXPECT_EQ(test::at(latency, "count").as_int(), 1);
 
   reg.reset();
   Json empty = reg.to_json();
-  EXPECT_EQ(empty.at("counters").size(), 0u);
-  EXPECT_EQ(empty.at("gauges").size(), 0u);
-  EXPECT_EQ(empty.at("histograms").size(), 0u);
+  EXPECT_EQ(test::size(test::at(empty, "counters")), 0u);
+  EXPECT_EQ(test::size(test::at(empty, "gauges")), 0u);
+  EXPECT_EQ(test::size(test::at(empty, "histograms")), 0u);
 }
 
 TEST(Metrics, GlobalRegistryIsASingleton) {
@@ -143,23 +146,24 @@ TEST(Trace, EmitsParseableJsonLinesWithSequenceNumbers) {
   std::string line;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
-    auto parsed = Json::parse(line);
+    auto parsed = test::parse_json(line);
     ASSERT_TRUE(parsed.has_value()) << line;
     lines.push_back(std::move(*parsed));
   }
   ASSERT_EQ(lines.size(), 2u);
 
-  EXPECT_EQ(lines[0].at("ev").as_string(), "round");
-  EXPECT_EQ(lines[0].at("round").as_int(), 1);
-  EXPECT_EQ(lines[0].at("nacks").as_int(), 37);
-  EXPECT_DOUBLE_EQ(lines[0].at("rho").as_double(), 1.5);
-  EXPECT_EQ(lines[1].at("ev").as_string(), "unicast_wave");
-  EXPECT_EQ(lines[1].at("users").as_int(), 5);
+  EXPECT_EQ(test::at(lines[0], "ev").as_string(), "round");
+  EXPECT_EQ(test::at(lines[0], "round").as_int(), 1);
+  EXPECT_EQ(test::at(lines[0], "nacks").as_int(), 37);
+  EXPECT_DOUBLE_EQ(test::as_double(test::at(lines[0], "rho")), 1.5);
+  EXPECT_EQ(test::at(lines[1], "ev").as_string(), "unicast_wave");
+  EXPECT_EQ(test::at(lines[1], "users").as_int(), 5);
 
   // The process-wide sequence keeps interleaved emissions ordered.
   ASSERT_TRUE(lines[0].contains("seq"));
   ASSERT_TRUE(lines[1].contains("seq"));
-  EXPECT_EQ(lines[1].at("seq").as_int(), lines[0].at("seq").as_int() + 1);
+  EXPECT_EQ(test::at(lines[1], "seq").as_int(),
+            test::at(lines[0], "seq").as_int() + 1);
 
   std::remove(path.c_str());
 }

@@ -14,10 +14,18 @@
 namespace rekey::tree {
 namespace {
 
+// Every key a user at `slot` holds: its own and its path to the root.
+std::vector<std::pair<NodeId, crypto::SymmetricKey>> keys_at(
+    const KeyTree& t, NodeId slot) {
+  std::vector<std::pair<NodeId, crypto::SymmetricKey>> keys;
+  t.keys_for_slot_into(slot, keys);
+  return keys;
+}
+
 // Snapshot the full key set a user holds before a batch.
 std::vector<std::pair<NodeId, crypto::SymmetricKey>> snapshot_keys(
     const KeyTree& t, MemberId m) {
-  return t.keys_for_slot(t.slot_of(m));
+  return keys_at(t, t.slot_of(m));
 }
 
 TEST(RekeyPayload, EncryptionIdsUniqueAndChildBased) {
@@ -124,7 +132,7 @@ TEST(RekeyPayload, RemainingUserRecoversAllPathKeys) {
     ASSERT_TRUE(view.group_key().has_value());
     EXPECT_EQ(*view.group_key(), t.group_key()) << "user " << u;
     // Every key on the user's current path must be correct.
-    for (const auto& [id, key] : t.keys_for_slot(t.slot_of(u))) {
+    for (const auto& [id, key] : keys_at(t, t.slot_of(u))) {
       const auto held = view.key_at(id);
       ASSERT_TRUE(held.has_value());
       EXPECT_EQ(*held, key);
@@ -201,7 +209,7 @@ TEST(RekeyPayload, NewUserGetsFullPathFromMessageAlone) {
                                                        t.node(slot).key};
     UserKeyView view(u, slot, 4, std::span(&cred, 1));
     view.apply(payload.msg_id, payload.max_kid, payload.encryptions);
-    for (const auto& [id, key] : t.keys_for_slot(slot))
+    for (const auto& [id, key] : keys_at(t, slot))
       EXPECT_EQ(view.key_at(id).value(), key) << "user " << u;
   }
 }

@@ -16,9 +16,12 @@
 #include <sstream>
 #include <string_view>
 #include <thread>
+#include <utility>
 
 #include "keytree/shard.h"
 #include "keytree/snapshot.h"
+#include "support/oracles.h"
+#include "support/receive_tap.h"
 #include "wire/daemon.h"
 #include "wire/fleet.h"
 #include "wire/loopback.h"
@@ -191,6 +194,10 @@ struct PairResult {
   DaemonStats primary;
   DaemonStats standby;
   std::vector<FleetStats> fleets;
+  Endpoint primary_ep;
+  Endpoint standby_ep;
+  // The data frames and BatchStarts fleet 0 received, in arrival order.
+  std::vector<Datagram> received;
 };
 
 struct PairParams {
@@ -271,6 +278,8 @@ PairResult run_pair(const PairParams& p) {
 
   PairResult r;
   r.fleets.resize(p.endpoints);
+  r.primary_ep = primary_wire->endpoint();
+  r.standby_ep = standby_wire->endpoint();
   std::thread primary_thread([&] { r.primary = primary.run(); });
   std::thread standby_thread([&] { r.standby = standby.run(); });
 
@@ -285,8 +294,10 @@ PairResult run_pair(const PairParams& p) {
       fc.retry_ms = 10;
       fc.idle_timeout_ms = 20000;
       fc.failover.push_back(standby_wire->endpoint());
-      ClientFleet fleet(*wire, primary_wire->endpoint(), fc);
+      test::ReceiveTap tap(*wire);
+      ClientFleet fleet(tap, primary_wire->endpoint(), fc);
       r.fleets[t] = fleet.run();
+      if (t == 0) r.received = std::move(tap.received);
     });
   }
   for (auto& t : fleet_threads) t.join();
@@ -480,6 +491,41 @@ TEST(Replica, MidBatchBlackoutFailsOver) {
   // Recoveries are finalized at BatchDone, so the replayed batch counts
   // exactly once: every client recovers every batch.
   EXPECT_EQ(recovered, std::uint64_t{p.clients} * p.batches);
+}
+
+TEST(Replica, ReplayedBatchKeepsItsCiphertexts) {
+  // Blackout at protocol clock 600: batch 1's pre-BatchDone step, after
+  // its one multicast round went out. The standby replays batch 1 from
+  // the top under the same batch number, so it must send the very
+  // ciphertexts the primary sent: the cipher's nonce is (batch number,
+  // enc id), and a replay that encrypted another plaintext under one
+  // would reuse its keystream.
+  PairParams p;
+  p.onset_ms = 595.0;
+  p.end_ms = 605.0;
+  const PairResult r = run_pair(p);
+  ASSERT_TRUE(r.primary.died);
+  EXPECT_DOUBLE_EQ(r.primary.died_at_ms, 600.0);
+  EXPECT_EQ(r.primary.batches_run, 1u);
+  ASSERT_TRUE(r.standby.promoted);
+  EXPECT_TRUE(r.standby.completed);
+  EXPECT_EQ(r.standby.batches_run, 2u);
+
+  const auto primary = test::enc_ciphertexts(r.received, r.primary_ep);
+  const auto standby = test::enc_ciphertexts(r.received, r.standby_ep);
+  EXPECT_FALSE(primary.contains(2));
+  EXPECT_FALSE(standby.contains(0));
+  ASSERT_TRUE(primary.contains(1));
+  ASSERT_TRUE(standby.contains(1));
+  const auto& sent = primary.at(1);
+  const auto& replayed = standby.at(1);
+  EXPECT_FALSE(sent.empty());
+  EXPECT_EQ(sent.size(), replayed.size());
+  for (const auto& [id, c] : sent) {
+    const auto it = replayed.find(id);
+    ASSERT_NE(it, replayed.end()) << "enc id " << id << " not replayed";
+    EXPECT_EQ(test::to_hex(it->second), test::to_hex(c)) << "enc id " << id;
+  }
 }
 
 TEST(Replica, FailoverReplaySerialVsShardedDifferential) {

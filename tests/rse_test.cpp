@@ -103,16 +103,6 @@ TEST(Rse, BlockSizeBounds) {
   EXPECT_NO_THROW(RseCoder(128));
 }
 
-TEST(Rse, EncodeRangeMatchesEncodeOne) {
-  Rng rng(8);
-  const RseCoder coder(4);
-  const auto data = random_block(4, 24, rng);
-  const auto batch = coder.encode(data, 3, 5);
-  ASSERT_EQ(batch.size(), 5u);
-  for (int j = 0; j < 5; ++j)
-    EXPECT_EQ(batch[static_cast<std::size_t>(j)], coder.encode_one(data, 3 + j));
-}
-
 TEST(Rse, K1ParityIsCopyUpToScale) {
   // With k=1 any parity must decode back to the single data packet.
   Rng rng(9);

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "core/service.h"
+#include "support/oracles.h"
 
 namespace rekey::core {
 namespace {
@@ -104,7 +105,7 @@ TEST(ServiceRecovery, RestoredServiceReplaysTheUninterruptedRun) {
         keys_at_snapshot;
     std::map<tree::NodeId, crypto::SymmetricKey> knode_keys;
     std::set<tree::MemberId> members_at_snapshot;
-    for (const auto& [id, n] : svc.tree().nodes()) {
+    for (const auto& [id, n] : test::nodes(svc.tree())) {
       keys_at_snapshot.insert(n.key.bytes);
       if (n.kind == tree::NodeKind::KNode)
         knode_keys.emplace(id, n.key);
@@ -118,8 +119,9 @@ TEST(ServiceRecovery, RestoredServiceReplaysTheUninterruptedRun) {
       request_churn(*restored, i);
       restored->rekey_interval();
 
-      const std::map<tree::NodeId, tree::Node> want = svc.tree().nodes();
-      const std::map<tree::NodeId, tree::Node> got = restored->tree().nodes();
+      const std::map<tree::NodeId, tree::Node> want = test::nodes(svc.tree());
+      const std::map<tree::NodeId, tree::Node> got =
+          test::nodes(restored->tree());
       for (const auto& [id, n] : got) {
         // A refreshed key: a k-node whose key is not the one it held at
         // snapshot time, or the individual key of a member who joined

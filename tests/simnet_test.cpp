@@ -37,7 +37,7 @@ TEST(EventLoop, ActionsCanScheduleMore) {
   EventLoop loop;
   int count = 0;
   std::function<void()> tick = [&] {
-    if (++count < 5) loop.schedule_in(1.0, tick);
+    if (++count < 5) loop.schedule_at(loop.now() + 1.0, tick);
   };
   loop.schedule_at(0.0, tick);
   loop.run();
@@ -65,7 +65,9 @@ TEST(EventLoop, RunUntilStopsAtBoundary) {
 
 TEST(EventLoop, RunawayGuard) {
   EventLoop loop;
-  std::function<void()> forever = [&] { loop.schedule_in(1.0, forever); };
+  std::function<void()> forever = [&] {
+    loop.schedule_at(loop.now() + 1.0, forever);
+  };
   loop.schedule_at(0.0, forever);
   EXPECT_THROW(loop.run(/*max_events=*/1000), EnsureError);
 }

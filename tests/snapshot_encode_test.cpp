@@ -94,23 +94,6 @@ Bytes oracle_sharded_tree(const KeyTree& tree, const ShardPlan& plan) {
   return blob;
 }
 
-Bytes oracle_view(const tree::UserKeyView& view, unsigned degree) {
-  ByteWriter w;
-  w.put_u32(0x524B5653);
-  w.put_u8(1);
-  w.put_u8(static_cast<std::uint8_t>(degree));
-  w.put_u32(view.member());
-  w.put_u64(view.id());
-  w.put_u32(static_cast<std::uint32_t>(view.keys().size()));
-  for (const auto& [id, key] : view.keys()) {
-    w.put_u64(id);
-    w.put_bytes(key.bytes);
-  }
-  Bytes blob = std::move(w).take();
-  oracle_seal(blob);
-  return blob;
-}
-
 Bytes oracle_server(const wire::ServerSnapshot& snap) {
   ByteWriter w;
   w.put_u32(0x524B5353);
@@ -163,6 +146,14 @@ std::vector<Bytes> oracle_frames(std::uint32_t seq, const Bytes& blob,
     out.push_back(std::move(w).take());
   }
   return out;
+}
+
+// The in-place server encoder, into a fresh buffer.
+Bytes server_in_place(const wire::ServerSnapshot& s, const KeyTree& t,
+                      const ShardPlan& plan) {
+  Bytes blob;
+  wire::snapshot_server_into(s, t, plan, blob);
+  return blob;
 }
 
 // ---------------------------------------------------------------------
@@ -284,22 +275,12 @@ TEST(SnapshotEncode, EdgeTreesMatchTheOracle) {
   expect_tree_encoders_match(deep, "overflow");
 }
 
-TEST(SnapshotEncode, ViewBlobsMatchTheOracle) {
-  const KeyTree t = churned(4, 700, 2, 3);
-  for (const MemberId m : {0u, 350u, 699u, 700u}) {
-    if (!t.has_member(m)) continue;
-    const NodeId slot = t.slot_of(m);
-    const tree::UserKeyView view(m, slot, 4, t.keys_for_slot(slot));
-    EXPECT_EQ(tree::snapshot_view(view, 4), oracle_view(view, 4)) << m;
-  }
-}
-
 TEST(SnapshotEncode, ServerBlobsMatchTheOracleCopiedOrWrittenInPlace) {
   for (const unsigned S : kShardCounts) {
     const KeyTree t = churned(3, 1500, 2, 0xBEEF + S);
     const ShardPlan plan = ShardPlan::make(3, S);
     wire::ServerSnapshot s = sample_server(1400);
-    const Bytes in_place = wire::snapshot_server(s, t, plan);
+    const Bytes in_place = server_in_place(s, t, plan);
     s.tree_blob = oracle_sharded_tree(t, plan);
     const Bytes expected = oracle_server(s);
     EXPECT_EQ(in_place, expected) << "S=" << S;
@@ -310,7 +291,7 @@ TEST(SnapshotEncode, ServerBlobsMatchTheOracleCopiedOrWrittenInPlace) {
   bare.clients = 1;
   const KeyTree empty(4, 1);
   const ShardPlan one = ShardPlan::make(4, 1);
-  const Bytes in_place = wire::snapshot_server(bare, empty, one);
+  const Bytes in_place = server_in_place(bare, empty, one);
   bare.tree_blob = oracle_sharded_tree(empty, one);
   EXPECT_EQ(in_place, oracle_server(bare));
 }
@@ -325,15 +306,15 @@ TEST(SnapshotEncode, ReusedServerBufferHoldsTheSameBytes) {
   const wire::ServerSnapshot s = sample_server(900);
   Bytes buf;
   wire::snapshot_server_into(s, large, plan, buf);
-  EXPECT_EQ(buf, wire::snapshot_server(s, large, plan));
+  EXPECT_EQ(buf, server_in_place(s, large, plan));
   std::size_t before = g_allocs.load();
   wire::snapshot_server_into(s, small, plan, buf);
   EXPECT_EQ(g_allocs.load() - before, 0u);
-  EXPECT_EQ(buf, wire::snapshot_server(s, small, plan));
+  EXPECT_EQ(buf, server_in_place(s, small, plan));
   before = g_allocs.load();
   wire::snapshot_server_into(s, large, plan, buf);
   EXPECT_EQ(g_allocs.load() - before, 0u);
-  EXPECT_EQ(buf, wire::snapshot_server(s, large, plan));
+  EXPECT_EQ(buf, server_in_place(s, large, plan));
 }
 
 TEST(SnapshotEncode, ChunkFramesMatchTheOracle) {
@@ -375,7 +356,7 @@ TEST(SnapshotEncode, AllocatesOneBlobNotOnePerNode) {
 
   const wire::ServerSnapshot s = sample_server(900);
   before = g_allocs.load();
-  const Bytes blob = wire::snapshot_server(s, t, plan);
+  const Bytes blob = server_in_place(s, t, plan);
   EXPECT_EQ(g_allocs.load() - before, 1u);
 
   before = g_allocs.load();

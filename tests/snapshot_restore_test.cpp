@@ -30,6 +30,7 @@
 #include "keytree/marking.h"
 #include "keytree/shard.h"
 #include "keytree/snapshot.h"
+#include "support/oracles.h"
 
 // Global allocation counter for the allocation bound.
 namespace {
@@ -103,7 +104,7 @@ std::optional<KeyTree> oracle_restore_sharded(const Bytes& blob,
     if (r.remaining() != 0) return std::nullopt;
     KeyTree tree = KeyTree::from_nodes(degree, key_seed, nodes);
     tree.key_generator().set_counter(counter);
-    check_sharded_tree(tree, plan);
+    test::check_sharded_tree(tree, plan);
     if (plan_out != nullptr) *plan_out = plan;
     return tree;
   } catch (const EnsureError&) {
@@ -121,8 +122,8 @@ void expect_same_tree(const KeyTree& got, const KeyTree& want,
   EXPECT_EQ(got.num_users(), want.num_users()) << what;
   EXPECT_EQ(got.key_generator().counter(), want.key_generator().counter())
       << what;
-  const std::map<NodeId, Node> a = got.nodes();
-  const std::map<NodeId, Node> b = want.nodes();
+  const std::map<NodeId, Node> a = test::nodes(got);
+  const std::map<NodeId, Node> b = test::nodes(want);
   ASSERT_EQ(a.size(), b.size()) << what;
   auto ib = b.begin();
   for (const auto& [id, n] : a) {

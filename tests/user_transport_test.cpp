@@ -873,10 +873,10 @@ TEST(PacketPool, FactsMatchTheParsers) {
       add_with_truncations(w);
     add_with_truncations(rig.server->usr_for(rig.new_id(0)).serialize(wide));
   }
-  packet::NackPacket nack;
-  nack.msg_id = 1;
-  nack.entries = {{2, 3, 4}, {1, 7, 9}};
-  add_with_truncations(nack.serialize());
+  // A NACK-typed packet (msg 1; entries: 2 parities for block 3 with
+  // shard 4 seen, 1 parity for block 7 with shard 9 seen).
+  add_with_truncations(
+      Bytes{0xC1, 0x02, 0x00, 0x03, 0x04, 0x01, 0x00, 0x07, 0x09});
 
   for (const bool wide : {false, true}) {
     packet::EncPacket p;

@@ -842,11 +842,12 @@ TEST(Control, ReplicationFrameRoundtrips) {
     EXPECT_EQ(r->snap_seq, 0xDEADBEEFu);
   }
   {
+    // The standby never parses a heartbeat (any frame from its peer is
+    // liveness), so its bytes are pinned instead: op, epoch, next_batch.
     const HeartbeatFrame f{5, 17};
-    const auto r = parse_heartbeat(serialize(f));
-    ASSERT_TRUE(r);
-    EXPECT_EQ(r->epoch, 5u);
-    EXPECT_EQ(r->next_batch, 17u);
+    EXPECT_EQ(serialize(f), (Bytes{static_cast<std::uint8_t>(
+                                       ControlOp::Heartbeat),
+                                   0, 0, 0, 5, 0, 0, 0, 17}));
   }
   {
     const ResubFrame f{4096, 512, 2, 9, 0x123456789ABCull};
@@ -899,7 +900,7 @@ TEST(Control, ReplicationFrameTruncationSweepNeverAccepts) {
       const Bytes wire(full.begin(), full.begin() + cut);
       ASSERT_NO_THROW({
         EXPECT_FALSE(parse_snap_chunk(wire) || parse_snap_ack(wire) ||
-                     parse_heartbeat(wire) || parse_resub(wire))
+                     parse_resub(wire))
             << "frame " << fi << " cut " << cut;
       });
     }
@@ -981,16 +982,6 @@ TEST(Control, SnapshotReassemblyNewestSeqWins) {
   EXPECT_EQ(*full, new_blob);
   // After completion, stale chunks stay ignored.
   EXPECT_FALSE(reasm.add(old_frames[0]).has_value());
-
-  // clear() forgets everything, including the completed sequence.
-  reasm.clear();
-  SnapshotReassembly fresh;
-  for (std::size_t i = 0; i + 1 < new_frames.size(); ++i) {
-    EXPECT_FALSE(reasm.add(new_frames[i]).has_value());
-    EXPECT_FALSE(fresh.add(new_frames[i]).has_value());
-  }
-  EXPECT_TRUE(reasm.add(new_frames.back()).has_value());
-  EXPECT_TRUE(fresh.add(new_frames.back()).has_value());
 
   // Hostile nparts past the chunk cap must not size a huge vector.
   SnapChunkFrame hostile;

@@ -22,6 +22,7 @@
 
 #include "common/ensure.h"
 #include "common/obs.h"
+#include "support/receive_tap.h"
 #include "wire/daemon.h"
 #include "wire/fleet.h"
 #include "wire/loopback.h"
@@ -870,9 +871,8 @@ TEST(WireLoopback, FleetRoutesFramesByIdAsWellAsByBlock) {
   const Bytes whole_parity = parity.serialize();
   for (std::size_t n = 1; n < packet::kFecOffset; ++n)
     junk.emplace_back(whole_parity.begin(), whole_parity.begin() + n);
-  packet::NackPacket nack;
-  nack.entries = {{2, 0, 4}};
-  junk.push_back(nack.serialize());
+  // A NACK-typed packet (msg 0; one entry: 2 parities, block 0, shard 4).
+  junk.push_back(Bytes{0xC0, 0x02, 0x00, 0x00, 0x04});
   packet::UsrPacket usr;
   usr.new_user_id = 21;
   usr.max_kid = 5;
@@ -928,6 +928,58 @@ TEST(FleetStatsFold, EveryListedFieldFollowsItsRule) {
   fleets[1].finished = false;
   EXPECT_FALSE(fold_fleets(fleets).finished);
   EXPECT_FALSE(fold_fleets({}).finished);
+}
+
+TEST(WireLoopback, NoKeystreamRepeatsWhenTheWireIdWraps) {
+  // The fleet's 128 members sit under root children 1 and 2, whose KEKs
+  // never change, while the churn pool under child 3 changes the root key
+  // every batch; so enc ids 1 and 2 encrypt each batch's new root key.
+  // Batches b and b + 64 share the 6-bit wire id. Were that also the
+  // cipher's message id, enc ids 1 and 2 would each reuse a keystream
+  // across the two batches, and both would show c_b ^ c_{b+64} equal to
+  // the XOR of the two root keys: a member that left or joined between
+  // them could read the other root key from one it holds.
+  LoopbackHub hub;
+  DaemonConfig dc = base_daemon(128);
+  dc.degree = 4;
+  dc.batches = 66;
+  auto daemon_wire = hub.attach();
+  KeyServerDaemon daemon(*daemon_wire, dc);
+  DaemonStats stats;
+  std::thread daemon_thread([&] { stats = daemon.run(); });
+  auto fleet_wire = hub.attach();
+  test::ReceiveTap tap(*fleet_wire);
+  ClientFleet fleet(tap, daemon_wire->endpoint(), fleet_slice(0, 128));
+  const FleetStats fs = fleet.run();
+  daemon_thread.join();
+  ASSERT_EQ(stats.batches_run, 66u);
+  ASSERT_TRUE(fs.finished);
+  EXPECT_EQ(fs.recovered, 128u * 66u);
+
+  const auto by_batch =
+      test::enc_ciphertexts(tap.received, daemon_wire->endpoint());
+
+  std::size_t wrapped = 0;
+  std::size_t compared = 0;
+  for (const auto& [b, early] : by_batch) {
+    const auto late = by_batch.find(b + 64);
+    if (late == by_batch.end()) continue;
+    ++wrapped;
+    std::map<test::Ciphertext, std::uint32_t> seen;  // c_b ^ c_{b+64} -> id
+    for (const auto& [id, c] : early) {
+      const auto other = late->second.find(id);
+      if (other == late->second.end()) continue;
+      test::Ciphertext x;
+      for (std::size_t i = 0; i < x.size(); ++i) x[i] = c[i] ^ other->second[i];
+      ++compared;
+      const auto [first, fresh] = seen.emplace(x, id);
+      EXPECT_TRUE(fresh) << "wire id " << b % 64 << ": enc ids "
+                         << first->second << " and " << id
+                         << " have equal c_b ^ c_{b+64}";
+    }
+  }
+  EXPECT_GE(wrapped, 2u);
+  EXPECT_GT(compared, 0u);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
-// Wire-format tests for the four packet types: roundtrips, header peeks,
-// padding semantics, and size accounting (the paper's 46 encryptions per
-// 1027-byte ENC packet).
+// Wire-format tests for the packet types: roundtrips through the parsers
+// the receive path runs (parse_enc_header and enc_entries for ENC,
+// parse_parity_header for PARITY), header peeks, padding semantics, and
+// size accounting (the paper's 46 encryptions per 1027-byte ENC packet).
 #include <gtest/gtest.h>
 
 #include "common/ensure.h"
@@ -42,8 +43,10 @@ TEST(Wire, EncRoundtrip) {
 
   const Bytes wire = p.serialize(1027);
   EXPECT_EQ(wire.size(), 1027u);
-  const auto back = EncPacket::parse(wire);
+  const auto back = parse_enc_header(wire);
+  const auto region = enc_entries(wire);
   ASSERT_TRUE(back.has_value());
+  ASSERT_TRUE(region.has_value());
   EXPECT_EQ(back->msg_id, p.msg_id);
   EXPECT_EQ(back->block_id, p.block_id);
   EXPECT_EQ(back->seq, p.seq);
@@ -51,7 +54,7 @@ TEST(Wire, EncRoundtrip) {
   EXPECT_EQ(back->max_kid, p.max_kid);
   EXPECT_EQ(back->frm_id, p.frm_id);
   EXPECT_EQ(back->to_id, p.to_id);
-  EXPECT_EQ(back->entries, p.entries);
+  EXPECT_EQ(region->to_vector(), p.entries);
 }
 
 TEST(Wire, EncWideRoundtripCarriesBigSlotIds) {
@@ -67,28 +70,25 @@ TEST(Wire, EncWideRoundtripCarriesBigSlotIds) {
 
   const Bytes wire = p.serialize(1027, /*wide=*/true);
   EXPECT_EQ(wire.size(), 1027u);
-  const auto back = EncPacket::parse(wire, /*wide=*/true);
+  const auto back = parse_enc_header(wire, /*wide=*/true);
+  const auto region = enc_entries(wire, /*wide=*/true);
   ASSERT_TRUE(back.has_value());
+  ASSERT_TRUE(region.has_value());
   EXPECT_EQ(back->max_kid, p.max_kid);
   EXPECT_EQ(back->frm_id, p.frm_id);
   EXPECT_EQ(back->to_id, p.to_id);
   EXPECT_EQ(back->block_id, p.block_id);
   EXPECT_EQ(back->seq, p.seq);
   EXPECT_EQ(back->duplicate, p.duplicate);
-  EXPECT_EQ(back->entries, p.entries);
-
-  const auto hdr = parse_enc_header(wire, /*wide=*/true);
-  ASSERT_TRUE(hdr.has_value());
-  EXPECT_EQ(hdr->max_kid, p.max_kid);
-  EXPECT_EQ(hdr->frm_id, p.frm_id);
-  EXPECT_EQ(hdr->to_id, p.to_id);
+  EXPECT_EQ(region->to_vector(), p.entries);
 
   // The narrow format stays what it always was: ids overflowing u16 wrap
   // silently (the simulator's flat-tree benches rely on the byte layout),
   // which is exactly why the wire daemon negotiates the wide format.
   const Bytes narrow = p.serialize(1027);
-  const auto nb = EncPacket::parse(narrow);
+  const auto nb = parse_enc_header(narrow);
   ASSERT_TRUE(nb.has_value());
+  ASSERT_TRUE(enc_entries(narrow).has_value());
   EXPECT_EQ(nb->max_kid, p.max_kid & 0xFFFF);
   EXPECT_EQ(nb->frm_id, p.frm_id & 0xFFFF);
   EXPECT_EQ(nb->to_id, p.to_id & 0xFFFF);
@@ -99,9 +99,9 @@ TEST(Wire, EncPaddingStopsAtZeroId) {
   p.msg_id = 1;
   p.entries.push_back(make_entry(5, 1));
   const Bytes wire = p.serialize(200);
-  const auto back = EncPacket::parse(wire);
+  const auto back = enc_entries(wire);
   ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->entries.size(), 1u);
+  EXPECT_EQ(back->to_vector().size(), 1u);
 }
 
 TEST(Wire, EncZeroIdRejectedOnSerialize) {
@@ -159,12 +159,12 @@ TEST(Wire, ParityRoundtrip) {
   p.fec.assign(1023, 0xA5);
   const Bytes wire = p.serialize();
   EXPECT_EQ(wire.size(), 1027u);  // same length as an ENC packet
-  const auto back = ParityPacket::parse(wire);
+  const auto back = parse_parity_header(wire);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->msg_id, 7);
   EXPECT_EQ(back->block_id, 300);
   EXPECT_EQ(back->parity_seq, 200);
-  EXPECT_EQ(back->fec, p.fec);
+  EXPECT_EQ(Bytes(wire.begin() + kFecOffset, wire.end()), p.fec);
 }
 
 TEST(Wire, ParityHeaderPeek) {
@@ -219,30 +219,17 @@ TEST(Wire, UsrWideRoundtrip) {
   }
 }
 
-TEST(Wire, NackRoundtrip) {
-  NackPacket p;
-  p.msg_id = 3;
-  p.entries.push_back({4, 0, 9});
-  p.entries.push_back({10, 12, 0});
-  const Bytes wire = p.serialize();
-  EXPECT_EQ(wire.size(), 1u + 2 * 4u);
-  const auto back = NackPacket::parse(wire);
-  ASSERT_TRUE(back.has_value());
-  EXPECT_EQ(back->msg_id, 3);
-  EXPECT_EQ(back->entries, p.entries);
-}
-
 TEST(Wire, PeekTypeDistinguishesAll) {
   EncPacket e;
   e.entries.push_back(make_entry(1, 1));
   ParityPacket par;
   par.fec.assign(4, 0);
   UsrPacket u;
-  NackPacket n;
   EXPECT_EQ(peek_type(e.serialize(64)), PacketType::Enc);
   EXPECT_EQ(peek_type(par.serialize()), PacketType::Parity);
   EXPECT_EQ(peek_type(u.serialize()), PacketType::Usr);
-  EXPECT_EQ(peek_type(n.serialize()), PacketType::Nack);
+  // No NACK packet is serialized, but its tag is the fourth value.
+  EXPECT_EQ(peek_type(Bytes{0xC0}), PacketType::Nack);
   EXPECT_FALSE(peek_type({}).has_value());
 }
 
@@ -250,16 +237,15 @@ TEST(Wire, CrossTypeParseRejected) {
   UsrPacket u;
   u.msg_id = 1;
   const Bytes wire = u.serialize();
-  EXPECT_FALSE(EncPacket::parse(wire).has_value());
-  EXPECT_FALSE(ParityPacket::parse(wire).has_value());
-  EXPECT_FALSE(NackPacket::parse(wire).has_value());
+  EXPECT_FALSE(parse_enc_header(wire).has_value());
+  EXPECT_FALSE(parse_parity_header(wire).has_value());
 }
 
 TEST(Wire, TruncatedPacketsRejected) {
-  EXPECT_FALSE(EncPacket::parse(Bytes{0x00, 0x01}).has_value());
-  EXPECT_FALSE(ParityPacket::parse(Bytes{0x40}).has_value());
+  EXPECT_FALSE(parse_enc_header(Bytes{0x00, 0x01}).has_value());
+  EXPECT_FALSE(enc_entries(Bytes{0x00, 0x01}).has_value());
+  EXPECT_FALSE(parse_parity_header(Bytes{0x40}).has_value());
   EXPECT_FALSE(UsrPacket::parse(Bytes{0x80}).has_value());
-  EXPECT_FALSE(NackPacket::parse(Bytes{}).has_value());
 }
 
 TEST(Wire, MsgIdRange) {
